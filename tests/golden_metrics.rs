@@ -1,14 +1,18 @@
 //! Golden-JSON regression pins: `RouteMode::Centralized` and
 //! `RouteMode::OneHop` behavior, and the `Metrics::to_json` wire format,
 //! must stay byte-identical across refactors of the routing layer. The
-//! fixtures under `tests/golden/` were captured before the per-station
-//! distance-vector exchange landed; any diff here means a change leaked
-//! into modes that were supposed to be untouched.
+//! network fixtures under `tests/golden/` were captured before the
+//! per-station distance-vector exchange landed; any diff here means a
+//! change leaked into modes that were supposed to be untouched. The
+//! `baseline_*` fixtures pin each contention MAC of experiment E3 the
+//! same way.
 //!
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`
 
+use parn::baseline::{Aloha, BaselineConfig, Csma, MacKind, Maca, Scenario};
 use parn::core::{DestPolicy, FaultPlan, HealConfig, NetConfig, Network, RouteMode};
+use parn::phys::PowerW;
 use parn::sim::Duration;
 use std::path::PathBuf;
 
@@ -62,6 +66,47 @@ fn one_hop_neighbor_traffic_metrics_are_pinned() {
     cfg.traffic.dest = DestPolicy::Neighbors;
     let m = Network::run(cfg);
     check("one_hop_neighbors.json", &m.to_json().to_string());
+}
+
+/// E3's heaviest row (60 stations, seed 3, 12 s at 40 pps per station):
+/// every baseline MAC retransmits here and MACA exhausts retries, so the
+/// fixtures pin the retry, drop and in-flight accounting of each MAC.
+/// CSMA senses at 1e-6 W rather than E3's 1e-8 W: at 1e-8 W it defers so
+/// hard that it never collides, while 1e-6 W exercises both the deferral
+/// and the retry path.
+fn e3_heavy(mac: MacKind) -> BaselineConfig {
+    let mut c = BaselineConfig::matched(60, 3, mac);
+    c.arrivals_per_station_per_sec = 40.0;
+    c.run_for = Duration::from_secs(12);
+    c.warmup = Duration::from_secs(2);
+    c
+}
+
+#[test]
+fn pure_aloha_metrics_are_pinned() {
+    let m = Aloha::run(Scenario::new(e3_heavy(MacKind::PureAloha)));
+    check("baseline_pure_aloha.json", &m.to_json().to_string());
+}
+
+#[test]
+fn slotted_aloha_metrics_are_pinned() {
+    let slot = Duration::from_micros(2500);
+    let m = Aloha::run(Scenario::new(e3_heavy(MacKind::SlottedAloha { slot })));
+    check("baseline_slotted_aloha.json", &m.to_json().to_string());
+}
+
+#[test]
+fn csma_metrics_are_pinned() {
+    let sense_threshold = PowerW(1e-6);
+    let m = Csma::run(Scenario::new(e3_heavy(MacKind::Csma { sense_threshold })));
+    check("baseline_csma.json", &m.to_json().to_string());
+}
+
+#[test]
+fn maca_metrics_are_pinned() {
+    let ctrl_airtime = Duration::from_micros(250);
+    let m = Maca::run(Scenario::new(e3_heavy(MacKind::Maca { ctrl_airtime })));
+    check("baseline_maca.json", &m.to_json().to_string());
 }
 
 /// Static-topology runs must not leak any dynamic-topology state into
