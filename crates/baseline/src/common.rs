@@ -351,8 +351,8 @@ mod tests {
         cfg.warmup = Duration::from_secs(1);
         let mut grid_cfg = cfg.clone();
         grid_cfg.phy_backend = PhyBackend::Grid { far_field: None };
-        let dense = crate::csma::Csma::run(Scenario::new(cfg));
-        let grid = crate::csma::Csma::run(Scenario::new(grid_cfg));
+        let dense = crate::Baseline::run(Scenario::new(cfg));
+        let grid = crate::Baseline::run(Scenario::new(grid_cfg));
         assert_eq!(dense.generated, grid.generated);
         assert_eq!(dense.delivered, grid.delivered);
         assert_eq!(dense.total_losses(), grid.total_losses());

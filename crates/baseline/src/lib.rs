@@ -2,21 +2,19 @@
 //! against (§2), implemented under the *same* physical interference model
 //! as the Shepard scheme.
 //!
-//! * [`aloha`] — pure and slotted ALOHA;
-//! * [`csma`] — carrier sense with power-threshold deferral;
-//! * [`maca`] — MACA-style RTS/CTS with NAV deferral.
+//! * [`common`] — the shared physical scenario ([`Scenario`]), its
+//!   configuration ([`BaselineConfig`]) and the MAC selector ([`MacKind`]);
+//! * [`model`] — [`Baseline`], one event model for pure and slotted ALOHA,
+//!   CSMA with power-threshold deferral, and MACA-style RTS/CTS with NAV
+//!   deferral. Only the channel-access decision differs between them.
 //!
-//! All three lose packets to collisions under load; the scheme does not.
+//! All four lose packets to collisions under load; the scheme does not.
 //! That contrast is experiment E3.
 
 #![warn(missing_docs)]
 
-pub mod aloha;
 pub mod common;
-pub mod csma;
-pub mod maca;
+pub mod model;
 
-pub use aloha::Aloha;
 pub use common::{BaselineConfig, MacKind, Scenario};
-pub use csma::Csma;
-pub use maca::Maca;
+pub use model::Baseline;

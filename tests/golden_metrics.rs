@@ -10,7 +10,7 @@
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`
 
-use parn::baseline::{Aloha, BaselineConfig, Csma, MacKind, Maca, Scenario};
+use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
 use parn::core::{DestPolicy, FaultPlan, HealConfig, NetConfig, Network, RouteMode};
 use parn::phys::PowerW;
 use parn::sim::Duration;
@@ -84,28 +84,28 @@ fn e3_heavy(mac: MacKind) -> BaselineConfig {
 
 #[test]
 fn pure_aloha_metrics_are_pinned() {
-    let m = Aloha::run(Scenario::new(e3_heavy(MacKind::PureAloha)));
+    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::PureAloha)));
     check("baseline_pure_aloha.json", &m.to_json().to_string());
 }
 
 #[test]
 fn slotted_aloha_metrics_are_pinned() {
     let slot = Duration::from_micros(2500);
-    let m = Aloha::run(Scenario::new(e3_heavy(MacKind::SlottedAloha { slot })));
+    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::SlottedAloha { slot })));
     check("baseline_slotted_aloha.json", &m.to_json().to_string());
 }
 
 #[test]
 fn csma_metrics_are_pinned() {
     let sense_threshold = PowerW(1e-6);
-    let m = Csma::run(Scenario::new(e3_heavy(MacKind::Csma { sense_threshold })));
+    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::Csma { sense_threshold })));
     check("baseline_csma.json", &m.to_json().to_string());
 }
 
 #[test]
 fn maca_metrics_are_pinned() {
     let ctrl_airtime = Duration::from_micros(250);
-    let m = Maca::run(Scenario::new(e3_heavy(MacKind::Maca { ctrl_airtime })));
+    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::Maca { ctrl_airtime })));
     check("baseline_maca.json", &m.to_json().to_string());
 }
 

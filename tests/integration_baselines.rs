@@ -1,7 +1,7 @@
 //! Integration tests contrasting the scheme with the baseline MACs over
 //! identical physics (experiment E3's acceptance criteria).
 
-use parn::baseline::{Aloha, BaselineConfig, Csma, MacKind, Maca, Scenario};
+use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
 use parn::core::{DestPolicy, NetConfig, Network};
 use parn::phys::PowerW;
 use parn::sim::Duration;
@@ -30,7 +30,7 @@ fn scheme(rate: f64) -> parn::core::Metrics {
 fn scheme_beats_aloha_on_loss_at_heavy_load() {
     let rate = 30.0;
     let s = scheme(rate);
-    let a = Aloha::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
+    let a = Baseline::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
     assert_eq!(s.collision_losses(), 0);
     assert!(a.collision_losses() > 0, "{}", a.summary());
     assert!(s.hop_success_rate() > a.hop_success_rate());
@@ -39,8 +39,8 @@ fn scheme_beats_aloha_on_loss_at_heavy_load() {
 #[test]
 fn slotted_aloha_sits_between_pure_and_scheme() {
     let rate = 30.0;
-    let pure = Aloha::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
-    let slotted = Aloha::run(Scenario::new(baseline_cfg(
+    let pure = Baseline::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
+    let slotted = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::SlottedAloha {
             slot: Duration::from_micros(2500),
         },
@@ -52,21 +52,21 @@ fn slotted_aloha_sits_between_pure_and_scheme() {
 
 #[test]
 fn aloha_collisions_grow_with_load() {
-    let low = Aloha::run(Scenario::new(baseline_cfg(MacKind::PureAloha, 2.0)));
-    let high = Aloha::run(Scenario::new(baseline_cfg(MacKind::PureAloha, 30.0)));
+    let low = Baseline::run(Scenario::new(baseline_cfg(MacKind::PureAloha, 2.0)));
+    let high = Baseline::run(Scenario::new(baseline_cfg(MacKind::PureAloha, 30.0)));
     assert!(high.collision_losses() > low.collision_losses());
 }
 
 #[test]
 fn csma_trades_collisions_for_delay() {
     let rate = 20.0;
-    let aggressive = Csma::run(Scenario::new(baseline_cfg(
+    let aggressive = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::Csma {
             sense_threshold: PowerW(1e-3), // barely ever defers
         },
         rate,
     )));
-    let cautious = Csma::run(Scenario::new(baseline_cfg(
+    let cautious = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::Csma {
             sense_threshold: PowerW(1e-10), // defers at a whisper
         },
@@ -87,7 +87,7 @@ fn csma_trades_collisions_for_delay() {
 #[test]
 fn maca_control_overhead_is_visible() {
     let rate = 3.0;
-    let m = Maca::run(Scenario::new(baseline_cfg(
+    let m = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::Maca {
             ctrl_airtime: Duration::from_micros(250),
         },
@@ -108,14 +108,14 @@ fn maca_control_overhead_is_visible() {
 fn all_macs_deliver_at_light_load() {
     let rate = 0.5;
     let s = scheme(rate);
-    let a = Aloha::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
-    let c = Csma::run(Scenario::new(baseline_cfg(
+    let a = Baseline::run(Scenario::new(baseline_cfg(MacKind::PureAloha, rate)));
+    let c = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::Csma {
             sense_threshold: PowerW(1e-8),
         },
         rate,
     )));
-    let m = Maca::run(Scenario::new(baseline_cfg(
+    let m = Baseline::run(Scenario::new(baseline_cfg(
         MacKind::Maca {
             ctrl_airtime: Duration::from_micros(250),
         },
