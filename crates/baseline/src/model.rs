@@ -151,7 +151,6 @@ pub struct Baseline {
     rx_in_use: Vec<usize>,
     next_id: u64,
     next_seq: u64,
-    dropped: u64,
 }
 
 impl Baseline {
@@ -181,7 +180,6 @@ impl Baseline {
             rx_in_use: vec![0; n],
             next_id: 0,
             next_seq: 0,
-            dropped: 0,
         }
     }
 
@@ -196,7 +194,7 @@ impl Baseline {
     }
 
     fn finish(mut self) -> Metrics {
-        let settled = self.sc.metrics.delivered + self.dropped;
+        let settled = self.sc.metrics.delivered + self.sc.metrics.total_drops();
         self.sc.metrics.in_flight_at_end = self.sc.metrics.generated.saturating_sub(settled);
         self.sc.metrics
     }
@@ -403,7 +401,7 @@ impl Baseline {
             let at = now + self.sc.backoff();
             self.schedule_ready_at(s, at, queue);
         } else if measured {
-            self.dropped += 1;
+            self.sc.metrics.record_drop(LossCause::RetriesExhausted);
         }
     }
 
