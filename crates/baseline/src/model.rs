@@ -221,11 +221,6 @@ impl Baseline {
             }
             _ => at,
         };
-        self.schedule_ready_at(s, at, queue);
-    }
-
-    /// Queue a `Ready` for `s` at exactly `at`, unless one is pending.
-    fn schedule_ready_at(&mut self, s: StationId, at: Time, queue: &mut EventQueue<Event>) {
         if !self.stations[s].ready_pending {
             self.stations[s].ready_pending = true;
             queue.schedule(at, Event::Ready { station: s });
@@ -399,7 +394,7 @@ impl Baseline {
             }
             self.stations[s].queue.push_front((nh, packet, attempts));
             let at = now + self.sc.backoff();
-            self.schedule_ready_at(s, at, queue);
+            self.schedule_ready(s, at, queue);
         } else if measured {
             self.sc.metrics.record_drop(LossCause::RetriesExhausted);
         }
@@ -666,6 +661,39 @@ mod tests {
             let b = run(mac.clone(), 5.0, 9);
             assert_eq!(a.to_json().to_string(), b.to_json().to_string(), "{mac:?}");
         }
+    }
+
+    #[test]
+    fn slotted_transmissions_start_on_slot_boundaries() {
+        // Drive the model event by event: first attempts and retries alike
+        // must go on the air exactly at a global slot boundary.
+        let slot = Duration::from_micros(2500);
+        let mut sim = Baseline::new(Scenario::new(cfg(slotted(), 30.0, 3)));
+        let mut queue = EventQueue::new();
+        sim.prime(&mut queue);
+        let (mut first, mut retries) = (0, 0);
+        while let Some((now, event)) = queue.pop() {
+            if now > sim.sc.end {
+                break;
+            }
+            if let Event::TxEnd { attempts, .. } = event {
+                let start = now - sim.sc.cfg.airtime;
+                assert!(
+                    (start % slot).is_zero(),
+                    "attempt {attempts} started off the slot grid at {start}"
+                );
+                if attempts == 1 {
+                    first += 1;
+                } else {
+                    retries += 1;
+                }
+            }
+            sim.handle(now, event, &mut queue);
+        }
+        assert!(
+            first > 0 && retries > 0,
+            "{first} first attempts, {retries} retries"
+        );
     }
 
     #[test]
