@@ -16,8 +16,9 @@ fn graph(n: usize) -> EnergyGraph {
     }
     .generate(&mut Rng::new(3));
     let gm = GainMatrix::build(&pts, &FreeSpace::unit());
-    // Usable hops out to 2/sqrt(rho) = 200 m at this density.
-    EnergyGraph::from_gains(&gm, Gain(1.0 / (200.0f64 * 200.0)))
+    // Usable hops out to 2/sqrt(rho) = 20 m at this density (~12
+    // neighbours, as in the simulator).
+    EnergyGraph::from_gains(&gm, Gain(1.0 / (20.0f64 * 20.0)))
 }
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     }
 
     let mut group = h.group("route_table_centralized");
-    for &n in &[100usize, 300] {
+    for &n in &[100usize, 300, 500, 1000] {
         let g = graph(n);
         group.bench(n, || RouteTable::centralized(&g));
     }

@@ -15,11 +15,13 @@ use std::time::{Duration, Instant};
 
 /// Entry point for a `harness = false` bench target.
 ///
-/// Honors the `--test` flag cargo passes under `cargo test` (each bench
-/// then runs a single iteration as a smoke test) and the
-/// `PARN_BENCH_QUICK=1` environment variable. Outside quick mode, results
-/// are also written to `BENCH_micro_<target>.json` when the harness is
-/// dropped.
+/// Quick mode runs each bench for a single iteration as a smoke test and
+/// writes nothing. It is selected by the `PARN_BENCH_QUICK=1` environment
+/// variable (`PARN_BENCH_QUICK=1 cargo bench -p parn-bench`) or a `--test`
+/// argument. Cargo passes no such argument to `harness = false` targets,
+/// so `cargo test --bench <target>` runs the full timing loop. Outside
+/// quick mode, results are also written to `BENCH_micro_<target>.json`
+/// when the harness is dropped.
 pub fn harness(target: &str) -> Harness {
     let quick = std::env::args().any(|a| a == "--test")
         || std::env::var("PARN_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -48,7 +50,7 @@ pub struct Harness {
 
 impl Drop for Harness {
     /// Write the collected results as one `BENCH_micro_<target>.json`
-    /// line. Quick mode (smoke runs under `cargo test`) writes nothing —
+    /// line. Quick mode (smoke runs) writes nothing —
     /// single unwarmed iterations are not trajectory data.
     fn drop(&mut self) {
         if self.quick || self.results.is_empty() {

@@ -480,13 +480,7 @@ impl Network {
         // them; skipping the O(M²) scan otherwise keeps metro-scale
         // neighbour-traffic runs linear.
         let reachable: Vec<Vec<StationId>> = match &cfg.traffic.dest {
-            DestPolicy::UniformAll => (0..n)
-                .map(|s| {
-                    (0..n)
-                        .filter(|&d| d != s && routes.reachable(s, d))
-                        .collect()
-                })
-                .collect(),
+            DestPolicy::UniformAll => (0..n).map(|s| routes.reachable_from(s)).collect(),
             _ => vec![Vec::new(); n],
         };
         let mut flow_dsts = vec![Vec::new(); n];
@@ -2858,9 +2852,9 @@ impl Network {
         if matches!(self.cfg.traffic.dest, DestPolicy::UniformAll) {
             for s in 0..n {
                 self.reachable[s] = if self.alive[s] {
-                    (0..n)
-                        .filter(|&d| d != s && rx_ok[d] && self.routes.reachable(s, d))
-                        .collect()
+                    let mut dsts = self.routes.reachable_from(s);
+                    dsts.retain(|&d| rx_ok[d]);
+                    dsts
                 } else {
                     Vec::new()
                 };

@@ -24,6 +24,7 @@
 //! drives them to quiescence — the convergence harness used by the
 //! simulator at cold start and by the property suite.
 
+use crate::dijkstra::encode_hop;
 use crate::graph::EnergyGraph;
 use crate::table::RouteTable;
 use parn_phys::StationId;
@@ -417,13 +418,11 @@ impl DvCluster {
     /// simulator's global view).
     pub fn to_table(&self) -> RouteTable {
         let n = self.states.len();
-        let mut next_hop = vec![None; n * n];
-        let mut cost = vec![f64::INFINITY; n * n];
-        for (src, st) in self.states.iter().enumerate() {
-            for dst in 0..n {
-                next_hop[src * n + dst] = st.next_hop[dst];
-                cost[src * n + dst] = st.dist[dst];
-            }
+        let mut next_hop = Vec::with_capacity(n * n);
+        let mut cost = Vec::with_capacity(n * n);
+        for st in &self.states {
+            next_hop.extend(st.next_hop.iter().map(|&h| encode_hop(h)));
+            cost.extend_from_slice(&st.dist);
         }
         RouteTable::from_dense(n, next_hop, cost)
     }

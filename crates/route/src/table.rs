@@ -7,11 +7,10 @@
 //! assembled network-wide for the simulator.
 
 use crate::bellman_ford::DistributedBellmanFord;
-use crate::dijkstra::dijkstra;
+use crate::dijkstra::{decode_hop, encode_hop, Solver};
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
 use parn_sim::Rng;
-use std::collections::HashSet;
 
 /// Immutable all-pairs next-hop table.
 ///
@@ -33,7 +32,9 @@ pub struct RouteTable {
     repr: Repr,
 }
 
-/// Internal storage. `Dense` is the classic O(M²) all-pairs table;
+/// Internal storage. `Dense` is the classic O(M²) all-pairs table: 12 B
+/// per pair, a `u32` next hop ([`NO_HOP`](crate::dijkstra::NO_HOP) for
+/// none) and an `f64` cost;
 /// `OneHop` stores only the direct usable edges (O(E)) for workloads
 /// whose destinations are always one hop away (`DestPolicy::Neighbors`
 /// traffic at metro scale), where an all-pairs table would dwarf the
@@ -44,7 +45,7 @@ pub struct RouteTable {
 #[derive(Clone, Debug)]
 enum Repr {
     Dense {
-        next_hop: Vec<Option<StationId>>, // row-major [src][dst]
+        next_hop: Vec<u32>, // row-major [src][dst]
         cost: Vec<f64>,
     },
     OneHop {
@@ -57,23 +58,20 @@ enum Repr {
 }
 
 impl RouteTable {
-    /// Build centrally by running Dijkstra from every source.
+    /// Build centrally by running Dijkstra from every source: one solver,
+    /// reused for all n runs, whose distance and first-hop buffers are
+    /// copied straight into each row.
     pub fn centralized(graph: &EnergyGraph) -> RouteTable {
         let n = graph.len();
-        let mut next_hop = vec![None; n * n];
-        let mut cost = vec![f64::INFINITY; n * n];
+        let mut next_hop = Vec::with_capacity(n * n);
+        let mut cost = Vec::with_capacity(n * n);
+        let mut solver = Solver::default();
         for src in 0..n {
-            let sp = dijkstra(graph, src);
-            for dst in 0..n {
-                cost[src * n + dst] = sp.dist[dst];
-                next_hop[src * n + dst] = sp.first_hop_to(dst);
-            }
-            cost[src * n + src] = 0.0;
+            solver.run(graph, src);
+            next_hop.extend_from_slice(solver.first());
+            cost.extend_from_slice(solver.dist());
         }
-        RouteTable {
-            n,
-            repr: Repr::Dense { next_hop, cost },
-        }
+        RouteTable::from_dense(n, next_hop, cost)
     }
 
     /// Build by running the distributed asynchronous Bellman–Ford to
@@ -82,29 +80,22 @@ impl RouteTable {
         let n = graph.len();
         let mut bf = DistributedBellmanFord::new(graph.clone());
         bf.run_async(rng, 4 * n.max(16));
-        let mut next_hop = vec![None; n * n];
-        let mut cost = vec![f64::INFINITY; n * n];
+        let mut next_hop = Vec::with_capacity(n * n);
+        let mut cost = Vec::with_capacity(n * n);
         for src in 0..n {
             let st = bf.node(src);
-            for dst in 0..n {
-                cost[src * n + dst] = st.dist[dst];
-                next_hop[src * n + dst] = st.next_hop[dst];
-            }
+            next_hop.extend(st.next_hop.iter().map(|&h| encode_hop(h)));
+            cost.extend_from_slice(&st.dist);
         }
-        RouteTable {
-            n,
-            repr: Repr::Dense { next_hop, cost },
-        }
+        RouteTable::from_dense(n, next_hop, cost)
     }
 
-    /// Assemble a dense table from per-station rows — used by
-    /// [`DvCluster`](crate::dv::DvCluster) to snapshot the distributed
-    /// exchange's current (possibly transient) network-wide view.
-    pub(crate) fn from_dense(
-        n: usize,
-        next_hop: Vec<Option<StationId>>,
-        cost: Vec<f64>,
-    ) -> RouteTable {
+    /// Assemble a dense table from row-major `[src][dst]` compact next
+    /// hops ([`encode_hop`]) and route costs — the one constructor
+    /// behind [`centralized`](RouteTable::centralized),
+    /// [`distributed`](RouteTable::distributed) and
+    /// [`DvCluster::to_table`](crate::dv::DvCluster::to_table).
+    pub(crate) fn from_dense(n: usize, next_hop: Vec<u32>, cost: Vec<f64>) -> RouteTable {
         assert_eq!(next_hop.len(), n * n);
         assert_eq!(cost.len(), n * n);
         RouteTable {
@@ -159,11 +150,18 @@ impl RouteTable {
     }
 
     /// Next hop from `src` toward `dst` (None when `src == dst` or
-    /// unreachable).
+    /// unreachable): the forwarding decision for a packet, counted as
+    /// `route.next_hop.lookups`. The table's own scans (reachability,
+    /// paths, routing neighbours) read it without counting.
     pub fn next_hop(&self, src: StationId, dst: StationId) -> Option<StationId> {
         parn_sim::counter_inc!("route.next_hop.lookups");
+        self.hop(src, dst)
+    }
+
+    /// [`next_hop`](RouteTable::next_hop) without the lookup counter.
+    fn hop(&self, src: StationId, dst: StationId) -> Option<StationId> {
         match &self.repr {
-            Repr::Dense { next_hop, .. } => next_hop[src * self.n + dst],
+            Repr::Dense { next_hop, .. } => decode_hop(next_hop[src * self.n + dst]),
             Repr::OneHop { adj } => {
                 if src == dst {
                     None
@@ -225,7 +223,7 @@ impl RouteTable {
                 let mut cur = src;
                 let mut steps = 0usize;
                 while cur != dst {
-                    let Some(h) = self.next_hop(cur, dst) else {
+                    let Some(h) = self.hop(cur, dst) else {
                         return f64::INFINITY;
                     };
                     let Some(&(_, c)) = adj[cur].iter().find(|&&(t, _)| t == h) else {
@@ -245,7 +243,15 @@ impl RouteTable {
 
     /// Whether `dst` is reachable from `src`.
     pub fn reachable(&self, src: StationId, dst: StationId) -> bool {
-        src == dst || self.next_hop(src, dst).is_some()
+        src == dst || self.hop(src, dst).is_some()
+    }
+
+    /// Every destination `src` can route to, itself excluded, ascending
+    /// (on a dense table, one uncounted scan of `src`'s row).
+    pub fn reachable_from(&self, src: StationId) -> Vec<StationId> {
+        (0..self.n)
+            .filter(|&d| d != src && self.hop(src, d).is_some())
+            .collect()
     }
 
     /// Whether every station can reach every other.
@@ -258,7 +264,7 @@ impl RouteTable {
         let mut p = vec![src];
         let mut cur = src;
         while cur != dst {
-            cur = self.next_hop(cur, dst)?;
+            cur = self.hop(cur, dst)?;
             p.push(cur);
             if p.len() > self.n {
                 return None;
@@ -277,15 +283,13 @@ impl RouteTable {
     /// eight.
     pub fn routing_neighbors(&self, src: StationId) -> Vec<StationId> {
         match &self.repr {
-            Repr::Dense { .. } => {
-                let mut set = HashSet::new();
-                for dst in 0..self.n {
-                    if let Some(h) = self.next_hop(src, dst) {
-                        set.insert(h);
-                    }
-                }
-                let mut v: Vec<StationId> = set.into_iter().collect();
-                v.sort();
+            Repr::Dense { next_hop, .. } => {
+                let mut v: Vec<StationId> = next_hop[src * self.n..(src + 1) * self.n]
+                    .iter()
+                    .filter_map(|&h| decode_hop(h))
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
                 v
             }
             Repr::OneHop { adj } | Repr::Greedy { adj, .. } => {
@@ -315,12 +319,11 @@ impl RouteTable {
             Repr::Dense { next_hop, .. } => {
                 let mut seen = vec![usize::MAX; self.n]; // last src using h
                 for src in 0..self.n {
-                    for dst in 0..self.n {
-                        if let Some(h) = next_hop[src * self.n + dst] {
-                            if seen[h] != src {
-                                seen[h] = src;
-                                counts[h] += 1;
-                            }
+                    let row = &next_hop[src * self.n..(src + 1) * self.n];
+                    for h in row.iter().filter_map(|&h| decode_hop(h)) {
+                        if seen[h] != src {
+                            seen[h] = src;
+                            counts[h] += 1;
                         }
                     }
                 }

@@ -1,11 +1,12 @@
 //! Property-based tests of minimum-energy routing: the distributed
 //! computation always lands on Dijkstra's fixed point, route costs obey
-//! metric sanity, and tables are internally consistent.
+//! metric sanity, tables are internally consistent, and the centralized
+//! table matches an independent reference Dijkstra bit for bit.
 
 use parn::phys::placement::Placement;
 use parn::phys::propagation::FreeSpace;
 use parn::phys::{Gain, GainMatrix};
-use parn::route::{dijkstra, DistributedBellmanFord, EnergyGraph, RouteTable};
+use parn::route::{dijkstra, DistributedBellmanFord, DvCluster, EnergyGraph, RouteTable};
 use parn::sim::Rng;
 use parn::testkit::cases;
 
@@ -32,7 +33,9 @@ fn geometric_graph(seed: u64, n: usize) -> (EnergyGraph, GainMatrix) {
     }
     .generate(&mut rng);
     let gm = GainMatrix::build(&pts, &FreeSpace::unit());
-    let g = EnergyGraph::from_gains(&gm, Gain(1.0 / (200.0f64 * 200.0)));
+    // Usable hops out to 2/sqrt(rho) = 20 m at this density: ~12
+    // neighbours, the sparse graphs the simulator routes on.
+    let g = EnergyGraph::from_gains(&gm, Gain(1.0 / (20.0f64 * 20.0)));
     (g, gm)
 }
 
@@ -139,5 +142,141 @@ fn activation_order_is_irrelevant() {
         for s in 0..15 {
             assert_eq!(&a.node(s).dist, &b.node(s).dist);
         }
+    });
+}
+
+/// Directed graph with small-integer costs (0–3), so equal-cost routes —
+/// and with them the tie-breaking rules — are everywhere. Stations split
+/// into `parts` blocks with no edge between blocks: disconnected
+/// components.
+fn tie_graph(rng: &mut Rng, n: usize, parts: usize, p_edge: f64) -> EnergyGraph {
+    let mut edges = Vec::new();
+    for a in 0..n {
+        for b in 0..n {
+            if a != b && a % parts == b % parts && rng.chance(p_edge) {
+                edges.push((a, b, rng.below(4) as f64));
+            }
+        }
+    }
+    EnergyGraph::from_edges(n, &edges)
+}
+
+/// Independent reference: O(n²) array-scan Dijkstra. Each step settles
+/// the unsettled station with the least `(dist, id)`, relaxes its edges
+/// with strict `<`, and first hops are found afterwards by walking `prev`
+/// back to the source.
+fn reference_routes(g: &EnergyGraph, src: usize) -> (Vec<f64>, Vec<Option<usize>>) {
+    let n = g.len();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut prev: Vec<Option<usize>> = vec![None; n];
+    let mut done = vec![false; n];
+    dist[src] = 0.0;
+    loop {
+        let mut best: Option<usize> = None;
+        for v in 0..n {
+            if !done[v] && dist[v].is_finite() && best.is_none_or(|b| dist[v] < dist[b]) {
+                best = Some(v);
+            }
+        }
+        let Some(u) = best else { break };
+        done[u] = true;
+        for &(v, c) in g.neighbors(u) {
+            if dist[u] + c < dist[v] {
+                dist[v] = dist[u] + c;
+                prev[v] = Some(u);
+            }
+        }
+    }
+    let first = (0..n)
+        .map(|dst| {
+            if dst == src || !dist[dst].is_finite() {
+                return None;
+            }
+            let mut cur = dst;
+            while prev[cur] != Some(src) {
+                cur = prev[cur].expect("reachable station has a predecessor");
+            }
+            Some(cur)
+        })
+        .collect();
+    (dist, first)
+}
+
+fn assert_matches_reference(g: &EnergyGraph, label: &str) {
+    let t = RouteTable::centralized(g);
+    for src in 0..g.len() {
+        let (dist, first) = reference_routes(g, src);
+        let sp = dijkstra(g, src);
+        for dst in 0..g.len() {
+            assert_eq!(
+                t.cost(src, dst).to_bits(),
+                dist[dst].to_bits(),
+                "{label}: cost {src}->{dst}"
+            );
+            assert_eq!(
+                t.next_hop(src, dst),
+                first[dst],
+                "{label}: hop {src}->{dst}"
+            );
+            assert_eq!(sp.dist[dst].to_bits(), dist[dst].to_bits());
+            assert_eq!(sp.first_hop_to(dst), first[dst]);
+        }
+    }
+}
+
+#[test]
+fn centralized_matches_reference_dijkstra_with_ties() {
+    cases(48, "reference_ties", |_, rng| {
+        let n = 2 + rng.below(30) as usize;
+        let parts = 1 + rng.below(3) as usize;
+        let p_edge = rng.range_f64(0.05, 0.5);
+        let g = tie_graph(rng, n, parts, p_edge);
+        assert_matches_reference(&g, &format!("n={n} parts={parts}"));
+    });
+}
+
+#[test]
+fn centralized_matches_reference_dijkstra_on_geometric_graphs() {
+    cases(12, "reference_geometric", |_, rng| {
+        let n = 20 + rng.below(100) as usize;
+        let (g, _) = geometric_graph(rng.below(10_000), n);
+        assert_matches_reference(&g, &format!("geometric n={n}"));
+    });
+}
+
+/// `routing_neighbors` and `routing_dependent_counts` agree with a plain
+/// per-destination `next_hop` scan.
+fn assert_neighbor_views_match_scan(t: &RouteTable) {
+    let n = t.len();
+    let mut dependents = vec![0usize; n];
+    for src in 0..n {
+        let mut scan: Vec<usize> = (0..n).filter_map(|dst| t.next_hop(src, dst)).collect();
+        scan.sort();
+        scan.dedup();
+        for &h in &scan {
+            dependents[h] += 1;
+        }
+        assert_eq!(
+            t.routing_neighbors(src),
+            scan,
+            "routing neighbours of {src}"
+        );
+    }
+    assert_eq!(t.routing_dependent_counts(), dependents);
+}
+
+#[test]
+fn dense_neighbor_views_match_next_hop_scan() {
+    cases(24, "neighbor_views", |_, rng| {
+        let n = 5 + rng.below(40) as usize;
+        let (g, _) = geometric_graph(rng.below(10_000), n);
+        assert_neighbor_views_match_scan(&RouteTable::centralized(&g));
+        let mut cluster = DvCluster::new(&g);
+        cluster
+            .converge_sync(2 * n + 16)
+            .expect("distance-vector exchange converges");
+        assert_neighbor_views_match_scan(&cluster.to_table());
+        let ties = tie_graph(rng, n, 2, 0.2);
+        assert_neighbor_views_match_scan(&RouteTable::centralized(&ties));
     });
 }
