@@ -1,18 +1,24 @@
-//! Golden-JSON regression pins: `RouteMode::Centralized` and
-//! `RouteMode::OneHop` behavior, and the `Metrics::to_json` wire format,
-//! must stay byte-identical across refactors of the routing layer. The
-//! network fixtures under `tests/golden/` were captured before the
-//! per-station distance-vector exchange landed; any diff here means a
-//! change leaked into modes that were supposed to be untouched. The
-//! `baseline_*` fixtures pin each contention MAC of experiment E3 the
-//! same way.
+//! Golden-JSON regression pins: `RouteMode::Centralized`,
+//! `RouteMode::OneHop` and `RouteMode::Distributed` behavior, and the
+//! `Metrics::to_json` wire format, must stay byte-identical across
+//! refactors of the routing layer. The centralized and one-hop fixtures
+//! under `tests/golden/` were captured before the per-station
+//! distance-vector exchange landed; any diff here means a change leaked
+//! into modes that were supposed to be untouched. The two `distributed_*`
+//! fixtures pin the distance-vector exchange under faults and under
+//! motion, together with the conditional `route`, `adversary` and
+//! `mobility` metrics blocks. The `baseline_*` fixtures pin each
+//! contention MAC of experiment E3 the same way.
 //!
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`
 
 use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
-use parn::core::{DestPolicy, FaultPlan, HealConfig, NetConfig, Network, RouteMode};
-use parn::phys::PowerW;
+use parn::core::{
+    ByzMode, ChurnPlan, DestPolicy, FaultPlan, HealConfig, MobilityConfig, NetConfig, Network,
+    RouteMode, SyncMode,
+};
+use parn::phys::{Point, PowerW};
 use parn::sim::Duration;
 use std::path::PathBuf;
 
@@ -52,6 +58,55 @@ fn centralized_crash_recover_metrics_are_pinned() {
     cfg.faults = FaultPlan::none().crash_recover(Duration::from_secs(4), 7, Duration::from_secs(4));
     let m = Network::run(cfg);
     check("centralized_crash_recover.json", &m.to_json().to_string());
+}
+
+/// Distributed routing with hello-piggybacked clock sync through a
+/// crash-recover fault and a route-poisoning Byzantine window: pins the
+/// distance-vector exchange, its heal bookkeeping, and the `route` and
+/// `adversary` metrics blocks.
+#[test]
+fn distributed_crash_and_poisoner_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(40, 21);
+    cfg.run_for = Duration::from_secs(14);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.traffic.arrivals_per_station_per_sec = 2.0;
+    cfg.route_mode = RouteMode::Distributed;
+    cfg.heal = HealConfig::local();
+    cfg.clock.sync = SyncMode::Piggyback {
+        hello_interval: Duration::from_millis(500),
+    };
+    cfg.faults = FaultPlan::none()
+        .crash_recover(Duration::from_secs(4), 7, Duration::from_secs(4))
+        .byzantine(
+            Duration::from_secs(9),
+            12,
+            ByzMode::Poisoner,
+            Duration::from_secs(2),
+        );
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"route\":{"), "{json}");
+    assert!(json.contains("\"adversary\":{"), "{json}");
+    check("distributed_crash_poisoner.json", &json);
+}
+
+/// Distributed routing under random-waypoint motion and join/leave
+/// churn: pins link re-costing, new-link clock models and the `route`
+/// and `mobility` metrics blocks.
+#[test]
+fn distributed_mobility_churn_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(30, 21);
+    cfg.run_for = Duration::from_secs(6);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.route_mode = RouteMode::Distributed;
+    cfg.mobility = Some(MobilityConfig::paper_default());
+    cfg.churn = ChurnPlan::none()
+        .leave_for(Duration::from_secs(2), 5, Duration::from_secs(2))
+        .leave(Duration::from_secs(3), 9)
+        .join(Duration::from_secs(4), 9, Point::new(5.0, 5.0));
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"route\":{"), "{json}");
+    assert!(json.contains("\"mobility\":{"), "{json}");
+    check("distributed_mobility_churn.json", &json);
 }
 
 /// One-hop routing with neighbor-only traffic: pins the single-hop mode's
