@@ -1,12 +1,12 @@
 //! Micro-benchmarks for minimum-energy routing: single-source Dijkstra,
-//! all-pairs table construction, and the distributed Bellman–Ford
-//! convergence that real stations would run.
+//! all-pairs table construction, and the cold-start distance-vector
+//! exchange that real stations would run.
 
 use parn_bench::harness;
 use parn_phys::placement::Placement;
 use parn_phys::propagation::FreeSpace;
 use parn_phys::{Gain, GainMatrix};
-use parn_route::{dijkstra, DistributedBellmanFord, EnergyGraph, RouteTable};
+use parn_route::{dijkstra, DvCluster, EnergyGraph, RouteTable};
 use parn_sim::Rng;
 
 fn graph(n: usize) -> EnergyGraph {
@@ -18,7 +18,7 @@ fn graph(n: usize) -> EnergyGraph {
     let gm = GainMatrix::build(&pts, &FreeSpace::unit());
     // Usable hops out to 2/sqrt(rho) = 20 m at this density (~12
     // neighbours, as in the simulator).
-    EnergyGraph::from_gains(&gm, Gain(1.0 / (20.0f64 * 20.0)))
+    EnergyGraph::from_model(&gm, Gain(1.0 / (20.0f64 * 20.0)))
 }
 
 fn main() {
@@ -36,12 +36,10 @@ fn main() {
         group.bench(n, || RouteTable::centralized(&g));
     }
 
-    let mut group = h.group("bellman_ford_converge");
+    // The same cold start `Network::new` runs in distributed mode.
+    let mut group = h.group("dv_converge");
     for &n in &[50usize, 100] {
         let g = graph(n);
-        group.bench(n, || {
-            let mut bf = DistributedBellmanFord::new(g.clone());
-            bf.run_async(&mut Rng::new(9), 10 * n)
-        });
+        group.bench(n, || DvCluster::new(&g).converge_sync(2 * n + 16));
     }
 }

@@ -1,8 +1,8 @@
 //! Centralized minimum-energy shortest paths (Dijkstra).
 //!
-//! The reference implementation the distributed Bellman–Ford (§6.2, ref \[3])
-//! is validated against. Costs are non-negative energies, so Dijkstra
-//! applies directly.
+//! The reference the distance-vector exchange in [`dv`](crate::dv) — the
+//! distributed Bellman–Ford of §6.2, ref \[3] — is validated against.
+//! Costs are non-negative energies, so Dijkstra applies directly.
 //!
 //! One crate-internal solver does all the work: [`dijkstra`] runs it
 //! once, and [`RouteTable::centralized`](crate::RouteTable::centralized)

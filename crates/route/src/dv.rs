@@ -1,10 +1,10 @@
 //! Per-station distance-vector state for the distributed asynchronous
-//! Bellman–Ford exchange (paper §6.2).
+//! Bellman–Ford exchange (paper §6.2): "each station need only remember
+//! the next hop for each potential destination and the total energy
+//! along that route".
 //!
-//! Where [`bellman_ford`](crate::bellman_ford) models the *algorithm* as a
-//! pull-based oracle over a shared graph, this module models the
-//! *protocol*: each [`DvState`] is the private state one station owns, and
-//! the only way information moves between stations is an explicit
+//! Each [`DvState`] is the private state one station owns, and the only
+//! way information moves between stations is an explicit
 //! [`advertisement`](DvState::advertisement) handed to
 //! [`integrate`](DvState::integrate) — exactly the payloads the network
 //! layer carries inside scheduled TX/RX window overlaps. Divergence
@@ -22,7 +22,9 @@
 //!
 //! [`DvCluster`] wires `n` states together over an [`EnergyGraph`] and
 //! drives them to quiescence — the convergence harness used by the
-//! simulator at cold start and by the property suite.
+//! simulator at cold start, by the Figure 3 experiment and by the
+//! property suite. Its quiescent fixpoint has the route costs of
+//! [`RouteTable::centralized`] up to float rounding.
 
 use crate::dijkstra::encode_hop;
 use crate::graph::EnergyGraph;
@@ -31,9 +33,11 @@ use parn_phys::StationId;
 use parn_sim::{Duration, Rng, Time};
 use std::collections::BTreeMap;
 
-/// Strict-improvement tolerance, matching the pull-based oracle in
-/// [`bellman_ford`](crate::bellman_ford) so both fixpoints agree with
-/// Dijkstra bit-for-bit on ties.
+/// Strict-improvement tolerance: a third-party route replaces the
+/// current one only when it is cheaper by more than this. The quiescent
+/// fixpoint's costs agree with Dijkstra's only up to float rounding (the
+/// two sum a route's hop energies in different orders), and between
+/// equal-cost routes the two may pick different next hops.
 const EPS: f64 = 1e-15;
 
 /// One entry of an advertised distance vector: (total route energy,

@@ -8,7 +8,7 @@
 //! i.e. the cost of a hop is proportional to the transmit *energy* needed
 //! to deliver a fixed received power over it.
 
-use parn_phys::{Gain, GainMatrix, GainModel, StationId};
+use parn_phys::{Gain, GainModel, StationId};
 
 /// A directed graph whose edge weights are hop energies (`1/gain`).
 #[derive(Clone, Debug)]
@@ -18,67 +18,20 @@ pub struct EnergyGraph {
 }
 
 impl EnergyGraph {
-    /// Build from a gain matrix, keeping only hops whose power gain is at
-    /// least `usable_gain` (hops below that cannot sustain the design rate
-    /// over the din and are not "usable" links).
-    pub fn from_gains(gains: &GainMatrix, usable_gain: Gain) -> EnergyGraph {
-        let n = gains.len();
-        let mut adj = vec![Vec::new(); n];
-        for (i, out) in adj.iter_mut().enumerate() {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let g = gains.gain(j, i); // receiver j, transmitter i
-                if g >= usable_gain && g.value() > 0.0 {
-                    out.push((j, g.energy_cost()));
-                }
-            }
-        }
-        EnergyGraph { n, adj }
-    }
-
-    /// Like [`from_gains`](EnergyGraph::from_gains), but only stations
-    /// flagged `alive` participate — used when the topology changes
-    /// (station failures) and routes must be recomputed over the
-    /// survivors.
-    pub fn from_gains_filtered(
-        gains: &GainMatrix,
-        usable_gain: Gain,
-        alive: &[bool],
-    ) -> EnergyGraph {
-        let n = gains.len();
-        assert_eq!(alive.len(), n, "alive mask size mismatch");
-        let mut adj = vec![Vec::new(); n];
-        for (i, out) in adj.iter_mut().enumerate() {
-            if !alive[i] {
-                continue;
-            }
-            for (j, &j_alive) in alive.iter().enumerate() {
-                if i == j || !j_alive {
-                    continue;
-                }
-                let g = gains.gain(j, i);
-                if g >= usable_gain && g.value() > 0.0 {
-                    out.push((j, g.energy_cost()));
-                }
-            }
-        }
-        EnergyGraph { n, adj }
-    }
-
-    /// Build through the [`GainModel`] trait: for spatially indexed
-    /// backends the per-receiver [`GainModel::hearable_by`] query is
-    /// range-bounded, so construction is O(M·deg) instead of O(M²).
-    /// Produces exactly the same graph (same edges, same order, same
-    /// float costs) as [`from_gains`](EnergyGraph::from_gains) on the
-    /// dense backend.
+    /// Build through the [`GainModel`] trait, keeping only hops whose
+    /// power gain is at least `usable_gain` (hops below that cannot
+    /// sustain the design rate over the din and are not "usable" links).
+    /// For spatially indexed backends the per-receiver
+    /// [`GainModel::hearable_by`] query is range-bounded, so construction
+    /// is O(M·deg) instead of O(M²); every backend yields the same edges
+    /// in the same order (ascending receiver within each adjacency list)
+    /// with the same float costs.
     pub fn from_model(gains: &dyn GainModel, usable_gain: Gain) -> EnergyGraph {
         let n = gains.len();
         let mut adj = vec![Vec::new(); n];
         // Iterating receivers in ascending order and appending to each
-        // transmitter's list reproduces from_gains' ascending-receiver
-        // edge order within every adjacency list.
+        // transmitter's list keeps every adjacency list sorted by
+        // receiver.
         for j in 0..n {
             for i in gains.hearable_by(j, usable_gain) {
                 let g = gains.gain(j, i);
@@ -90,24 +43,13 @@ impl EnergyGraph {
         EnergyGraph { n, adj }
     }
 
-    /// Like [`from_model`](EnergyGraph::from_model), restricted to
-    /// stations flagged `alive`.
-    pub fn from_model_filtered(
-        gains: &dyn GainModel,
-        usable_gain: Gain,
-        alive: &[bool],
-    ) -> EnergyGraph {
-        Self::from_model_masked(gains, usable_gain, alive, alive)
-    }
-
     /// Like [`from_model`](EnergyGraph::from_model), with *independent*
     /// transmit and receive eligibility masks: the edge `i → j` exists
-    /// when `tx_ok[i]`, `rx_ok[j]`, and the hop is usable. Local-heal
-    /// route repair routes *around* evicted stations (`rx_ok` false — no
-    /// traffic is forwarded to them) while still letting them originate
-    /// and forward their own queued traffic (`tx_ok` true). With equal
-    /// masks this is exactly
-    /// [`from_model_filtered`](EnergyGraph::from_model_filtered).
+    /// when `tx_ok[i]`, `rx_ok[j]`, and the hop is usable. Route repair
+    /// over survivors passes each station's liveness as both masks;
+    /// local-heal repair routes *around* evicted stations (`rx_ok` false —
+    /// no traffic is forwarded to them) while still letting them
+    /// originate and forward their own queued traffic (`tx_ok` true).
     pub fn from_model_masked(
         gains: &dyn GainModel,
         usable_gain: Gain,
@@ -177,8 +119,10 @@ impl EnergyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parn_phys::placement::{characteristic_length, Placement};
     use parn_phys::propagation::FreeSpace;
-    use parn_phys::Point;
+    use parn_phys::{GainMatrix, GridGainModel, Point};
+    use parn_sim::Rng;
 
     fn line_gains() -> GainMatrix {
         // 0 --10m-- 1 --10m-- 2 : gains 0.01 adjacent, 0.0025 end-to-end.
@@ -192,14 +136,14 @@ mod tests {
 
     #[test]
     fn costs_are_reciprocal_gains() {
-        let g = EnergyGraph::from_gains(&line_gains(), Gain(1e-6));
+        let g = EnergyGraph::from_model(&line_gains(), Gain(1e-6));
         assert!((g.edge_cost(0, 1).unwrap() - 100.0).abs() < 1e-9);
         assert!((g.edge_cost(0, 2).unwrap() - 400.0).abs() < 1e-9);
     }
 
     #[test]
     fn threshold_prunes_weak_links() {
-        let g = EnergyGraph::from_gains(&line_gains(), Gain(0.005));
+        let g = EnergyGraph::from_model(&line_gains(), Gain(0.005));
         assert!(g.edge_cost(0, 1).is_some());
         assert!(g.edge_cost(0, 2).is_none(), "end-to-end link pruned");
         assert_eq!(g.degree(1), 2);
@@ -209,7 +153,7 @@ mod tests {
 
     #[test]
     fn symmetric_gains_give_symmetric_costs() {
-        let g = EnergyGraph::from_gains(&line_gains(), Gain(1e-6));
+        let g = EnergyGraph::from_model(&line_gains(), Gain(1e-6));
         assert_eq!(g.edge_cost(0, 2), g.edge_cost(2, 0));
     }
 
@@ -228,40 +172,40 @@ mod tests {
     }
 
     #[test]
-    fn filtered_excludes_dead_stations() {
+    fn equal_masks_exclude_dead_stations() {
         let gm = line_gains();
-        let full = EnergyGraph::from_gains(&gm, Gain(1e-6));
-        let filtered = EnergyGraph::from_gains_filtered(&gm, Gain(1e-6), &[true, false, true]);
-        assert!(full.edge_cost(0, 1).is_some());
-        assert!(filtered.edge_cost(0, 1).is_none(), "dead target kept");
-        assert!(filtered.edge_cost(1, 0).is_none(), "dead source kept");
-        assert!(filtered.edge_cost(0, 2).is_some(), "live link dropped");
-        assert_eq!(filtered.degree(1), 0);
+        let alive = [true, false, true];
+        let g = EnergyGraph::from_model_masked(&gm, Gain(1e-6), &alive, &alive);
+        assert!(g.edge_cost(0, 1).is_none(), "dead target kept");
+        assert!(g.edge_cost(1, 0).is_none(), "dead source kept");
+        assert!(g.edge_cost(0, 2).is_some(), "live link dropped");
+        assert_eq!(g.degree(1), 0);
     }
 
     #[test]
-    fn filtered_all_alive_equals_unfiltered() {
+    fn all_true_masks_equal_unmasked() {
         let gm = line_gains();
-        let a = EnergyGraph::from_gains(&gm, Gain(0.005));
-        let b = EnergyGraph::from_gains_filtered(&gm, Gain(0.005), &[true; 3]);
+        let a = EnergyGraph::from_model(&gm, Gain(0.005));
+        let b = EnergyGraph::from_model_masked(&gm, Gain(0.005), &[true; 3], &[true; 3]);
         for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(a.edge_cost(i, j), b.edge_cost(i, j));
-            }
+            assert_eq!(a.neighbors(i), b.neighbors(i));
         }
     }
 
     #[test]
-    #[should_panic(expected = "alive mask")]
-    fn filtered_checks_mask_len() {
-        EnergyGraph::from_gains_filtered(&line_gains(), Gain(1e-6), &[true]);
+    #[should_panic(expected = "tx mask size mismatch")]
+    fn masked_checks_tx_mask_len() {
+        EnergyGraph::from_model_masked(&line_gains(), Gain(1e-6), &[true], &[true; 3]);
     }
 
     #[test]
-    fn from_model_matches_from_gains() {
-        use parn_phys::placement::Placement;
-        use parn_phys::GridGainModel;
-        use parn_sim::Rng;
+    #[should_panic(expected = "rx mask size mismatch")]
+    fn masked_checks_rx_mask_len() {
+        EnergyGraph::from_model_masked(&line_gains(), Gain(1e-6), &[true; 3], &[true]);
+    }
+
+    #[test]
+    fn from_model_matches_dense_scan_on_every_backend() {
         let pts = Placement::UniformDisk {
             n: 80,
             radius: 400.0,
@@ -270,24 +214,23 @@ mod tests {
         let gm = GainMatrix::build(&pts, &FreeSpace::unit());
         let grid = GridGainModel::new(&pts, Box::new(FreeSpace::unit()));
         let usable = Gain(1.0 / (200.0 * 200.0));
-        let reference = EnergyGraph::from_gains(&gm, usable);
-        for model in [&gm as &dyn parn_phys::GainModel, &grid] {
+        // Reference: every transmitter scans every receiver in ascending
+        // order and keeps the usable hops.
+        let n = gm.len();
+        let reference: Vec<Vec<(StationId, f64)>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| j != i && gm.gain(j, i) >= usable && gm.gain(j, i).value() > 0.0)
+                    .map(|j| (j, gm.gain(j, i).energy_cost()))
+                    .collect()
+            })
+            .collect();
+        for model in [&gm as &dyn GainModel, &grid] {
             let g = EnergyGraph::from_model(model, usable);
-            assert_eq!(g.len(), reference.len());
-            for s in 0..g.len() {
-                assert_eq!(g.neighbors(s), reference.neighbors(s), "station {s}");
+            assert_eq!(g.len(), n);
+            for (s, want) in reference.iter().enumerate() {
+                assert_eq!(g.neighbors(s), &want[..], "station {s}");
             }
-        }
-    }
-
-    #[test]
-    fn from_model_filtered_matches_from_gains_filtered() {
-        let gm = line_gains();
-        let alive = [true, false, true];
-        let a = EnergyGraph::from_gains_filtered(&gm, Gain(1e-6), &alive);
-        let b = EnergyGraph::from_model_filtered(&gm, Gain(1e-6), &alive);
-        for i in 0..3 {
-            assert_eq!(a.neighbors(i), b.neighbors(i));
         }
     }
 
@@ -305,12 +248,25 @@ mod tests {
         assert!(g.edge_cost(0, 1).is_none(), "edge into evicted rx kept");
         assert!(g.edge_cost(1, 0).is_some(), "evicted station lost tx");
         assert!(g.edge_cost(1, 2).is_some());
-        // Equal masks reduce to the filtered build.
-        let alive = [true, false, true];
-        let a = EnergyGraph::from_model_filtered(&gm, Gain(1e-6), &alive);
-        let b = EnergyGraph::from_model_masked(&gm, Gain(1e-6), &alive, &alive);
-        for i in 0..3 {
-            assert_eq!(a.neighbors(i), b.neighbors(i));
-        }
+    }
+
+    #[test]
+    fn expected_neighbors_at_characteristic_distances() {
+        // §6: within 1/√ρ expect π ≈ 3 others; within 2/√ρ expect 4π ≈ 12.
+        let n = 2000;
+        let radius = 1000.0;
+        let rho = n as f64 / (std::f64::consts::PI * radius * radius);
+        let pos = Placement::UniformDisk { n, radius }.generate(&mut Rng::new(42));
+        let gm = GainMatrix::build(&pos, &FreeSpace::unit());
+        let l = characteristic_length(rho);
+        let mean_degree = |reach: f64| {
+            let g = EnergyGraph::from_model(&gm, Gain(1.0 / (reach * reach)));
+            g.edge_count() as f64 / n as f64
+        };
+        let (near, far) = (mean_degree(l), mean_degree(2.0 * l));
+        // Edge stations see fewer, so means sit slightly below π and 4π.
+        assert!((2.0..=3.5).contains(&near), "near mean {near}");
+        assert!((9.0..=13.0).contains(&far), "far mean {far}");
+        assert!(far > 3.0 * near, "quadrupling range ~4x degree");
     }
 }

@@ -6,26 +6,21 @@
 //!
 //! * [`graph`] — the energy-cost graph from the propagation matrix;
 //! * [`dijkstra`](mod@dijkstra) — centralized reference shortest paths;
-//! * [`bellman_ford`] — the distributed asynchronous computation as a
-//!   pull-based oracle over a shared graph;
-//! * [`dv`] — the same computation as a message-passing *protocol*: one
-//!   private [`DvState`] per station, advertisements with split horizon /
-//!   poisoned reverse, hold-down, and a hop-count cap;
+//! * [`dv`] — the distributed asynchronous Bellman–Ford as a
+//!   message-passing protocol: one private [`DvState`] per station,
+//!   advertisements with split horizon / poisoned reverse, hold-down, and
+//!   a hop-count cap;
 //! * [`table`] — all-pairs next-hop tables with consistency checking;
-//! * [`relay`] — the diameter-circle relay property and route geometry;
-//! * [`neighbors`] — usable-hop thresholds and degree statistics.
+//! * [`relay`] — the diameter-circle relay property and route geometry.
 
 #![warn(missing_docs)]
 
-pub mod bellman_ford;
 pub mod dijkstra;
 pub mod dv;
 pub mod graph;
-pub mod neighbors;
 pub mod relay;
 pub mod table;
 
-pub use bellman_ford::DistributedBellmanFord;
 pub use dijkstra::{dijkstra, ShortestPaths};
 pub use dv::{DvCluster, DvEntry, DvState};
 pub use graph::EnergyGraph;

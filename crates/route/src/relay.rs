@@ -159,7 +159,7 @@ mod tests {
         let gm = GainMatrix::build(&pos, &FreeSpace::unit());
         // Usable-link threshold: everything (dense graph) so min-energy
         // routing is free to choose any relay.
-        let g = EnergyGraph::from_gains(&gm, Gain(0.0));
+        let g = EnergyGraph::from_model(&gm, Gain(0.0));
         let t = RouteTable::centralized(&g);
         (pos, t)
     }
@@ -199,7 +199,7 @@ mod tests {
             Point::new(20.0, 0.0),
         ];
         let gm = GainMatrix::build(&pos, &FreeSpace::unit());
-        let g = EnergyGraph::from_gains(&gm, Gain(0.0));
+        let g = EnergyGraph::from_model(&gm, Gain(0.0));
         let t = RouteTable::centralized(&g);
         // Direct 0->2: 400. Routed via 1: 100 + 100 = 200 (halved, as the
         // paper's centered-relay example says).
@@ -212,7 +212,7 @@ mod tests {
     fn route_geometry_of_trivial_pair() {
         let pos = vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0)];
         let gm = GainMatrix::build(&pos, &FreeSpace::unit());
-        let g = EnergyGraph::from_gains(&gm, Gain(0.0));
+        let g = EnergyGraph::from_model(&gm, Gain(0.0));
         let t = RouteTable::centralized(&g);
         let geom = route_geometry(&t, &pos);
         assert_eq!(geom.pairs, 2);

@@ -6,11 +6,9 @@
 //! potential destination and the total energy along that route"),
 //! assembled network-wide for the simulator.
 
-use crate::bellman_ford::DistributedBellmanFord;
-use crate::dijkstra::{decode_hop, encode_hop, Solver};
+use crate::dijkstra::{decode_hop, Solver};
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
-use parn_sim::Rng;
 
 /// Immutable all-pairs next-hop table.
 ///
@@ -74,26 +72,10 @@ impl RouteTable {
         RouteTable::from_dense(n, next_hop, cost)
     }
 
-    /// Build by running the distributed asynchronous Bellman–Ford to
-    /// convergence (the decentralized computation real stations would do).
-    pub fn distributed(graph: &EnergyGraph, rng: &mut Rng) -> RouteTable {
-        let n = graph.len();
-        let mut bf = DistributedBellmanFord::new(graph.clone());
-        bf.run_async(rng, 4 * n.max(16));
-        let mut next_hop = Vec::with_capacity(n * n);
-        let mut cost = Vec::with_capacity(n * n);
-        for src in 0..n {
-            let st = bf.node(src);
-            next_hop.extend(st.next_hop.iter().map(|&h| encode_hop(h)));
-            cost.extend_from_slice(&st.dist);
-        }
-        RouteTable::from_dense(n, next_hop, cost)
-    }
-
     /// Assemble a dense table from row-major `[src][dst]` compact next
-    /// hops ([`encode_hop`]) and route costs — the one constructor
-    /// behind [`centralized`](RouteTable::centralized),
-    /// [`distributed`](RouteTable::distributed) and
+    /// hops ([`encode_hop`](crate::dijkstra::encode_hop)) and route
+    /// costs — the one constructor behind
+    /// [`centralized`](RouteTable::centralized) and
     /// [`DvCluster::to_table`](crate::dv::DvCluster::to_table).
     pub(crate) fn from_dense(n: usize, next_hop: Vec<u32>, cost: Vec<f64>) -> RouteTable {
         assert_eq!(next_hop.len(), n * n);
@@ -411,19 +393,6 @@ mod tests {
         assert_eq!(t.cost(0, 3), 3.0);
         assert!(t.fully_connected());
         assert!(t.check_consistency(&chain()).is_ok());
-    }
-
-    #[test]
-    fn distributed_matches_centralized() {
-        let g = chain();
-        let c = RouteTable::centralized(&g);
-        let d = RouteTable::distributed(&g, &mut Rng::new(3));
-        for s in 0..4 {
-            for t in 0..4 {
-                assert!((c.cost(s, t) - d.cost(s, t)).abs() < 1e-9);
-            }
-        }
-        assert!(d.check_consistency(&g).is_ok());
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Property-based tests of minimum-energy routing: the distributed
-//! computation always lands on Dijkstra's fixed point, route costs obey
-//! metric sanity, tables are internally consistent, and the centralized
-//! table matches an independent reference Dijkstra bit for bit.
+//! Property-based tests of minimum-energy routing: the distance-vector
+//! exchange always lands on Dijkstra's route costs, whatever the delivery
+//! order, and heals to the survivor optimum when a station dies; route
+//! costs obey metric sanity, tables are internally consistent, and the
+//! centralized table matches an independent reference Dijkstra bit for
+//! bit.
 
 use parn::phys::placement::Placement;
 use parn::phys::propagation::FreeSpace;
 use parn::phys::{Gain, GainMatrix};
-use parn::route::{dijkstra, DistributedBellmanFord, DvCluster, EnergyGraph, RouteTable};
-use parn::sim::Rng;
+use parn::route::{dijkstra, DvCluster, EnergyGraph, RouteTable};
+use parn::sim::{Duration, Rng, Time};
 use parn::testkit::cases;
 
 fn random_graph(seed: u64, n: usize, p_edge: f64) -> EnergyGraph {
@@ -35,8 +37,18 @@ fn geometric_graph(seed: u64, n: usize) -> (EnergyGraph, GainMatrix) {
     let gm = GainMatrix::build(&pts, &FreeSpace::unit());
     // Usable hops out to 2/sqrt(rho) = 20 m at this density: ~12
     // neighbours, the sparse graphs the simulator routes on.
-    let g = EnergyGraph::from_gains(&gm, Gain(1.0 / (20.0f64 * 20.0)));
+    let g = EnergyGraph::from_model(&gm, Gain(1.0 / (20.0f64 * 20.0)));
     (g, gm)
+}
+
+/// Cold-start `g`'s distance-vector exchange and deliver vectors in
+/// `seed`-shuffled order until quiescent.
+fn converge_async(g: &EnergyGraph, seed: u64) -> DvCluster {
+    let mut cluster = DvCluster::new(g);
+    cluster
+        .converge_async(&mut Rng::new(seed), 50 * g.len())
+        .expect("distance-vector exchange converges");
+    cluster
 }
 
 #[test]
@@ -45,12 +57,11 @@ fn bellman_ford_matches_dijkstra() {
         let seed = rng.below(10_000);
         let n = 3 + rng.below(22) as usize;
         let g = random_graph(seed, n, 0.3);
-        let mut bf = DistributedBellmanFord::new(g.clone());
-        bf.run_async(&mut Rng::new(seed ^ 0xABCD), 50 * n);
+        let dv = converge_async(&g, seed ^ 0xABCD);
         for src in 0..n {
             let sp = dijkstra(&g, src);
             for dst in 0..n {
-                let (a, b) = (sp.dist[dst], bf.node(src).dist[dst]);
+                let (a, b) = (sp.dist[dst], dv.state(src).cost(dst));
                 if a.is_finite() {
                     assert!((a - b).abs() < 1e-9, "{src}->{dst}: {a} vs {b}");
                 } else {
@@ -86,8 +97,7 @@ fn table_is_internally_consistent() {
         let (g, _) = geometric_graph(seed, 25);
         let t = RouteTable::centralized(&g);
         assert!(t.check_consistency(&g).is_ok());
-        let mut rng2 = Rng::new(seed);
-        let d = RouteTable::distributed(&g, &mut rng2);
+        let d = converge_async(&g, seed).to_table();
         assert!(d.check_consistency(&g).is_ok());
     });
 }
@@ -135,12 +145,69 @@ fn route_cost_monotone_along_path() {
 fn activation_order_is_irrelevant() {
     cases(32, "order_free", |_, rng| {
         let g = random_graph(rng.below(5_000), 15, 0.35);
-        let mut a = DistributedBellmanFord::new(g.clone());
-        let mut b = DistributedBellmanFord::new(g);
-        a.run_async(&mut Rng::new(1), 500);
-        b.run_async(&mut Rng::new(2), 500);
+        let (a, b) = (converge_async(&g, 1), converge_async(&g, 2));
         for s in 0..15 {
-            assert_eq!(&a.node(s).dist, &b.node(s).dist);
+            for d in 0..15 {
+                let (x, y) = (a.state(s), b.state(s));
+                assert_eq!(x.cost(d).to_bits(), y.cost(d).to_bits(), "{s}->{d}");
+                assert_eq!(x.next_hop(d), y.next_hop(d), "{s}->{d}");
+            }
+        }
+    });
+}
+
+/// A station dies: its neighbours fail every link to it (and it fails
+/// every link of its own), poisoning the routes through it. After
+/// reconvergence every survivor pair's cost matches a fresh centralized
+/// table over the survivor graph, partitions included, no route transits
+/// the dead station, and the dead station routes nowhere.
+#[test]
+fn station_loss_reconverges_to_survivor_optimum() {
+    cases(16, "station_loss", |_, rng| {
+        let n = 10 + rng.below(30) as usize;
+        let (g, _) = geometric_graph(rng.below(10_000), n);
+        let dead = rng.below(n as u64) as usize;
+        let mut dv = converge_async(&g, rng.below(10_000));
+        for &(nb, _) in g.neighbors(dead) {
+            dv.state_mut(dead).fail_link(nb, Time::ZERO, Duration::ZERO);
+        }
+        for s in 0..n {
+            if g.edge_cost(s, dead).is_some() {
+                dv.state_mut(s).fail_link(dead, Time::ZERO, Duration::ZERO);
+            }
+        }
+        dv.converge_sync(4 * n + 64)
+            .expect("reconverges after a station loss");
+
+        let mut survivor_edges = Vec::new();
+        for a in (0..n).filter(|&a| a != dead) {
+            for &(b, c) in g.neighbors(a) {
+                if b != dead {
+                    survivor_edges.push((a, b, c));
+                }
+            }
+        }
+        let fresh = RouteTable::centralized(&EnergyGraph::from_edges(n, &survivor_edges));
+        let healed = dv.to_table();
+        for s in (0..n).filter(|&s| s != dead) {
+            for d in (0..n).filter(|&d| d != dead) {
+                let (a, b) = (healed.cost(s, d), fresh.cost(s, d));
+                if b.is_finite() {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * b.max(1.0),
+                        "dead {dead}: {s}->{d}: healed {a} vs fresh {b}"
+                    );
+                } else {
+                    assert!(a.is_infinite(), "dead {dead}: {s}->{d} crosses a partition");
+                }
+                if let Some(p) = healed.path(s, d) {
+                    assert!(!p.contains(&dead), "route {s}->{d} transits {dead}: {p:?}");
+                }
+            }
+            assert!(
+                healed.cost(dead, s).is_infinite(),
+                "dead {dead} routes to {s}"
+            );
         }
     });
 }
