@@ -430,50 +430,18 @@ impl Network {
             stations.push(Station::new(id, StationSchedule::new(cfg.sched, clock)));
         }
 
-        // Routing neighbours, §7.3 protected sets, initial clock models.
-        for id in 0..n {
-            let rn = routes.routing_neighbors(id);
-            // Distributed mode exchanges vectors over every usable link,
-            // not just current next hops, so link neighbours need clock
-            // models — and the station's worst-case power must account
-            // for reaching the farthest of them, not just the farthest
-            // routing neighbour.
-            let link_ids: Vec<StationId> = dv_links
-                .get(id)
-                .map(|ls| ls.iter().map(|&(nb, _)| nb).collect())
-                .unwrap_or_default();
-            let mut protected = Vec::new();
-            let max_power_used = rn
-                .iter()
-                .chain(link_ids.iter())
-                .map(|&nb| power.tx_power(gains.gain(nb, id)).value())
-                .fold(0.0f64, f64::max);
-            if cfg.protection.enabled && max_power_used > 0.0 {
-                // §7.3 in threshold form: `other` is protected when this
-                // station's worst-case power would land at least the
-                // significance fraction of the interference budget on it,
-                // i.e. gain(other, id) ≥ frac·budget / max_power. Phrased
-                // as a gain threshold it runs through the (range-bounded)
-                // hearable_by query, identical on both backends.
-                let thr = parn_phys::Gain(
-                    cfg.protection.significance_fraction * interference_budget.value()
-                        / max_power_used,
+        // Distributed mode exchanges vectors over every usable link, not
+        // just current next hops, so link neighbours need clock models
+        // from boot.
+        for (id, links) in dv_links.iter().enumerate() {
+            let mine = clocks[id].reading(Time::ZERO);
+            for &(nb, _) in links {
+                let theirs = clocks[nb].reading(Time::ZERO);
+                stations[id].models.insert(
+                    nb,
+                    RemoteClockModel::from_first_sample(ClockSample { mine, theirs }),
                 );
-                protected = gains.hearable_by(id, thr);
             }
-            let mut models = BTreeMap::new();
-            for &nb in rn.iter().chain(protected.iter()).chain(link_ids.iter()) {
-                models.entry(nb).or_insert_with(|| {
-                    RemoteClockModel::from_first_sample(ClockSample {
-                        mine: clocks[id].reading(Time::ZERO),
-                        theirs: clocks[nb].reading(Time::ZERO),
-                    })
-                });
-            }
-            let st = &mut stations[id];
-            st.routing_neighbors = rn;
-            st.protected = protected;
-            st.models = models;
         }
 
         // Reachable destination lists for traffic — only UniformAll reads
@@ -545,7 +513,7 @@ impl Network {
         let mob_target = positions.clone();
         let region_radius = region.radius;
 
-        Network {
+        let mut net = Network {
             cfg,
             gains,
             tracker,
@@ -595,7 +563,12 @@ impl Network {
             dv_last_change: None,
             dv_check_pending: false,
             dv_episodes: 0,
+        };
+        for id in 0..n {
+            let rn = net.routes.routing_neighbors(id);
+            net.set_routing_view(id, rn, Time::ZERO);
         }
+        net
     }
 
     /// Attach a tracer: MAC plans, transmissions and reception outcomes
@@ -1773,19 +1746,38 @@ impl Network {
     /// and worst-case power must re-budget from the moved geometry.
     fn refresh_station_routing(&mut self, s: StationId, now: Time, force: bool) {
         let rn = self.dv[s].routing_neighbors();
-        if !force && rn == self.stations[s].routing_neighbors {
-            return;
+        if force || rn != self.stations[s].routing_neighbors {
+            self.set_routing_view(s, rn, now);
         }
-        // Worst-case power includes the physical link set: the station
-        // addresses advertisements over every usable link, not just its
-        // current next hops.
+    }
+
+    /// Install `rn` as station `s`'s routing neighbours and derive the
+    /// rest of its routing view from them: the worst-case transmit power,
+    /// the §7.3 protected set, and clock models (bootstrapped with a
+    /// rendezvous at `now`) for any routing neighbour or protected
+    /// station it has none for yet. The one place a station's view is
+    /// derived — at build, after a distance-vector change or motion, and
+    /// after an oracle route rebuild.
+    fn set_routing_view(&mut self, s: StationId, rn: Vec<StationId>, now: Time) {
+        // Under distributed routing the worst case includes the physical
+        // link set: the station addresses advertisements over every
+        // usable link, not just its current next hops.
+        let links = self.dv_links.get(s).map_or(&[][..], Vec::as_slice);
         let max_power_used = rn
             .iter()
-            .chain(self.dv_links[s].iter().map(|(nb, _)| nb))
+            .chain(links.iter().map(|(nb, _)| nb))
             .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
             .fold(0.0f64, f64::max);
         let mut protected = Vec::new();
         if self.cfg.protection.enabled && max_power_used > 0.0 {
+            // §7.3 in threshold form: `other` is protected when this
+            // station's worst-case power would land at least the
+            // significance fraction of the interference budget on it,
+            // i.e. gain(other, s) ≥ frac·budget / max_power. Phrased as a
+            // gain threshold it runs through the (range-bounded)
+            // hearable_by query, identical on both backends. The set is
+            // recomputed in full, not filtered from the old one: a
+            // recovered station must be re-protected, not stay forgotten.
             let thr = parn_phys::Gain(
                 self.cfg.protection.significance_fraction * self.interference_budget.value()
                     / max_power_used,
@@ -2865,40 +2857,11 @@ impl Network {
                 continue;
             }
             let rn = self.routes.routing_neighbors(s);
-            // Recompute the §7.3 protected set for the new worst-case
-            // power — fully, not by filtering the old set: a recovered
-            // station must be re-protected, not stay forgotten.
-            let max_power_used = rn
-                .iter()
-                .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
-                .fold(0.0f64, f64::max);
-            let mut protected = Vec::new();
-            if self.cfg.protection.enabled && max_power_used > 0.0 {
-                let thr = parn_phys::Gain(
-                    self.cfg.protection.significance_fraction * self.interference_budget.value()
-                        / max_power_used,
-                );
-                protected = self.gains.hearable_by(s, thr);
-                protected.retain(|&p| p != s && self.alive[p]);
-            }
-            // Clock models for any new next hops or protected stations,
-            // bootstrapped with a rendezvous now.
-            let mine = self.clocks[s].reading(now);
-            for &nb in rn.iter().chain(protected.iter()) {
-                let theirs = self.clocks[nb].reading(now);
-                self.stations[s].models.entry(nb).or_insert_with(|| {
-                    RemoteClockModel::from_first_sample(ClockSample { mine, theirs })
-                });
-            }
-            let queued: Vec<Packet> = {
-                let st = &mut self.stations[s];
-                st.routing_neighbors = rn;
-                st.protected = protected;
-                std::mem::take(&mut st.queues)
-                    .into_values()
-                    .flatten()
-                    .collect()
-            };
+            self.set_routing_view(s, rn, now);
+            let queued: Vec<Packet> = std::mem::take(&mut self.stations[s].queues)
+                .into_values()
+                .flatten()
+                .collect();
             self.track_queue(now, -(queued.len() as f64));
             for p in queued {
                 if p.kind == PacketKind::Hello {
