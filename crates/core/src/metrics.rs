@@ -327,7 +327,7 @@ impl Metrics {
         };
         let losses = cause_map(&self.losses);
         let drops = cause_map(&self.drops);
-        let mut top = obj([
+        let top = obj([
             ("generated", self.generated.into()),
             ("delivered", self.delivered.into()),
             ("delivery_rate", self.delivery_rate().into()),
@@ -389,73 +389,60 @@ impl Metrics {
                 ]),
             ),
         ]);
-        // The "route" block exists only when the distance-vector protocol
-        // actually ran, keeping centralized/one-hop artifacts (and the
-        // golden regression fixtures pinning them) byte-identical.
+        // Each conditional block exists only when its subsystem left a
+        // mark, so runs without it — and the golden fixtures pinning them
+        // — stay byte-identical.
         let route_active = self.route_updates_sent > 0
             || self.route_updates_received > 0
             || self.converged_at.count() > 0
             || self.routing_loops > 0;
-        if route_active {
-            if let Json::Obj(entries) = &mut top {
-                entries.push((
-                    "route".to_string(),
-                    obj([
-                        ("updates_sent", self.route_updates_sent.into()),
-                        ("updates_received", self.route_updates_received.into()),
-                        ("convergence_s", self.converged_at.to_json()),
-                        ("routing_loops", self.routing_loops.into()),
-                    ]),
-                ));
-            }
-        }
-        // Likewise the "adversary" block exists only when an adversarial
-        // fault (partition / Byzantine / reactive jammer) actually left a
-        // mark, so every pre-existing artifact — and the golden fixtures
-        // pinning them — stays byte-identical.
+        let route = route_active.then(|| {
+            obj([
+                ("updates_sent", self.route_updates_sent.into()),
+                ("updates_received", self.route_updates_received.into()),
+                ("convergence_s", self.converged_at.to_json()),
+                ("routing_loops", self.routing_loops.into()),
+            ])
+        });
+        // A partition, Byzantine station or reactive jammer acted.
         let adversary_active = self.partitions_healed > 0
             || self.partition_healed_at.count() > 0
             || self.violations_detected > 0
             || self.reactive_jams > 0
             || self.jam_budget_spent_s > 0.0
             || self.readmissions_suppressed > 0;
-        if adversary_active {
-            if let Json::Obj(entries) = &mut top {
-                entries.push((
-                    "adversary".to_string(),
-                    obj([
-                        ("partitions_healed", self.partitions_healed.into()),
-                        ("partition_healed_at_s", self.partition_healed_at.to_json()),
-                        ("violations_detected", self.violations_detected.into()),
-                        ("reactive_jams", self.reactive_jams.into()),
-                        ("jam_budget_spent_s", self.jam_budget_spent_s.into()),
-                        (
-                            "readmissions_suppressed",
-                            self.readmissions_suppressed.into(),
-                        ),
-                    ]),
-                ));
-            }
-        }
-        // And the "mobility" block exists only when topology actually
-        // changed (motion epochs ran or churn fired) — static runs keep
-        // byte-identical artifacts.
+        let adversary = adversary_active.then(|| {
+            obj([
+                ("partitions_healed", self.partitions_healed.into()),
+                ("partition_healed_at_s", self.partition_healed_at.to_json()),
+                ("violations_detected", self.violations_detected.into()),
+                ("reactive_jams", self.reactive_jams.into()),
+                ("jam_budget_spent_s", self.jam_budget_spent_s.into()),
+                (
+                    "readmissions_suppressed",
+                    self.readmissions_suppressed.into(),
+                ),
+            ])
+        });
+        // Topology changed: motion epochs ran or churn fired.
         let mobility_active =
             self.motion_epochs > 0 || self.station_moves > 0 || self.leaves > 0 || self.joins > 0;
-        if mobility_active {
-            if let Json::Obj(entries) = &mut top {
-                entries.push((
-                    "mobility".to_string(),
-                    obj([
-                        ("motion_epochs", self.motion_epochs.into()),
-                        ("station_moves", self.station_moves.into()),
-                        ("leaves", self.leaves.into()),
-                        ("joins", self.joins.into()),
-                    ]),
-                ));
-            }
-        }
-        top
+        let mobility = mobility_active.then(|| {
+            obj([
+                ("motion_epochs", self.motion_epochs.into()),
+                ("station_moves", self.station_moves.into()),
+                ("leaves", self.leaves.into()),
+                ("joins", self.joins.into()),
+            ])
+        });
+        with_blocks(
+            top,
+            [
+                ("route", route),
+                ("adversary", adversary),
+                ("mobility", mobility),
+            ],
+        )
     }
 
     /// [`to_json`](Metrics::to_json) plus a `"saturation"` block with the
@@ -499,28 +486,22 @@ impl Metrics {
                 ("max", opt(h.quantile(1.0))),
             ])
         };
-        let mut top = self.to_json();
-        if let Json::Obj(entries) = &mut top {
-            entries.push((
-                "saturation".to_string(),
-                obj([
-                    ("offered_pps", pps(self.generated).into()),
-                    ("carried_pps", pps(self.delivered).into()),
-                    (
-                        "per_station_offered_pps",
-                        per_station_pps(&self.per_station_generated),
-                    ),
-                    (
-                        "per_station_carried_pps",
-                        per_station_pps(&self.per_station_delivered),
-                    ),
-                    ("delay_s", percentiles(&self.e2e_delay_hist)),
-                    ("hops", percentiles(&self.hops_hist)),
-                    ("queue_depth", self.queue_depth_hist.to_json()),
-                ]),
-            ));
-        }
-        top
+        let saturation = obj([
+            ("offered_pps", pps(self.generated).into()),
+            ("carried_pps", pps(self.delivered).into()),
+            (
+                "per_station_offered_pps",
+                per_station_pps(&self.per_station_generated),
+            ),
+            (
+                "per_station_carried_pps",
+                per_station_pps(&self.per_station_delivered),
+            ),
+            ("delay_s", percentiles(&self.e2e_delay_hist)),
+            ("hops", percentiles(&self.hops_hist)),
+            ("queue_depth", self.queue_depth_hist.to_json()),
+        ]);
+        with_blocks(self.to_json(), [("saturation", Some(saturation))])
     }
 
     /// One-line human summary.
@@ -557,6 +538,23 @@ impl WarmupGate {
     pub fn measured(&self, t: Time) -> bool {
         t >= self.warm_at
     }
+}
+
+/// Append each present `(key, block)` to the top-level object `top`, in
+/// order — the one path by which optional blocks join a metrics object.
+fn with_blocks<const N: usize>(
+    top: parn_sim::Json,
+    blocks: [(&str, Option<parn_sim::Json>); N],
+) -> parn_sim::Json {
+    let parn_sim::Json::Obj(mut entries) = top else {
+        unreachable!("metrics serialize to a JSON object");
+    };
+    entries.extend(
+        blocks
+            .into_iter()
+            .filter_map(|(key, block)| Some((key.to_string(), block?))),
+    );
+    parn_sim::Json::Obj(entries)
 }
 
 #[cfg(test)]
