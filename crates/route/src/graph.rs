@@ -46,10 +46,10 @@ impl EnergyGraph {
     /// Like [`from_model`](EnergyGraph::from_model), with *independent*
     /// transmit and receive eligibility masks: the edge `i → j` exists
     /// when `tx_ok[i]`, `rx_ok[j]`, and the hop is usable. Route repair
-    /// over survivors passes each station's liveness as both masks;
-    /// local-heal repair routes *around* evicted stations (`rx_ok` false —
-    /// no traffic is forwarded to them) while still letting them
-    /// originate and forward their own queued traffic (`tx_ok` true).
+    /// clears both masks for dead stations, and routes *around* evicted
+    /// stations (`rx_ok` false — no traffic is forwarded to them) while
+    /// still letting them originate and forward their own queued traffic
+    /// (`tx_ok` true).
     pub fn from_model_masked(
         gains: &dyn GainModel,
         usable_gain: Gain,

@@ -147,8 +147,8 @@ fn activation_order_is_irrelevant() {
         let g = random_graph(rng.below(5_000), 15, 0.35);
         let (a, b) = (converge_async(&g, 1), converge_async(&g, 2));
         for s in 0..15 {
+            let (x, y) = (a.state(s), b.state(s));
             for d in 0..15 {
-                let (x, y) = (a.state(s), b.state(s));
                 assert_eq!(x.cost(d).to_bits(), y.cost(d).to_bits(), "{s}->{d}");
                 assert_eq!(x.next_hop(d), y.next_hop(d), "{s}->{d}");
             }
