@@ -235,6 +235,10 @@ fn windows_from_local_view(
     let mut out: Vec<Window> = Vec::new();
     let first_idx = params.slot_index(to_local(from));
     let last_idx = params.slot_index(to_local(to).saturating_sub(1));
+    parn_sim::counter_inc!(
+        "sched.window_slots",
+        (last_idx + 1).saturating_sub(first_idx)
+    );
     let mut idx = first_idx;
     while idx <= last_idx {
         if params.kind_of_slot(idx) == kind {
