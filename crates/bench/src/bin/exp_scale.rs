@@ -17,8 +17,10 @@
 //! * `--determinism <n>` — run `grid-far` at `n` with 1, 2 and 8 sweep
 //!   threads into throwaway artifact dirs, assert the metrics JSON is
 //!   byte-identical across thread counts (the stable-reduction-order
-//!   guarantee), and assert the far-field snapshot cache hit rate stays
-//!   ≥ 50% (the per-cell invalidation fix can't silently regress).
+//!   guarantee), assert the far-field snapshot cache hit rate stays
+//!   ≥ 50% (the per-cell invalidation fix can't silently regress), and
+//!   assert MAC planning walks at most 50 slots per window scan (a planner
+//!   that walks its whole horizon again shows about 201).
 //!
 //! The scale runs use the single-hop regime ([`DestPolicy::Neighbors`]
 //! with [`RouteMode::OneHop`]) — O(E) routing state — with a short
@@ -130,7 +132,8 @@ fn counter_of(record: &Json, name: &str) -> u64 {
 }
 
 /// The determinism matrix: same seed, `grid-far`, threads 1/2/8 → the
-/// metrics JSON must match byte-for-byte, and the far cache must hit.
+/// metrics JSON must match byte-for-byte, the far cache must hit, and MAC
+/// planning must not walk its whole horizon on every window scan.
 fn determinism(n: usize) {
     let base = std::env::temp_dir().join(format!("parn_determinism_{}", std::process::id()));
     let mut metrics_by_threads: Vec<(usize, String, Json)> = Vec::new();
@@ -163,10 +166,21 @@ fn determinism(n: usize) {
         rate >= 0.5,
         "far-cache hit rate regressed: {hits} hits / {recomputes} recomputes = {rate:.3} < 0.5"
     );
+    // Planning-work ceiling, on the same child: the MAC searches a growing
+    // look-ahead, so a window scan walks a few slots. A planner that walks
+    // the whole 200-slot horizon on every scan shows about 201.
+    let slots = counter_of(baseline, "sched.window_slots");
+    let scans = counter_of(baseline, "sched.window_scans.actual")
+        + counter_of(baseline, "sched.window_scans.predicted");
+    let per_scan = slots as f64 / scans.max(1) as f64;
+    assert!(
+        per_scan <= 50.0,
+        "MAC planning walks {slots} slots in {scans} window scans = {per_scan:.1} per scan > 50"
+    );
     let _ = std::fs::remove_dir_all(&base);
     println!(
         "determinism OK at n={n}: metrics byte-identical across threads 1/2/8, \
-         far-cache hit rate {rate:.3}"
+         far-cache hit rate {rate:.3}, {per_scan:.1} slots per window scan"
     );
 }
 

@@ -225,8 +225,12 @@ pub struct NetConfig {
     pub protection: NeighborProtection,
     /// Traffic.
     pub traffic: TrafficConfig,
-    /// How far ahead the MAC searches for a usable window before
-    /// re-trying, in slots.
+    /// How far ahead the MAC searches for a usable window, in slots. The
+    /// horizon bounds the search and sets the retry time: a station that
+    /// finds nothing within it tries again at the horizon (`MacRetry`).
+    /// The search grows its look-ahead from 8 slots towards the horizon,
+    /// so planning cost follows the distance to the first usable window,
+    /// not the horizon.
     pub mac_horizon_slots: u64,
     /// Hop retransmission limit before a packet is abandoned.
     pub max_retries: u32,

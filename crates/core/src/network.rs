@@ -33,6 +33,17 @@ use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// The MAC's first look-ahead span, in slots. At p = 0.3 a sender's
+/// transmit window overlaps a given neighbour's receive window about once
+/// every 1/(p(1−p)) ≈ 4.8 slots (§7.2), so most plans settle in the first
+/// span. First spans of 4 to 16 slots walked about as many slots in all.
+const LOOKAHEAD_FIRST_SLOTS: u64 = 8;
+
+/// Factor by which each MAC look-ahead span grows over the last
+/// (8 → 32 → 128 → the horizon). Factors 2 to 4 walked about as many
+/// slots; 4 reaches the default 200-slot horizon in four passes.
+const LOOKAHEAD_GROWTH: u64 = 4;
+
 /// Simulator events.
 #[derive(Debug)]
 pub enum Event {
@@ -995,105 +1006,41 @@ impl Network {
     }
 
     /// Plan at most one transmission; returns whether a plan was made.
+    ///
+    /// The plan is the earliest `(start, next hop)` within the horizon of
+    /// `mac_horizon_slots` slots. The search runs over look-ahead spans
+    /// that grow from `LOOKAHEAD_FIRST_SLOTS` by `LOOKAHEAD_GROWTH` up to
+    /// the horizon, so its cost follows the distance to the first
+    /// usable window, not the horizon. A shorter span's result is kept
+    /// only when the packet ends at least `guard + slot` before the span
+    /// does: a §7.3 protected window that begins past the span reaches
+    /// back into it by `guard` once expanded, and clock inversion can move
+    /// a window edge by a tick. A kept result is therefore exactly the
+    /// full-horizon result. When nothing fits within the horizon, a
+    /// `MacRetry` is armed at the horizon.
     fn try_schedule_one(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) -> bool {
         if self.stations[s].queued() == 0 {
             return false;
         }
-        let params = self.cfg.sched;
-        let horizon = now + self.cfg.sched.slot * self.cfg.mac_horizon_slots;
-        let guard = self.cfg.clock.guard;
-        let qs = QuarterSlot::with_divisor(params, self.cfg.packet_divisor);
-        let my_clock = self.clocks[s];
-
-        // My own transmit windows, minus existing commitments, shaved by
-        // a transmitter-turnaround epsilon: window boundaries are computed
-        // through the clock inverse (±1 tick of rounding), and a 1-tick
-        // overhang into the station's own receive slot is enough to kill
-        // an incoming reception (Type 3) under the hold-for-the-whole-
-        // packet criterion. Real radios need TX/RX turnaround time anyway.
-        let my_tx: Vec<Window> = self.stations[s]
-            .schedule
-            .windows(now, horizon, SlotKind::Transmit)
-            .into_iter()
-            .map(|w| w.shrunk(Duration(2)))
-            .filter(|w| !w.is_empty())
-            .collect();
-        let my_free = self.stations[s].subtract_reservations(&my_tx);
-
-        // Pre-compute §7.3 cut lists lazily per candidate power level: the
-        // protected windows only depend on the neighbour being protected,
-        // so gather their expanded predicted receive windows once.
-        let protection_on = self.cfg.protection.enabled;
-        let mut protected_rx: Vec<(StationId, f64, Vec<Window>)> = Vec::new();
-        if protection_on {
-            let prot_ids = self.stations[s].protected.clone();
-            for pn in prot_ids {
-                let gain_to_pn = self.gains.gain(pn, s).value();
-                if let Some(model) = self.stations[s].models.get(&pn) {
-                    let pred = PredictedSchedule {
-                        params,
-                        my_clock,
-                        model,
-                        guard: Duration::ZERO,
-                    };
-                    let ws: Vec<Window> = pred
-                        .windows(now, horizon, SlotKind::Receive)
-                        .into_iter()
-                        .map(|w| w.expanded(guard))
-                        .collect();
-                    protected_rx.push((pn, gain_to_pn, ws));
-                }
+        let slot = self.cfg.sched.slot;
+        let horizon = now + slot * self.cfg.mac_horizon_slots;
+        let margin = self.airtime + self.cfg.clock.guard + slot;
+        let mut span = LOOKAHEAD_FIRST_SLOTS;
+        let best = loop {
+            if span >= self.cfg.mac_horizon_slots {
+                break self.earliest_plan(s, now, horizon);
             }
-        }
-
-        let neighbors_with_traffic: Vec<StationId> = self.stations[s]
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&nh, _)| nh)
-            .collect();
-
-        let mut best: Option<(Time, StationId)> = None;
-        for nh in neighbors_with_traffic {
-            let Some(model) = self.stations[s].models.get(&nh) else {
-                continue;
-            };
-            let pred = PredictedSchedule {
-                params,
-                my_clock,
-                model,
-                guard,
-            };
-            let their_rx = pred.windows(now, horizon, SlotKind::Receive);
-            let mut usable = intersect_lists(&my_free, &their_rx);
-            if protection_on && !usable.is_empty() {
-                let p_tx = self.power.tx_power(self.gains.gain(nh, s)).value();
-                for (pn, gain_to_pn, ws) in &protected_rx {
-                    if *pn == nh {
-                        continue;
-                    }
-                    let contrib = p_tx * gain_to_pn;
-                    if contrib
-                        >= self.cfg.protection.significance_fraction
-                            * self.interference_budget.value()
-                    {
-                        usable = subtract_lists(&usable, ws);
-                    }
-                }
+            let end = now + slot * span;
+            match self.earliest_plan(s, now, end) {
+                Some((start, nh)) if start + margin <= end => break Some((start, nh)),
+                _ => span = span.saturating_mul(LOOKAHEAD_GROWTH),
             }
-            let found = qs.first_admissible(
-                &usable,
-                now,
-                |t| my_clock.reading(t),
-                |local| my_clock.time_of_reading(local),
-            );
-            if let Some(start) = found {
-                if best.map(|(b, _)| start < b).unwrap_or(true) {
-                    best = Some((start, nh));
-                }
-            }
-        }
-
+        };
+        debug_assert_eq!(
+            best,
+            self.earliest_plan(s, now, horizon),
+            "station {s} at {now:?}: look-ahead plan differs from the full-horizon plan"
+        );
         match best {
             Some((start, nh)) => {
                 let st = &mut self.stations[s];
@@ -1137,6 +1084,106 @@ impl Network {
                 false
             }
         }
+    }
+
+    /// The earliest `(start, next hop)` at which `s` can send the head of
+    /// one of its non-empty queues, over windows in `[now, end)` (§7 MAC:
+    /// own transmit window ∩ the next hop's predicted receive window,
+    /// minus commitments and §7.3 protected windows). Changes no state.
+    fn earliest_plan(&self, s: StationId, now: Time, end: Time) -> Option<(Time, StationId)> {
+        let params = self.cfg.sched;
+        let guard = self.cfg.clock.guard;
+        let qs = QuarterSlot::with_divisor(params, self.cfg.packet_divisor);
+        let my_clock = self.clocks[s];
+
+        // My own transmit windows, minus existing commitments, shaved by
+        // a transmitter-turnaround epsilon: window boundaries are computed
+        // through the clock inverse (±1 tick of rounding), and a 1-tick
+        // overhang into the station's own receive slot is enough to kill
+        // an incoming reception (Type 3) under the hold-for-the-whole-
+        // packet criterion. Real radios need TX/RX turnaround time anyway.
+        let my_tx: Vec<Window> = self.stations[s]
+            .schedule
+            .windows(now, end, SlotKind::Transmit)
+            .into_iter()
+            .map(|w| w.shrunk(Duration(2)))
+            .filter(|w| !w.is_empty())
+            .collect();
+        let my_free = self.stations[s].subtract_reservations(&my_tx);
+
+        // Pre-compute §7.3 cut lists lazily per candidate power level: the
+        // protected windows only depend on the neighbour being protected,
+        // so gather their expanded predicted receive windows once.
+        let protection_on = self.cfg.protection.enabled;
+        let mut protected_rx: Vec<(StationId, f64, Vec<Window>)> = Vec::new();
+        if protection_on {
+            for &pn in &self.stations[s].protected {
+                let gain_to_pn = self.gains.gain(pn, s).value();
+                if let Some(model) = self.stations[s].models.get(&pn) {
+                    let pred = PredictedSchedule {
+                        params,
+                        my_clock,
+                        model,
+                        guard: Duration::ZERO,
+                    };
+                    let ws: Vec<Window> = pred
+                        .windows(now, end, SlotKind::Receive)
+                        .into_iter()
+                        .map(|w| w.expanded(guard))
+                        .collect();
+                    protected_rx.push((pn, gain_to_pn, ws));
+                }
+            }
+        }
+
+        let neighbors_with_traffic: Vec<StationId> = self.stations[s]
+            .queues
+            .iter()
+            .filter(|(_, q)| !q.is_empty())
+            .map(|(&nh, _)| nh)
+            .collect();
+
+        let mut best: Option<(Time, StationId)> = None;
+        for nh in neighbors_with_traffic {
+            let Some(model) = self.stations[s].models.get(&nh) else {
+                continue;
+            };
+            let pred = PredictedSchedule {
+                params,
+                my_clock,
+                model,
+                guard,
+            };
+            let their_rx = pred.windows(now, end, SlotKind::Receive);
+            let mut usable = intersect_lists(&my_free, &their_rx);
+            if protection_on && !usable.is_empty() {
+                let p_tx = self.power.tx_power(self.gains.gain(nh, s)).value();
+                for (pn, gain_to_pn, ws) in &protected_rx {
+                    if *pn == nh {
+                        continue;
+                    }
+                    let contrib = p_tx * gain_to_pn;
+                    if contrib
+                        >= self.cfg.protection.significance_fraction
+                            * self.interference_budget.value()
+                    {
+                        usable = subtract_lists(&usable, ws);
+                    }
+                }
+            }
+            let found = qs.first_admissible(
+                &usable,
+                now,
+                |t| my_clock.reading(t),
+                |local| my_clock.time_of_reading(local),
+            );
+            if let Some(start) = found {
+                if best.map(|(b, _)| start < b).unwrap_or(true) {
+                    best = Some((start, nh));
+                }
+            }
+        }
+        best
     }
 
     /// Snapshot a control payload onto `packet` at transmission start —

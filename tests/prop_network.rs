@@ -1,7 +1,7 @@
 //! Property-based tests over the *whole* simulator: random small
 //! scenarios must uphold the global invariants regardless of parameters.
 
-use parn::core::{DestPolicy, NetConfig, Network};
+use parn::core::{DestPolicy, NetConfig, Network, RouteMode};
 use parn::sim::{Duration, Rng};
 use parn::testkit::cases;
 
@@ -95,4 +95,47 @@ fn delays_are_physical() {
             assert!(m.hops_per_packet.min() >= 1.0);
         }
     });
+}
+
+/// The MAC searches growing look-ahead spans and keeps a shorter span's
+/// plan only when the packet ends at least `guard + slot` before the span
+/// does. In debug builds every plan asserts that this plan equals the
+/// search over the whole horizon, so this test drives small loaded
+/// networks through that assertion over each knob the margin depends on:
+/// horizons below, at and just past the first span (1, 8, 9 slots) and the
+/// default 200; packets of a whole, a quarter and an eighth of a slot;
+/// guard bands from 200 µs to 5 ms; §7.3 protection on; table and
+/// distance-vector routing. (In release builds only the ledger is checked.)
+#[test]
+fn lookahead_plans_match_the_full_horizon() {
+    let mut seed = 0;
+    for horizon in [1, 8, 9, 200] {
+        for divisor in [1, 4, 8] {
+            for guard_us in [200, 1_000, 5_000] {
+                for route in [RouteMode::Centralized, RouteMode::Distributed] {
+                    seed += 1;
+                    let mut cfg = NetConfig::paper_default(16, seed);
+                    cfg.run_for = Duration::from_secs(2);
+                    cfg.warmup = Duration::from_millis(250);
+                    cfg.traffic.arrivals_per_station_per_sec = 8.0;
+                    cfg.protection.enabled = true;
+                    cfg.mac_horizon_slots = horizon;
+                    cfg.packet_divisor = divisor;
+                    cfg.clock.guard = Duration::from_micros(guard_us);
+                    cfg.route_mode = route;
+                    let m = Network::run(cfg);
+                    assert_eq!(
+                        m.hop_attempts - m.hop_successes,
+                        m.total_losses(),
+                        "horizon {horizon}, divisor {divisor}, guard {guard_us} µs: {}",
+                        m.summary()
+                    );
+                    assert!(
+                        horizon == 1 || m.hop_attempts > 0,
+                        "horizon {horizon}, divisor {divisor}, guard {guard_us} µs planned nothing"
+                    );
+                }
+            }
+        }
+    }
 }
