@@ -136,11 +136,6 @@ impl Station {
         self.reservations.retain(|&(_, end)| end > now);
     }
 
-    /// Whether `[start, start+len)` overlaps any reservation.
-    pub fn conflicts_with_reservation(&self, start: Time, end: Time) -> bool {
-        self.reservations.iter().any(|&(s, e)| start < e && s < end)
-    }
-
     /// Remove reserved intervals from a sorted window list (both lists in
     /// global time). Returns the usable remainder.
     pub fn subtract_reservations(&self, windows: &[Window]) -> Vec<Window> {
@@ -204,13 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn reservation_pruning_and_conflicts() {
+    fn reservation_pruning() {
         let mut s = station();
         s.reservations.push((Time(10), Time(20)));
         s.reservations.push((Time(30), Time(40)));
-        assert!(s.conflicts_with_reservation(Time(15), Time(18)));
-        assert!(s.conflicts_with_reservation(Time(19), Time(31)));
-        assert!(!s.conflicts_with_reservation(Time(20), Time(30)));
         s.prune_reservations(Time(25));
         assert_eq!(s.reservations, vec![(Time(30), Time(40))]);
         s.prune_reservations(Time(40));

@@ -25,6 +25,4 @@ pub use clock::StationClock;
 pub use packing::QuarterSlot;
 pub use remoteclock::{ClockSample, RemoteClockModel};
 pub use slots::{SchedParams, SlotKind};
-pub use windows::{
-    earliest_fit, intersect_lists, subtract_lists, PredictedSchedule, StationSchedule, Window,
-};
+pub use windows::{intersect_lists, subtract_lists, PredictedSchedule, StationSchedule, Window};

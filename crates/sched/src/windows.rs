@@ -149,24 +149,6 @@ impl StationSchedule {
         self.params.kind_at(self.clock.reading(t))
     }
 
-    /// Global time of the next slot boundary strictly after `t`.
-    pub fn next_boundary_after(&self, t: Time) -> Time {
-        let local = self.clock.reading(t);
-        let (_, end) = self.params.slot_bounds(local);
-        let mut bt = self
-            .clock
-            .time_of_reading(end)
-            .expect("boundary before epoch");
-        // Rounding in the inverse may land exactly at `t`; step one slot.
-        if bt <= t {
-            bt = self
-                .clock
-                .time_of_reading(end + self.params.slot.ticks())
-                .expect("boundary before epoch");
-        }
-        bt
-    }
-
     /// Maximal merged windows of `kind` overlapping `[from, to)`, clipped
     /// to that range, in global time.
     pub fn windows(&self, from: Time, to: Time, kind: SlotKind) -> Vec<Window> {
@@ -261,19 +243,6 @@ fn windows_from_local_view(
     out
 }
 
-/// Find the earliest start time ≥ `earliest` at which a packet of length
-/// `len` fits inside some window of `usable` (sorted). Returns `None` when
-/// nothing fits.
-pub fn earliest_fit(usable: &[Window], earliest: Time, len: Duration) -> Option<Time> {
-    for w in usable {
-        let start = w.start.max(earliest);
-        if start + len <= w.end {
-            return Some(start);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,18 +335,6 @@ mod tests {
             .filter(|w| w.duration() > Duration::from_millis(10))
             .count();
         assert!(long > 10, "only {long} multi-slot windows");
-    }
-
-    #[test]
-    fn next_boundary_after_advances() {
-        let s = StationSchedule::new(params(), StationClock::with_offset(3_333));
-        let mut t = Time::ZERO;
-        for _ in 0..50 {
-            let b = s.next_boundary_after(t);
-            assert!(b > t);
-            assert!(b.since(t) <= Duration::from_millis(10) + Duration(2));
-            t = b;
-        }
     }
 
     #[test]
@@ -537,17 +494,5 @@ mod tests {
             .sum();
         let total: u64 = a.iter().map(|w| w.duration().ticks()).sum();
         assert_eq!(sum, total);
-    }
-
-    #[test]
-    fn earliest_fit_scans_forward() {
-        let ws = vec![
-            Window::new(Time(0), Time(10)),
-            Window::new(Time(50), Time(100)),
-        ];
-        assert_eq!(earliest_fit(&ws, Time(0), Duration(5)), Some(Time(0)));
-        assert_eq!(earliest_fit(&ws, Time(8), Duration(5)), Some(Time(50)));
-        assert_eq!(earliest_fit(&ws, Time(60), Duration(30)), Some(Time(60)));
-        assert_eq!(earliest_fit(&ws, Time(80), Duration(30)), None);
     }
 }
