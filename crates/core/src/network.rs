@@ -1137,16 +1137,10 @@ impl Network {
             }
         }
 
-        let neighbors_with_traffic: Vec<StationId> = self.stations[s]
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&nh, _)| nh)
-            .collect();
-
+        let st = &self.stations[s];
         let mut best: Option<(Time, StationId)> = None;
-        for nh in neighbors_with_traffic {
-            let Some(model) = self.stations[s].models.get(&nh) else {
+        for (&nh, _) in st.queues.iter().filter(|(_, q)| !q.is_empty()) {
+            let Some(model) = st.models.get(&nh) else {
                 continue;
             };
             let pred = PredictedSchedule {
