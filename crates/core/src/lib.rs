@@ -11,6 +11,7 @@
 //! * [`power`] — §6.1 power control (deliver constant power);
 //! * [`collision`] — the §5 collision taxonomy over PHY failure reports;
 //! * [`station`] — per-station protocol state;
+//! * [`vecmap`] — the sorted-vector map that holds it;
 //! * [`network`] — the full event-driven simulator (MAC + PHY + routing +
 //!   traffic);
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
@@ -38,6 +39,7 @@ pub mod packet;
 pub mod power;
 pub mod station;
 pub mod traffic;
+pub mod vecmap;
 
 pub use collision::{classify, classify_with, CollisionKinds};
 pub use config::{

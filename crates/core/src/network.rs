@@ -1045,11 +1045,7 @@ impl Network {
         match best {
             Some((start, nh)) => {
                 let st = &mut self.stations[s];
-                let packet = st
-                    .queues
-                    .get_mut(&nh)
-                    .and_then(VecDequeFront::pop_front_checked)
-                    .expect("queue emptied unexpectedly");
+                let packet = st.dequeue(nh).expect("queue emptied unexpectedly");
                 st.reservations.push((start, start + self.airtime));
                 let pid = packet.id;
                 self.track_queue(now, -1.0);
@@ -1139,7 +1135,7 @@ impl Network {
 
         let st = &self.stations[s];
         let mut best: Option<(Time, StationId)> = None;
-        for (&nh, _) in st.queues.iter().filter(|(_, q)| !q.is_empty()) {
+        for &nh in st.queues.keys() {
             let Some(model) = st.models.get(&nh) else {
                 continue;
             };
@@ -2992,17 +2988,6 @@ impl Model for Network {
     }
 }
 
-/// Small helper: `pop_front` that tolerates being called through
-/// `and_then`.
-trait VecDequeFront<T> {
-    fn pop_front_checked(&mut self) -> Option<T>;
-}
-impl<T> VecDequeFront<T> for std::collections::VecDeque<T> {
-    fn pop_front_checked(&mut self) -> Option<T> {
-        self.pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3233,6 +3218,46 @@ mod tests {
         let m = Network::run(cfg);
         assert!(m.delivered > 100, "{}", m.summary());
         assert_eq!(m.collision_losses(), 0);
+    }
+
+    #[test]
+    fn drained_stations_hold_no_queue_plan_or_attempt_storage() {
+        // A relay outage makes its neighbours retry, so attempt maps fill
+        // and drain as well as queues and plans.
+        let mut cfg = small_cfg(40, 19);
+        cfg.run_for = Duration::from_secs(8);
+        cfg.traffic.arrivals_per_station_per_sec = 2.0;
+        let probe = Network::new(cfg.clone());
+        let deps = probe.routing_dependent_counts();
+        let relay = (0..deps.len()).max_by_key(|&s| deps[s]).unwrap();
+        cfg.faults =
+            FaultPlan::none().crash_recover(Duration::from_secs(3), relay, Duration::from_secs(2));
+        let mut net = Network::new(cfg);
+        let mut q = parn_sim::EventQueue::new();
+        net.prime(&mut q);
+        let mut planned = vec![false; net.len()];
+        let (mut drained, mut retried) = (0usize, 0usize);
+        let mut t = Time::ZERO;
+        while t < net.end {
+            t += Duration::from_millis(50);
+            parn_sim::run(&mut net, &mut q, t);
+            for (s, st) in net.stations.iter().enumerate() {
+                assert!(
+                    st.queues.values().all(|queue| !queue.is_empty()),
+                    "station {s} keeps a drained queue at {t:?}"
+                );
+                planned[s] |= !st.pending_tx.is_empty();
+                retried += usize::from(!st.attempts.is_empty());
+                if st.queued() == 0 && st.pending_tx.is_empty() && st.attempts.is_empty() {
+                    assert_eq!(st.queues.capacity(), 0, "station {s} queue storage");
+                    assert_eq!(st.pending_tx.capacity(), 0, "station {s} plan storage");
+                    assert_eq!(st.attempts.capacity(), 0, "station {s} attempt storage");
+                    drained += usize::from(planned[s]);
+                }
+            }
+        }
+        assert!(drained > 0, "no station ever drained after planning");
+        assert!(retried > 0, "no station ever held a retry count");
     }
 
     #[test]

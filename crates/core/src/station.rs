@@ -8,10 +8,11 @@
 //! state a real station could not hold.
 
 use crate::packet::Packet;
+use crate::vecmap::VecMap;
 use parn_phys::StationId;
 use parn_sched::{RemoteClockModel, StationSchedule, Window};
 use parn_sim::Time;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Local liveness estimate of one neighbour (`HealMode::Local`): built
 /// entirely from this station's own hop outcomes (implicit acks), never
@@ -49,6 +50,10 @@ pub struct PlannedTx {
 }
 
 /// One station's mutable protocol state.
+///
+/// Its keyed state lives in [`VecMap`]s, which iterate in ascending key
+/// order (so runs are deterministic), hold a map that only grows at
+/// exactly its size, and free a map's storage when its last entry goes.
 #[derive(Debug)]
 pub struct Station {
     /// Station id.
@@ -57,16 +62,16 @@ pub struct Station {
     /// clock.
     pub schedule: StationSchedule,
     /// Models of tracked neighbours' clocks (routing neighbours plus
-    /// §7.3-protected close stations). BTreeMap for deterministic
-    /// iteration.
-    pub models: BTreeMap<StationId, RemoteClockModel>,
+    /// §7.3-protected close stations).
+    pub models: VecMap<StationId, RemoteClockModel>,
     /// Per-next-hop FIFO queues (no head-of-line blocking across
-    /// neighbours: the MAC picks whichever queue can go earliest).
-    pub queues: BTreeMap<StationId, VecDeque<Packet>>,
+    /// neighbours: the MAC picks whichever queue can go earliest). A
+    /// queue is removed when it drains, so every queue here is non-empty.
+    pub queues: VecMap<StationId, VecDeque<Packet>>,
     /// Outstanding planned transmissions, keyed by start tick. Multiple
     /// plans let the transmitter stay busy across its transmit windows —
     /// the "no head-of-line blocking" behaviour behind §7.2's duty cycles.
-    pub pending_tx: BTreeMap<u64, PlannedTx>,
+    pub pending_tx: VecMap<u64, PlannedTx>,
     /// Future/ongoing transmitter commitments `[start, end)`, pruned as
     /// time passes. Used to keep plans from overlapping.
     pub reservations: Vec<(Time, Time)>,
@@ -81,17 +86,16 @@ pub struct Station {
     pub retry_pending: bool,
     /// Per-packet transmit attempts for the head entries, keyed by packet
     /// id (cleared on success/drop).
-    pub attempts: BTreeMap<u64, u32>,
+    pub attempts: VecMap<u64, u32>,
     /// Per-neighbour liveness tracking for local failure detection
-    /// (`HealMode::Local`). BTreeMap for deterministic iteration.
-    pub liveness: BTreeMap<StationId, NeighborHealth>,
+    /// (`HealMode::Local`).
+    pub liveness: VecMap<StationId, NeighborHealth>,
     /// Whether a triggered distance-vector update round is already
     /// scheduled (dedupes bursts of table changes into one round).
     pub update_pending: bool,
     /// When this station last heard each other station — directly (any
-    /// reception or implicit ack) or through hello gossip. BTreeMap for
-    /// deterministic iteration.
-    pub last_heard: BTreeMap<StationId, Time>,
+    /// reception or implicit ack) or through hello gossip.
+    pub last_heard: VecMap<StationId, Time>,
 }
 
 impl Station {
@@ -100,18 +104,18 @@ impl Station {
         Station {
             id,
             schedule,
-            models: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            pending_tx: BTreeMap::new(),
+            models: VecMap::new(),
+            queues: VecMap::new(),
+            pending_tx: VecMap::new(),
             reservations: Vec::new(),
             active_rx: 0,
             routing_neighbors: Vec::new(),
             protected: Vec::new(),
             retry_pending: false,
-            attempts: BTreeMap::new(),
-            liveness: BTreeMap::new(),
+            attempts: VecMap::new(),
+            liveness: VecMap::new(),
             update_pending: false,
-            last_heard: BTreeMap::new(),
+            last_heard: VecMap::new(),
         }
     }
 
@@ -119,6 +123,17 @@ impl Station {
     pub fn enqueue(&mut self, next_hop: StationId, mut packet: Packet, now: Time) {
         packet.enqueued = now;
         self.queues.entry(next_hop).or_default().push_back(packet);
+    }
+
+    /// Take the head packet of the queue for `next_hop`, removing the
+    /// queue (and freeing its storage) when that empties it.
+    pub fn dequeue(&mut self, next_hop: StationId) -> Option<Packet> {
+        let queue = self.queues.get_mut(&next_hop)?;
+        let packet = queue.pop_front();
+        if queue.is_empty() {
+            self.queues.remove(&next_hop);
+        }
+        packet
     }
 
     /// Total queued packets (excluding any pending transmission).
@@ -196,6 +211,21 @@ mod tests {
         assert!(!s.idle());
         assert_eq!(s.queues[&1].len(), 2);
         assert_eq!(s.queues[&1][0].enqueued, Time(5));
+    }
+
+    #[test]
+    fn dequeue_is_fifo_and_drops_drained_queues() {
+        let mut s = station();
+        s.enqueue(1, pkt(1), Time(5));
+        s.enqueue(2, pkt(2), Time(6));
+        s.enqueue(1, pkt(3), Time(7));
+        assert_eq!(s.dequeue(1).map(|p| p.id), Some(1));
+        assert_eq!(s.dequeue(2).map(|p| p.id), Some(2));
+        assert_eq!(s.queues.keys().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(s.dequeue(1).map(|p| p.id), Some(3));
+        assert!(s.dequeue(1).is_none());
+        assert!(s.idle());
+        assert_eq!(s.queues.capacity(), 0);
     }
 
     #[test]

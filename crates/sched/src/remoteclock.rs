@@ -20,18 +20,17 @@ pub struct ClockSample {
 }
 
 /// A fitted affine model of a neighbour's clock.
+///
+/// A station holds one per tracked neighbour, about a dozen, so the model
+/// is kept small: the fitted rate plus the retained samples, whose last
+/// entry is the base point predictions extrapolate from.
 #[derive(Clone, Debug)]
 pub struct RemoteClockModel {
-    /// Base point (my reading at the last sample).
-    x0: f64,
-    /// Their reading at the base point.
-    y0: f64,
     /// Estimated rate ratio d(theirs)/d(mine).
     rate: f64,
-    /// Samples retained for refitting.
+    /// Samples retained for refitting, oldest first: never empty, and at
+    /// most [`Self::DEFAULT_WINDOW`].
     samples: Vec<ClockSample>,
-    /// Maximum samples kept.
-    window: usize,
 }
 
 impl RemoteClockModel {
@@ -42,20 +41,18 @@ impl RemoteClockModel {
     /// second sample arrives).
     pub fn from_first_sample(s: ClockSample) -> RemoteClockModel {
         RemoteClockModel {
-            x0: s.mine as f64,
-            y0: s.theirs as f64,
             rate: 1.0,
             samples: vec![s],
-            window: Self::DEFAULT_WINDOW,
         }
     }
 
-    /// Record another exchange and refit.
+    /// Record another exchange and refit. A full window drops its oldest
+    /// sample first, so the buffer never outgrows the window.
     pub fn add_sample(&mut self, s: ClockSample) {
-        self.samples.push(s);
-        if self.samples.len() > self.window {
+        if self.samples.len() == Self::DEFAULT_WINDOW {
             self.samples.remove(0);
         }
+        self.samples.push(s);
         self.refit();
     }
 
@@ -89,11 +86,15 @@ impl RemoteClockModel {
         self.rate
     }
 
+    /// The base point: (my reading, their reading) at the last sample.
+    fn base(&self) -> (f64, f64) {
+        let last = self.samples[self.samples.len() - 1];
+        (last.mine as f64, last.theirs as f64)
+    }
+
     fn refit(&mut self) {
         let n = self.samples.len();
-        let last = self.samples[n - 1];
-        self.x0 = last.mine as f64;
-        self.y0 = last.theirs as f64;
+        let (x0, y0) = self.base();
         if n < 2 {
             self.rate = 1.0;
             return;
@@ -101,23 +102,18 @@ impl RemoteClockModel {
         // Least-squares slope on (mine, theirs), computed around the base
         // point to keep the arithmetic well-conditioned despite the large
         // absolute offsets.
-        let mx: f64 = self
-            .samples
-            .iter()
-            .map(|s| s.mine as f64 - self.x0)
-            .sum::<f64>()
-            / n as f64;
+        let mx: f64 = self.samples.iter().map(|s| s.mine as f64 - x0).sum::<f64>() / n as f64;
         let my: f64 = self
             .samples
             .iter()
-            .map(|s| s.theirs as f64 - self.y0)
+            .map(|s| s.theirs as f64 - y0)
             .sum::<f64>()
             / n as f64;
         let mut sxx = 0.0;
         let mut sxy = 0.0;
         for s in &self.samples {
-            let dx = (s.mine as f64 - self.x0) - mx;
-            let dy = (s.theirs as f64 - self.y0) - my;
+            let dx = (s.mine as f64 - x0) - mx;
+            let dy = (s.theirs as f64 - y0) - my;
             sxx += dx * dx;
             sxy += dx * dy;
         }
@@ -135,13 +131,15 @@ impl RemoteClockModel {
 
     /// Predict their clock's reading at my reading `mine`.
     pub fn predict(&self, mine: u64) -> u64 {
-        let y = self.y0 + self.rate * (mine as f64 - self.x0);
+        let (x0, y0) = self.base();
+        let y = y0 + self.rate * (mine as f64 - x0);
         y.round().max(0.0) as u64
     }
 
     /// Invert: my reading when their clock will show `theirs`.
     pub fn predict_inverse(&self, theirs: u64) -> u64 {
-        let x = self.x0 + (theirs as f64 - self.y0) / self.rate;
+        let (x0, y0) = self.base();
+        let x = x0 + (theirs as f64 - y0) / self.rate;
         x.round().max(0.0) as u64
     }
 
@@ -152,7 +150,7 @@ impl RemoteClockModel {
     /// `residual_ppm` should bound the *unmodelled* rate error — with a
     /// two-point fit over a long baseline this is far below the raw drift.
     pub fn error_bound(&self, mine: u64, residual_ppm: f64) -> u64 {
-        let dist = (mine as f64 - self.x0).abs();
+        let dist = (mine as f64 - self.base().0).abs();
         (dist * residual_ppm * 1e-6).ceil() as u64 + 2
     }
 }
@@ -230,7 +228,38 @@ mod tests {
             });
         }
         assert_eq!(m.sample_count(), RemoteClockModel::DEFAULT_WINDOW);
+        assert_eq!(m.samples.capacity(), RemoteClockModel::DEFAULT_WINDOW);
         assert!((m.rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_long_history_predicts_like_its_last_window() {
+        // Jittered exchanges with a drifting clock: a non-trivial fit.
+        let mut rng = parn_sim::Rng::new(11);
+        let samples: Vec<ClockSample> = (0..20u64)
+            .map(|i| {
+                let mine = 5_000 + i * 1_000_000 + rng.below(50);
+                let theirs = 9_000_000 + (mine as f64 * 1.000_137) as u64 + rng.below(50);
+                ClockSample { mine, theirs }
+            })
+            .collect();
+        let w = RemoteClockModel::DEFAULT_WINDOW;
+        let mut long = RemoteClockModel::from_first_sample(samples[0]);
+        for &s in &samples[1..] {
+            long.add_sample(s);
+        }
+        let tail = &samples[samples.len() - w..];
+        let mut short = RemoteClockModel::from_first_sample(tail[0]);
+        for &s in &tail[1..] {
+            short.add_sample(s);
+        }
+        assert_ne!(long.rate(), 1.0, "the fit should see the drift");
+        assert_eq!(long.rate().to_bits(), short.rate().to_bits());
+        for mine in (0..40u64).map(|k| k * 777_777) {
+            assert_eq!(long.predict(mine), short.predict(mine));
+            assert_eq!(long.predict_inverse(mine), short.predict_inverse(mine));
+            assert_eq!(long.error_bound(mine, 5.0), short.error_bound(mine, 5.0));
+        }
     }
 
     #[test]
