@@ -132,11 +132,6 @@ impl GridIndex {
         self.cell * std::f64::consts::SQRT_2 / 2.0
     }
 
-    /// Number of cells (grid extent).
-    pub fn cell_count(&self) -> usize {
-        self.nx * self.ny
-    }
-
     /// Flat index of the cell containing `p` (points outside the build
     /// bounding box clamp to the border cells).
     pub fn cell_index(&self, p: Point) -> usize {
@@ -162,11 +157,6 @@ impl GridIndex {
             .enumerate()
             .filter(|(_, c)| !c.is_empty())
             .map(|(i, c)| (i, c.as_slice()))
-    }
-
-    /// Stations in cell `idx`.
-    pub fn cell_members(&self, idx: usize) -> &[StationId] {
-        &self.cells[idx]
     }
 
     /// Insert station `id` at `p` (no-op if already present in that

@@ -142,11 +142,6 @@ impl GravitySampler {
         None
     }
 
-    /// The radius bounds the sampler draws from.
-    pub fn radius_bounds(&self) -> (f64, f64) {
-        (self.r_min, self.r_max)
-    }
-
     /// The weighting exponent α.
     pub fn exponent(&self) -> f64 {
         self.exponent

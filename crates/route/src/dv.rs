@@ -115,12 +115,6 @@ impl DvState {
         self.dist[dst]
     }
 
-    /// Current route hop count toward `dst` (`u32::MAX` when
-    /// unreachable).
-    pub fn route_hops(&self, dst: StationId) -> u32 {
-        self.hops[dst]
-    }
-
     /// The distinct next hops in use, sorted — the station's routing
     /// neighbours under its *current* (possibly transient) table.
     pub fn routing_neighbors(&self) -> Vec<StationId> {
@@ -128,13 +122,6 @@ impl DvState {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// True when the state changed since the last
-    /// [`take_dirty`](DvState::take_dirty) — i.e. neighbours have not yet
-    /// heard the latest vector.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// Read and clear the dirty flag (called when an update round is

@@ -141,11 +141,6 @@ impl Histogram {
         self.bins[i]
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// `(lo, hi)` bounds of bin `i`.
     pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
         let lo = self.lo + self.width * i as f64;

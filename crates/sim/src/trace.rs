@@ -280,7 +280,6 @@ pub struct Tracer {
     capacity: usize,
     records: VecDeque<Record>,
     dropped: u64,
-    echo: bool,
 }
 
 impl Default for Tracer {
@@ -298,7 +297,6 @@ impl Tracer {
             capacity: 0,
             records: VecDeque::new(),
             dropped: 0,
-            echo: false,
         }
     }
 
@@ -310,14 +308,7 @@ impl Tracer {
             capacity,
             records: VecDeque::new(),
             dropped: 0,
-            echo: false,
         }
-    }
-
-    /// Also print each record to stdout as it is traced.
-    pub fn with_echo(mut self) -> Tracer {
-        self.echo = true;
-        self
     }
 
     /// Whether records at `level` would be kept — [`crate::trace_event!`]
@@ -338,9 +329,6 @@ impl Tracer {
             return;
         }
         let rec = Record { time, level, event };
-        if self.echo {
-            println!("{rec}");
-        }
         if self.capacity == 0 {
             self.dropped += 1;
             return;
