@@ -12,15 +12,24 @@
 //!
 //! * no args — driver mode: spawns itself with `--one n backend` for
 //!   the whole sweep and prints a result table;
-//! * `--one <n> <dense|grid|grid-far> [threads]` — run one configuration
-//!   and print a single result line;
+//! * `--one <n> <dense|grid|grid-far> [threads]` — run one configuration,
+//!   append its line to `BENCH_scale.json` and print a one-line summary;
 //! * `--determinism <n>` — run `grid-far` at `n` with 1, 2 and 8 sweep
 //!   threads into throwaway artifact dirs, assert the metrics JSON is
 //!   byte-identical across thread counts (the stable-reduction-order
 //!   guarantee), assert the far-field snapshot cache hit rate stays
 //!   ≥ 50% (the per-cell invalidation fix can't silently regress), and
 //!   assert MAC planning walks at most 50 slots per window scan (a planner
-//!   that walks its whole horizon again shows about 201).
+//!   that walks its whole horizon again shows about 201). At n = 10⁴ it
+//!   also asserts that the single-threaded build leaves at most 10 % more
+//!   heap per station live than `BUILD_HEAP_PER_STATION_10K`.
+//!
+//! A counting global allocator (this binary only) measures the heap: each
+//! line carries a `heap` block, outside `metrics`, with the live bytes
+//! after `Network::new` and the peak bytes of the whole run, in total and
+//! per station. It stays out of `metrics` because sweep threads allocate
+//! their own gain caches, so with `threads > 1` the peak varies from run
+//! to run while the metrics must not.
 //!
 //! The scale runs use the single-hop regime ([`DestPolicy::Neighbors`]
 //! with [`RouteMode::OneHop`]) — O(E) routing state — with a short
@@ -29,8 +38,63 @@
 
 use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
 use parn_core::{DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode};
+use parn_sim::json::obj;
 use parn_sim::{Duration, Json};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// Live heap bytes per station after `Network::new` at n = 10⁴
+/// `grid-far`, single-threaded. `--determinism 10000` fails when a build
+/// needs more than 10 % above it.
+const BUILD_HEAP_PER_STATION_10K: u64 = 1_813;
+
+/// The system allocator, counting live and peak heap bytes. The cost is
+/// two relaxed atomic operations per allocation.
+struct CountingAlloc;
+
+static HEAP_LIVE: AtomicUsize = AtomicUsize::new(0);
+static HEAP_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn heap_grew(bytes: usize) {
+    let live = HEAP_LIVE.fetch_add(bytes, Relaxed) + bytes;
+    HEAP_PEAK.fetch_max(live, Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            heap_grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            heap_grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        HEAP_LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            HEAP_LIVE.fetch_sub(layout.size(), Relaxed);
+            heap_grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn backend_from_name(name: &str) -> PhyBackend {
     match name {
@@ -61,8 +125,18 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
     let cfg = scale_config(n, backend_from_name(backend_name), threads);
     parn_sim::obs::reset();
     let start = Instant::now();
-    let m = Network::run(cfg.clone());
+    let net = Network::new(cfg.clone());
+    let build_bytes = HEAP_LIVE.load(Relaxed);
+    let m = net.run_built();
     let wall = start.elapsed().as_secs_f64();
+    let peak_bytes = HEAP_PEAK.load(Relaxed);
+    let per_station = |bytes: usize| bytes / n;
+    let heap = obj([
+        ("build_bytes", build_bytes.into()),
+        ("build_bytes_per_station", per_station(build_bytes).into()),
+        ("peak_bytes", peak_bytes.into()),
+        ("peak_bytes_per_station", per_station(peak_bytes).into()),
+    ]);
     let rss_mb = peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0);
     let threads_suffix = if threads > 1 {
         format!(" threads={threads}")
@@ -72,12 +146,15 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
     // The driver truncated the artifact; each subprocess appends its line
     // (peak RSS in provenance is then per-configuration, the point of the
     // subprocess split).
-    Reporter::append("scale").record(&Run {
-        label: format!("n={n} backend={backend_name}{threads_suffix}"),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s: wall,
-    });
+    Reporter::append("scale").record_with(
+        &Run {
+            label: format!("n={n} backend={backend_name}{threads_suffix}"),
+            config: cfg.to_json(),
+            metrics: m.to_json(),
+            wall_s: wall,
+        },
+        vec![("heap".into(), heap)],
+    );
     assert_eq!(
         m.collision_losses(),
         0,
@@ -91,7 +168,10 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
     );
     println!(
         "n={n} backend={backend_name}{threads_suffix} wall_s={wall:.2} \
-         peak_rss_mb={rss_mb:.1} delivered={} collisions={} violations={}",
+         peak_rss_mb={rss_mb:.1} build_heap_b_per_station={} peak_heap_mb={:.1} \
+         delivered={} collisions={} violations={}",
+        per_station(build_bytes),
+        peak_bytes as f64 / (1024.0 * 1024.0),
         m.delivered,
         m.collision_losses(),
         m.schedule_violations
@@ -132,8 +212,9 @@ fn counter_of(record: &Json, name: &str) -> u64 {
 }
 
 /// The determinism matrix: same seed, `grid-far`, threads 1/2/8 → the
-/// metrics JSON must match byte-for-byte, the far cache must hit, and MAC
-/// planning must not walk its whole horizon on every window scan.
+/// metrics JSON must match byte-for-byte, the far cache must hit, MAC
+/// planning must not walk its whole horizon on every window scan, and at
+/// n = 10⁴ the build must not outgrow its heap figure.
 fn determinism(n: usize) {
     let base = std::env::temp_dir().join(format!("parn_determinism_{}", std::process::id()));
     let mut metrics_by_threads: Vec<(usize, String, Json)> = Vec::new();
@@ -166,6 +247,23 @@ fn determinism(n: usize) {
         rate >= 0.5,
         "far-cache hit rate regressed: {hits} hits / {recomputes} recomputes = {rate:.3} < 0.5"
     );
+    // Memory ceiling, on the same child (its heap is deterministic: no
+    // sweep thread allocates a cache of its own).
+    let build_heap = match baseline
+        .get("heap")
+        .and_then(|h| h.get("build_bytes_per_station"))
+    {
+        Some(Json::UInt(v)) => *v,
+        other => panic!("heap.build_bytes_per_station missing: {other:?}"),
+    };
+    if n == 10_000 {
+        let ceiling = BUILD_HEAP_PER_STATION_10K + BUILD_HEAP_PER_STATION_10K / 10;
+        assert!(
+            build_heap <= ceiling,
+            "Network::new leaves {build_heap} B per station live at n={n}, more than \
+             {ceiling} (10 % above {BUILD_HEAP_PER_STATION_10K})"
+        );
+    }
     // Planning-work ceiling, on the same child: the MAC searches a growing
     // look-ahead, so a window scan walks a few slots. A planner that walks
     // the whole 200-slot horizon on every scan shows about 201.
@@ -180,7 +278,8 @@ fn determinism(n: usize) {
     let _ = std::fs::remove_dir_all(&base);
     println!(
         "determinism OK at n={n}: metrics byte-identical across threads 1/2/8, \
-         far-cache hit rate {rate:.3}, {per_scan:.1} slots per window scan"
+         far-cache hit rate {rate:.3}, {per_scan:.1} slots per window scan, \
+         {build_heap} B heap per station after build"
     );
 }
 

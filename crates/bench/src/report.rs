@@ -122,7 +122,14 @@ impl Reporter {
     /// Call `parn_sim::obs::reset()` before each run so the counters in the
     /// line are per-run, not accumulated.
     pub fn record(&self, run: &Run) {
-        let line = self.render(run);
+        self.record_with(run, Vec::new());
+    }
+
+    /// [`record`](Reporter::record) plus extra top-level fields after
+    /// `timers`: measurements that are not deterministic metrics, such as
+    /// `exp_scale`'s `heap` block, stay out of `metrics`.
+    pub fn record_with(&self, run: &Run, extra: Vec<(String, Json)>) {
+        let line = self.render(run, extra);
         if let Some(dir) = self.path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -134,9 +141,9 @@ impl Reporter {
         writeln!(f, "{line}").expect("write artifact line");
     }
 
-    /// Build the JSON line for one run (separated from [`Reporter::record`]
-    /// for tests).
-    pub fn render(&self, run: &Run) -> String {
+    /// Build the JSON line for one run (separated from
+    /// [`Reporter::record_with`] for tests).
+    pub fn render(&self, run: &Run, extra: Vec<(String, Json)>) -> String {
         let counters = Json::Obj(
             obs::counters_snapshot()
                 .into_iter()
@@ -177,7 +184,7 @@ impl Reporter {
             ("wall_s", run.wall_s.into()),
             ("unix_time", unix_time.into()),
         ]);
-        obj([
+        let mut line = obj([
             ("schema", SCHEMA.into()),
             ("bench", self.name.as_str().into()),
             ("label", run.label.as_str().into()),
@@ -186,8 +193,11 @@ impl Reporter {
             ("metrics", run.metrics.clone()),
             ("counters", counters),
             ("timers", timers),
-        ])
-        .to_string()
+        ]);
+        if let Json::Obj(fields) = &mut line {
+            fields.extend(extra);
+        }
+        line.to_string()
     }
 }
 
@@ -208,7 +218,7 @@ mod tests {
     fn rendered_line_is_valid_json_with_schema_fields() {
         parn_sim::counter_inc!("test.report.counter", 3);
         let r = Reporter::append("report_unit_test");
-        let line = r.render(&sample_run());
+        let line = r.render(&sample_run(), vec![("extra".into(), 3u64.into())]);
         let v = Json::parse(&line).expect("line parses");
         assert_eq!(v.get("schema"), Some(&Json::Str(SCHEMA.into())));
         assert_eq!(v.get("bench"), Some(&Json::Str("report_unit_test".into())));
@@ -234,6 +244,7 @@ mod tests {
         assert!(matches!(counters, Json::Obj(_)));
         assert!(counters.get("test.report.counter").is_some());
         assert!(matches!(v.get("timers"), Some(Json::Obj(_))));
+        assert_eq!(v.get("extra"), Some(&Json::UInt(3)));
     }
 
     #[test]
