@@ -209,8 +209,9 @@ mod tests {
         s.enqueue(2, pkt(3), Time(7));
         assert_eq!(s.queued(), 3);
         assert!(!s.idle());
-        assert_eq!(s.queues[&1].len(), 2);
-        assert_eq!(s.queues[&1][0].enqueued, Time(5));
+        let q1 = s.queues.get(&1).expect("queue for next hop 1");
+        assert_eq!(q1.len(), 2);
+        assert_eq!(q1[0].enqueued, Time(5));
     }
 
     #[test]

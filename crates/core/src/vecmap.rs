@@ -7,8 +7,6 @@
 //! and is no slower: a binary search over a dozen contiguous keys touches
 //! one or two cache lines.
 
-use std::ops::Index;
-
 /// An ordered map from `K` to `V` kept as a `Vec` of pairs sorted by key.
 ///
 /// It iterates in ascending key order, like `BTreeMap`. Its buffer grows
@@ -16,7 +14,7 @@ use std::ops::Index;
 /// entries, and removing the last entry frees the buffer. Lookups are
 /// binary searches; inserts and removes shift the tail, so the type is
 /// meant for maps of tens of entries, not thousands.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }
@@ -106,27 +104,27 @@ impl<K: Ord, V> VecMap<K, V> {
     }
 
     /// Entries in ascending key order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&K, &V)> + ExactSizeIterator {
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Keys in ascending order.
-    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator {
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
     /// Values in ascending key order.
-    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
+    pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
     /// Values in ascending key order, mutably.
-    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
     /// The values in ascending key order, consuming the map.
-    pub fn into_values(self) -> impl DoubleEndedIterator<Item = V> + ExactSizeIterator {
+    pub fn into_values(self) -> impl Iterator<Item = V> {
         self.entries.into_iter().map(|(_, v)| v)
     }
 }
@@ -138,14 +136,6 @@ impl<K, V> IntoIterator for VecMap<K, V> {
     /// Entries in ascending key order, consuming the map.
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
-    }
-}
-
-impl<K: Ord, V> Index<&K> for VecMap<K, V> {
-    type Output = V;
-
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("no entry for key")
     }
 }
 
@@ -257,7 +247,7 @@ mod tests {
             map.entry(k).or_insert_with(|| k * 10);
             assert_eq!(map.capacity(), map.len(), "buffer not exact at {k}");
         }
-        assert_eq!(map[&4], 40);
+        assert_eq!(map.get(&4), Some(&40));
         for k in 0..13u64 {
             assert_eq!(map.remove(&k), Some(k * 10));
         }
