@@ -51,9 +51,9 @@ pub struct PlannedTx {
 
 /// One station's mutable protocol state.
 ///
-/// Its keyed state lives in [`VecMap`]s, which iterate in ascending key
-/// order (so runs are deterministic), hold a map that only grows at
-/// exactly its size, and free a map's storage when its last entry goes.
+/// Its keyed state lives in [`VecMap`]s: they iterate in ascending key
+/// order, so runs are deterministic, and hold no storage beyond their
+/// entries, none at all once emptied.
 #[derive(Debug)]
 pub struct Station {
     /// Station id.
