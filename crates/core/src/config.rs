@@ -241,9 +241,9 @@ pub struct NetConfig {
     /// across its windows — the no-head-of-line-blocking behaviour that
     /// lets §7.2's duty cycles approach 50%.
     pub max_outstanding_plans: usize,
-    /// Worker threads for the far-field SINR sweep (1 = fully inline).
-    /// Results are bit-identical at any value — shards merge in a fixed
-    /// cell-index order — so this is purely a wall-clock knob.
+    /// Worker threads for the SINR sweep, exact or far-field (1 = fully
+    /// inline). Results are bit-identical at any value — shards merge in
+    /// a fixed work-list order — so this is purely a wall-clock knob.
     pub threads: usize,
     /// PHY gain backend (dense reference matrix or spatial index).
     pub phy_backend: PhyBackend,

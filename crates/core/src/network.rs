@@ -1046,7 +1046,7 @@ impl Network {
             Some((start, nh)) => {
                 let st = &mut self.stations[s];
                 let packet = st.dequeue(nh).expect("queue emptied unexpectedly");
-                st.reservations.push((start, start + self.airtime));
+                st.reserve(Window::new(start, start + self.airtime));
                 let pid = packet.id;
                 self.track_queue(now, -1.0);
                 let st = &mut self.stations[s];
@@ -1106,7 +1106,7 @@ impl Network {
             .map(|w| w.shrunk(Duration(2)))
             .filter(|w| !w.is_empty())
             .collect();
-        let my_free = self.stations[s].subtract_reservations(&my_tx);
+        let my_free = subtract_lists(&my_tx, &self.stations[s].reservations);
 
         // Pre-compute §7.3 cut lists lazily per candidate power level: the
         // protected windows only depend on the neighbour being protected,
@@ -1286,22 +1286,6 @@ impl Network {
                 || sched.kind_at(end - Duration(1)) != SlotKind::Receive
             {
                 self.metrics.schedule_violations += 1;
-                #[cfg(feature = "diag")]
-                {
-                    let model = self.stations[s].models.get(&nh).expect("model");
-                    let mine_now = self.clocks[s].reading(now);
-                    let predicted = model.predict(mine_now);
-                    let actual = self.clocks[nh].reading(now);
-                    eprintln!(
-                        "VIOLATION s={s} nh={nh} now={now} end={end} k0={:?} k1={:?} rd0={} rd1={} pred_err={} samples={}",
-                        sched.kind_at(now),
-                        sched.kind_at(end - Duration(1)),
-                        sched.clock.reading(now) % 10_000,
-                        sched.clock.reading(end - Duration(1)) % 10_000,
-                        predicted as i64 - actual as i64,
-                        model.sample_count(),
-                    );
-                }
             }
         }
 
@@ -2650,9 +2634,8 @@ impl Network {
         {
             let st = &mut self.stations[o];
             for plan in plans.values() {
-                let end = plan.start + airtime;
-                st.reservations
-                    .retain(|&(rs, re)| !(rs == plan.start && re == end));
+                let w = Window::new(plan.start, plan.start + airtime);
+                st.reservations.retain(|&r| r != w);
             }
         }
         for (_, plan) in plans {

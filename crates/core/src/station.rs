@@ -72,9 +72,9 @@ pub struct Station {
     /// plans let the transmitter stay busy across its transmit windows —
     /// the "no head-of-line blocking" behaviour behind §7.2's duty cycles.
     pub pending_tx: VecMap<u64, PlannedTx>,
-    /// Future/ongoing transmitter commitments `[start, end)`, pruned as
-    /// time passes. Used to keep plans from overlapping.
-    pub reservations: Vec<(Time, Time)>,
+    /// Future/ongoing transmitter commitments, sorted and disjoint,
+    /// pruned as time passes. Used to keep plans from overlapping.
+    pub reservations: Vec<Window>,
     /// Despreading channels currently occupied by in-flight receptions.
     pub active_rx: usize,
     /// Routing neighbours (next hops this station uses).
@@ -148,39 +148,19 @@ impl Station {
 
     /// Drop reservations that ended at or before `now`.
     pub fn prune_reservations(&mut self, now: Time) {
-        self.reservations.retain(|&(_, end)| end > now);
+        self.reservations.retain(|w| w.end > now);
     }
 
-    /// Remove reserved intervals from a sorted window list (both lists in
-    /// global time). Returns the usable remainder.
-    pub fn subtract_reservations(&self, windows: &[Window]) -> Vec<Window> {
-        let mut out = Vec::new();
-        for &w in windows {
-            let mut cur = w;
-            // Reservations are few; scan them all.
-            let mut cuts: Vec<(Time, Time)> = self
-                .reservations
-                .iter()
-                .copied()
-                .filter(|&(s, e)| s < cur.end && cur.start < e)
-                .collect();
-            cuts.sort();
-            for (s, e) in cuts {
-                if s > cur.start {
-                    out.push(Window::new(cur.start, s.min(cur.end)));
-                }
-                if e >= cur.end {
-                    cur = Window::new(cur.end, cur.end); // fully consumed
-                    break;
-                }
-                cur = Window::new(e.max(cur.start), cur.end);
-            }
-            if !cur.is_empty() {
-                out.push(cur);
-            }
-        }
-        out.retain(|w| !w.is_empty());
-        out
+    /// Reserve the transmitter for `w`, at its sorted position.
+    pub fn reserve(&mut self, w: Window) {
+        let i = self.reservations.partition_point(|r| r.start < w.start);
+        debug_assert!(
+            (i == 0 || self.reservations[i - 1].end <= w.start)
+                && self.reservations.get(i).is_none_or(|r| w.end <= r.start),
+            "station {}: plan {w:?} overlaps a reservation",
+            self.id
+        );
+        self.reservations.insert(i, w);
     }
 }
 
@@ -232,57 +212,18 @@ mod tests {
     #[test]
     fn reservation_pruning() {
         let mut s = station();
-        s.reservations.push((Time(10), Time(20)));
-        s.reservations.push((Time(30), Time(40)));
+        s.reserve(Window::new(Time(30), Time(40)));
+        s.reserve(Window::new(Time(10), Time(20)));
+        assert_eq!(
+            s.reservations,
+            vec![
+                Window::new(Time(10), Time(20)),
+                Window::new(Time(30), Time(40))
+            ]
+        );
         s.prune_reservations(Time(25));
-        assert_eq!(s.reservations, vec![(Time(30), Time(40))]);
+        assert_eq!(s.reservations, vec![Window::new(Time(30), Time(40))]);
         s.prune_reservations(Time(40));
         assert!(s.reservations.is_empty());
-    }
-
-    #[test]
-    fn subtract_reservations_cuts_windows() {
-        let mut s = station();
-        s.reservations.push((Time(10), Time(20)));
-        let ws = vec![Window::new(Time(0), Time(30))];
-        let out = s.subtract_reservations(&ws);
-        assert_eq!(
-            out,
-            vec![
-                Window::new(Time(0), Time(10)),
-                Window::new(Time(20), Time(30))
-            ]
-        );
-    }
-
-    #[test]
-    fn subtract_reservations_edge_cases() {
-        let mut s = station();
-        // Reservation covering a whole window.
-        s.reservations.push((Time(0), Time(50)));
-        let out = s.subtract_reservations(&[Window::new(Time(10), Time(40))]);
-        assert!(out.is_empty());
-        // Reservation overlapping only the start.
-        s.reservations = vec![(Time(0), Time(15))];
-        let out = s.subtract_reservations(&[Window::new(Time(10), Time(40))]);
-        assert_eq!(out, vec![Window::new(Time(15), Time(40))]);
-        // Two reservations inside one window.
-        s.reservations = vec![(Time(12), Time(14)), (Time(20), Time(22))];
-        let out = s.subtract_reservations(&[Window::new(Time(10), Time(30))]);
-        assert_eq!(
-            out,
-            vec![
-                Window::new(Time(10), Time(12)),
-                Window::new(Time(14), Time(20)),
-                Window::new(Time(22), Time(30))
-            ]
-        );
-    }
-
-    #[test]
-    fn no_reservations_passthrough() {
-        let s = station();
-        let ws = vec![Window::new(Time(5), Time(9))];
-        assert_eq!(s.subtract_reservations(&ws), ws);
     }
 }

@@ -13,21 +13,28 @@
 //! self-interference gain — "no feasible amount of processing gain ... can
 //! achieve reception while the local transmitter is operating" (§5, Type 3).
 
-use crate::gainmodel::GainModel;
+use crate::gainmodel::{GainModel, GridGainModel};
 use crate::gains::StationId;
 use crate::geom::Point;
 use crate::units::PowerW;
 use parn_sim::pool::WorkerPool;
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Handle to an active transmission.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TxId(pub u64);
 
-/// Handle to an active reception.
+/// Handle to an active reception. It names the receiver, so the tracker
+/// finds the reception in that receiver's work-list entry without a side
+/// index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct RxId(pub u64);
+pub struct RxId {
+    rx: StationId,
+    /// Non-zero, so an `Option<RxId>` is no larger than an `RxId`.
+    seq: NonZeroU64,
+}
 
 /// An on-air transmission.
 #[derive(Clone, Debug)]
@@ -84,12 +91,16 @@ pub struct ReceptionReport {
     pub interference_at_failure: PowerW,
 }
 
+/// One in-flight reception, stored only in its receiver's [`ActiveRx`]
+/// entry.
 #[derive(Clone, Debug)]
-struct ActiveReception {
-    rx: StationId,
+struct Reception {
+    seq: NonZeroU64,
     src_tx: TxId,
     src_station: StationId,
     signal: PowerW,
+    /// Thermal plus the exactly tracked interference: every other active
+    /// transmission in exact mode, the near ones in far mode.
     interference: PowerW,
     threshold: f64,
     min_sinr: f64,
@@ -98,12 +109,24 @@ struct ActiveReception {
     interference_at_failure: PowerW,
 }
 
+impl Reception {
+    /// Fold one evaluation into the running minimum and failure state.
+    fn apply(&mut self, e: Eval) {
+        self.min_sinr = self.min_sinr.min(e.sinr);
+        if let Some((blame, at)) = e.failure {
+            self.failed = true;
+            self.blame = blame;
+            self.interference_at_failure = at;
+        }
+    }
+}
+
 /// Aggregated far-field interference state (see
 /// [`SinrTracker::with_far_field`]).
 ///
 /// In far mode, each reception's running `interference` holds only the
 /// *near* part — contributions from transmitters within `near_radius` of
-/// the receiver, tracked exactly as in the dense path. Everything beyond
+/// the receiver, tracked exactly as in exact mode. Everything beyond
 /// is summed per grid cell: one power total per occupied cell, evaluated
 /// through the propagation model at the receiver→cell-centre distance.
 /// With cell half-diagonal `δ` and near radius `R`, each far transmitter
@@ -164,13 +187,6 @@ struct FarField {
     /// while it has receptions and spills back here when the last one
     /// ends, so the sweep hot path never touches this map.
     cache: BTreeMap<StationId, FarSnapshot>,
-    /// Receivers with in-flight receptions, kept sorted by
-    /// `(cell, receiver)`. This dense vector is the sweep's work list and
-    /// shard partition: walking it in order *is* cell-index order, so the
-    /// reduction order is fixed regardless of thread count, and each
-    /// touch is pure sequential reads (position, rids and snapshot are
-    /// co-located — no map lookups on the hot path).
-    active_rx: Vec<ActiveRx>,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -187,8 +203,9 @@ struct TxSlot {
     station_pos: usize,
 }
 
-/// One receiver with in-flight receptions (far mode only): an entry in
-/// the sweep working set, ordered by `(cell, rx)`.
+/// One receiver with in-flight receptions: an entry in the sweep work
+/// list, ordered by `(cell, rx)`. Exact mode has no cells and keys every
+/// entry on cell 0.
 #[derive(Clone, Debug)]
 struct ActiveRx {
     cell: usize,
@@ -196,26 +213,31 @@ struct ActiveRx {
     /// Receiver position, cached so the sweep's distance tests read it
     /// inline instead of through the gain model.
     pos: Point,
-    rids: Vec<u64>,
+    receptions: Vec<Reception>,
     /// The receiver's far snapshot while it is live (dormant snapshots
-    /// live in `FarField::cache`).
+    /// live in `FarField::cache`; always `None` in exact mode).
     snap: Option<FarSnapshot>,
+}
+
+impl ActiveRx {
+    fn key(&self) -> (usize, StationId) {
+        (self.cell, self.rx)
+    }
 }
 
 /// One station mid-move: bookkeeping stashed by [`SinrTracker::begin_moves`]
 /// (under the old gain field) for [`SinrTracker::finish_moves`] to restore
-/// under the new one. Far mode detaches the mover's active transmissions
-/// and pulls its receiver entry out of the sweep working set; exact mode
-/// needs no per-station stash (finish recomputes every reception).
+/// under the new one.
 #[derive(Clone, Debug)]
 struct PendingMove {
     station: StationId,
     /// The mover's active transmission ids, detached from the far
-    /// aggregates at the old position and re-attached at the new one.
+    /// aggregates at the old position and re-attached at the new one
+    /// (none in exact mode, which keeps no aggregates).
     txs: Vec<u64>,
-    /// In-flight reception ids at this receiver, whose `ActiveRx` entry
-    /// was removed at the old cell and re-inserted at the new one.
-    rids: Vec<u64>,
+    /// The mover's work-list entry, removed at the old cell and
+    /// re-inserted at the new one.
+    entry: Option<ActiveRx>,
 }
 
 /// Cached far tail for one receiver.
@@ -275,19 +297,27 @@ pub struct SinrTracker {
     thermal: PowerW,
     self_gain: f64,
     active_tx: BTreeMap<u64, ActiveTransmission>,
-    receptions: BTreeMap<u64, ActiveReception>,
+    /// Receivers with in-flight receptions, sorted by `(cell, receiver)`,
+    /// holding the receptions themselves. This dense vector is the sweep's
+    /// work list and shard partition: walking it in order *is* cell-index
+    /// order, so the reduction order is fixed regardless of thread count,
+    /// and each touch is pure sequential reads (position, receptions and
+    /// snapshot are co-located — no map lookups on the hot path).
+    active_rx: Vec<ActiveRx>,
     next_tx: u64,
     next_rx: u64,
     /// Successive-interference-cancellation depth (0 = plain receivers).
     sic_depth: usize,
     /// Far-field aggregation state (`None` = exact mode).
     far: Option<FarField>,
-    /// Parallelism for the far-field sweep (1 = inline).
+    /// Parallelism for the sweep (1 = inline).
     threads: usize,
     /// Persistent shard workers (`threads − 1` of them); `None` inline.
     pool: Option<Arc<WorkerPool>>,
     /// Movers between [`Self::begin_moves`] and [`Self::finish_moves`].
     pending_moves: Vec<PendingMove>,
+    /// The inline sweep's output, kept to reuse its buffers.
+    sweep_out: SweepOut,
 }
 
 /// Immutable description of one sweep (a TX start or end) handed to the
@@ -296,46 +326,50 @@ struct SweepParams {
     is_start: bool,
     tx_id: u64,
     tx_station: StationId,
-    txp: Point,
-    /// Centre of the transmitter's grid cell, hoisted out of the
-    /// per-receiver loop (it is the same for every receiver in a sweep).
-    tx_cell_center: Point,
     power: f64,
-    /// `FarField::total_drift` *before* this event's bump, so shards can
-    /// bound the events a snapshot was not live for.
+    /// Far mode only (exact mode never reads them): the transmitter's
+    /// position and the centre of its grid cell, hoisted out of the
+    /// per-receiver loop.
+    txp: Point,
+    tx_cell_center: Point,
+    /// Far mode only: `FarField::total_drift` *before* this event's bump,
+    /// so shards can bound the events a snapshot was not live for.
     drift_before: f64,
 }
 
-/// What one shard decided for one receiver; applied by the merge step.
-/// Updates are index-aligned with `FarField::active_rx` (the merge walks
-/// both in the same work-list order).
+/// What a sweep decided, applied by the merge step by work-list index:
+/// new far snapshots, and reception updates addressed as `(receiver
+/// entry, reception)`.
+#[derive(Clone, Debug, Default)]
+struct SweepOut {
+    snaps: Vec<(usize, FarSnapshot)>,
+    receptions: Vec<RxUpdate>,
+}
+
+#[derive(Clone, Debug)]
 struct RxUpdate {
-    snap: SnapUpdate,
-    rids: Vec<RidUpdate>,
+    at: (usize, usize),
+    /// The reception's new running interference sum.
+    interference: f64,
+    eval: Option<Eval>,
 }
 
-enum SnapUpdate {
-    /// No snapshot to touch (receiver had none and no value was needed).
-    Keep,
-    /// Store this snapshot (pushed-forward or freshly recomputed — shards
-    /// construct the complete post-event state either way).
-    Set(FarSnapshot),
-}
-
-struct RidUpdate {
-    rid: u64,
-    /// Updated near-interference running sum (`None` = unchanged).
-    new_interference: Option<f64>,
-    clamped: bool,
-    resummed: bool,
-    eval: Option<EvalUpdate>,
-}
-
-struct EvalUpdate {
+/// One evaluation of a reception: its SINR, plus the blame snapshot and
+/// the total interference-plus-noise when this is its first failure.
+#[derive(Clone, Debug)]
+struct Eval {
     sinr: f64,
-    newly_failed: bool,
-    blame: Vec<Blame>,
-    interference_at_failure: f64,
+    failure: Option<(Vec<Blame>, PowerW)>,
+}
+
+/// Signal over interference-plus-noise; an empty denominator reads as an
+/// infinite SINR.
+fn sinr(signal: f64, denom: f64) -> f64 {
+    if denom <= 0.0 {
+        f64::INFINITY
+    } else {
+        signal / denom
+    }
 }
 
 impl SinrTracker {
@@ -352,7 +386,7 @@ impl SinrTracker {
             thermal,
             self_gain,
             active_tx: BTreeMap::new(),
-            receptions: BTreeMap::new(),
+            active_rx: Vec::new(),
             next_tx: 0,
             next_rx: 0,
             sic_depth: 0,
@@ -360,16 +394,18 @@ impl SinrTracker {
             threads: 1,
             pool: None,
             pending_moves: Vec::new(),
+            sweep_out: SweepOut::default(),
         }
     }
 
-    /// Run far-field sweeps on `threads` lanes (the calling thread plus
-    /// `threads − 1` persistent workers). Results are **bit-identical** at
-    /// any thread count: shards only read shared state, every per-receiver
-    /// decision is independent, and the merge applies shard outputs in
-    /// cell-index order regardless of how they were partitioned. Only the
-    /// far-field sweep parallelizes; `threads = 1` (the default) keeps
-    /// everything inline. No effect on the dense backend.
+    /// Run sweeps on `threads` lanes (the calling thread plus
+    /// `threads − 1` persistent workers), in exact and far mode alike.
+    /// Results are **bit-identical** at any thread count: shards only read
+    /// shared state, every per-receiver decision is independent, and the
+    /// merge applies shard outputs in work-list order regardless of how
+    /// they were partitioned. A sweep goes to the pool only when enough
+    /// receivers have receptions in flight; `threads = 1` (the default)
+    /// keeps everything inline.
     /// Lanes are capped at the machine's available parallelism: on an
     /// oversubscribed or single-core host extra lanes only add channel
     /// and wakeup overhead per sweep, and by the guarantee above capping
@@ -442,7 +478,6 @@ impl SinrTracker {
             tx_of_station: BTreeMap::new(),
             tx_slot: BTreeMap::new(),
             cache: BTreeMap::new(),
-            active_rx: Vec::new(),
         });
         self
     }
@@ -454,6 +489,12 @@ impl SinrTracker {
 
     fn position(&self, id: StationId) -> Point {
         self.gains.position(id)
+    }
+
+    fn grid_model(&self) -> &GridGainModel {
+        self.gains
+            .as_grid()
+            .expect("far-field requires grid backend")
     }
 
     /// Received power at `rx` from a transmission by `tx_station` at `power`.
@@ -470,74 +511,71 @@ impl SinrTracker {
     /// far-field mode the beyond-`near_radius` tail is the cell-aggregated
     /// approximation.
     pub fn interference_at(&self, rx: StationId, exclude: Option<TxId>) -> PowerW {
-        if self.far.is_some() {
-            return self.near_interference_at(rx, exclude) + PowerW(self.far_term_at(rx, exclude));
-        }
-        let mut total = self.thermal;
-        for (&id, tx) in &self.active_tx {
-            if Some(TxId(id)) == exclude {
-                continue;
-            }
-            total += self.received_power(rx, tx.station, tx.power);
-        }
-        total
+        self.near_interference_at(rx, exclude) + PowerW(self.far_term_at(rx, exclude))
     }
 
-    /// Thermal plus exact contributions from transmitters within
-    /// `near_radius` of `rx`, via a range-bounded grid query. Far mode
-    /// only.
+    /// Thermal plus the exactly tracked contributions at `rx` — what a
+    /// reception's running sum holds: every active transmission in exact
+    /// mode, those within `near_radius` (a range-bounded grid query) in
+    /// far mode.
     fn near_interference_at(&self, rx: StationId, exclude: Option<TxId>) -> PowerW {
-        let far = self.far.as_ref().expect("near sum only in far mode");
-        let grid = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend")
-            .grid();
-        let rxp = self.position(rx);
         let mut total = self.thermal;
-        grid.for_candidates_within(rxp, far.near_radius, |station| {
-            let Some(ids) = far.tx_of_station.get(&station) else {
-                return;
-            };
-            if self.position(station).distance(rxp) > far.near_radius {
-                return; // candidate square corner beyond the disk
-            }
-            for &id in ids {
-                if Some(TxId(id)) == exclude {
-                    continue;
-                }
-                let tx = &self.active_tx[&id];
+        let mut add = |id: u64, tx: &ActiveTransmission| {
+            if Some(TxId(id)) != exclude {
                 total += self.received_power(rx, tx.station, tx.power);
             }
-        });
+        };
+        let Some(far) = &self.far else {
+            for (&id, tx) in &self.active_tx {
+                add(id, tx);
+            }
+            return total;
+        };
+        let rxp = self.position(rx);
+        self.grid_model()
+            .grid()
+            .for_candidates_within(rxp, far.near_radius, |station| {
+                let Some(ids) = far.tx_of_station.get(&station) else {
+                    return;
+                };
+                if self.position(station).distance(rxp) > far.near_radius {
+                    return; // candidate square corner beyond the disk
+                }
+                for &id in ids {
+                    add(id, &self.active_tx[&id]);
+                }
+            });
         total
     }
 
-    /// The aggregated far tail at `rx`, minus the contribution of
-    /// `exclude` when that transmission is itself beyond the near radius.
-    /// The subtraction mirrors how the aggregate counted the excluded
-    /// transmitter (cell-centre gain for wholly-far cells, exact for
-    /// boundary cells), so a dominant excluded source cancels cleanly
-    /// instead of dragging the whole tail to the zero clamp.
+    /// The aggregated far tail at `rx` (zero in exact mode), minus the
+    /// contribution of `exclude` when that transmission is itself beyond
+    /// the near radius.
     fn far_term_at(&self, rx: StationId, exclude: Option<TxId>) -> f64 {
-        let v = self.far_value_ro(rx);
-        self.far_term_from(v, rx, exclude)
-    }
-
-    /// As [`Self::far_term_at`], but caches a recomputed snapshot.
-    fn far_term_at_mut(&mut self, rx: StationId, exclude: Option<TxId>) -> f64 {
-        let v = self.far_value_mut(rx);
-        self.far_term_from(v, rx, exclude)
+        let Some(far) = &self.far else {
+            return 0.0;
+        };
+        let snap = match self.rx_idx(rx) {
+            Some(i) => self.active_rx[i].snap,
+            None => far.cache.get(&rx).copied(),
+        };
+        self.far_term_from(self.far_value(rx, snap).0, rx, exclude)
     }
 
     /// Subtract `exclude`'s aggregate-counted contribution from far tail
-    /// value `v` (zero subtraction when the excluded source is near).
+    /// value `v` (zero subtraction when the excluded source is near). The
+    /// subtraction mirrors how the aggregate counted the excluded
+    /// transmitter (cell-centre gain for wholly-far cells, exact for
+    /// boundary cells), so a dominant excluded source cancels cleanly
+    /// instead of dragging the whole tail to the zero clamp. Zero in exact
+    /// mode, which has no tail.
     fn far_term_from(&self, v: f64, rx: StationId, exclude: Option<TxId>) -> f64 {
+        if self.far.is_none() {
+            return 0.0;
+        }
         let mut v = v;
-        if let Some(TxId(id)) = exclude {
-            if let Some(tx) = self.active_tx.get(&id) {
-                v -= self.far_contribution_of(self.position(rx), rx, tx.station, tx.power.value());
-            }
+        if let Some(tx) = exclude.and_then(|TxId(id)| self.active_tx.get(&id)) {
+            v -= self.far_contribution_of(self.position(rx), rx, tx.station, tx.power.value());
         }
         v.max(0.0)
     }
@@ -556,12 +594,10 @@ impl SinrTracker {
         power: f64,
     ) -> f64 {
         let txp = self.position(tx_station);
-        let grid = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend")
-            .grid();
-        let center = grid.cell_center(grid.cell_index(txp));
+        let center = {
+            let grid = self.grid_model().grid();
+            grid.cell_center(grid.cell_index(txp))
+        };
         self.far_contribution_inner(rxp, rx, tx_station, power, txp.distance(rxp), center)
     }
 
@@ -585,10 +621,7 @@ impl SinrTracker {
         if dist_to_tx <= far.near_radius {
             return 0.0;
         }
-        let grid_model = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend");
+        let grid_model = self.grid_model();
         let d = rxp.distance(tx_cell_center);
         let gain = if d - grid_model.grid().half_diagonal() > far.near_radius {
             grid_model.propagation().gain_at_distance(d).value()
@@ -598,90 +631,67 @@ impl SinrTracker {
         power * gain
     }
 
-    /// Whether `s.value` still tracks the true far tail within tolerance:
-    /// the receiver missed at most a tolerance-budget's worth of events
-    /// while dormant (the gap term), the incremental value hasn't seen
-    /// enough turnover for rounding to matter (the churn guard), and the
-    /// value hasn't been pushed below zero by cancellation.
-    fn snapshot_trusted(far: &FarField, s: &FarSnapshot, thermal: f64) -> bool {
+    /// Whether `s.value` still tracks the true far tail within tolerance
+    /// when the network-wide drift stands at `drift`: the receiver missed
+    /// at most a tolerance-budget's worth of events while dormant (the gap
+    /// term), the incremental value hasn't seen enough turnover for
+    /// rounding to matter (the churn guard), and the value hasn't been
+    /// pushed below zero by cancellation.
+    fn snapshot_trusted(far: &FarField, s: &FarSnapshot, thermal: f64, drift: f64) -> bool {
         let budget = s.value + thermal;
         s.value >= 0.0
-            && (far.total_drift - s.global_at) * far.g_near <= far.tolerance * budget
+            && (drift - s.global_at) * far.g_near <= far.tolerance * budget
             && s.churn <= CHURN_REFRESH_FACTOR * budget
     }
 
-    /// Index of `rx` in the active working set, if it has receptions in
-    /// flight (binary search on the `(cell, rx)` sort key).
-    fn active_rx_idx(&self, far: &FarField, rx: StationId) -> Option<usize> {
-        let cell = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend")
-            .grid()
-            .cell_index(self.position(rx));
-        far.active_rx
-            .binary_search_by_key(&(cell, rx), |a| (a.cell, a.rx))
+    /// `rx`'s work-list sort key: its grid cell in far mode, cell 0 in
+    /// exact mode.
+    fn rx_key(&self, rx: StationId) -> (usize, StationId) {
+        match self.far {
+            Some(_) => (self.grid_model().grid().cell_index(self.position(rx)), rx),
+            None => (0, rx),
+        }
+    }
+
+    /// Index of `rx` in the work list, if it has receptions in flight.
+    fn rx_idx(&self, rx: StationId) -> Option<usize> {
+        self.active_rx
+            .binary_search_by_key(&self.rx_key(rx), ActiveRx::key)
             .ok()
     }
 
-    /// `rx`'s current snapshot, wherever it lives (active slot while
-    /// receptions are in flight, the dormant cache otherwise).
-    fn snapshot_of(&self, far: &FarField, rx: StationId) -> Option<FarSnapshot> {
-        match self.active_rx_idx(far, rx) {
-            Some(i) => far.active_rx[i].snap,
-            None => far.cache.get(&rx).copied(),
-        }
+    /// Work-list entry and position of reception `id`, if in flight.
+    fn find(&self, id: RxId) -> Option<(usize, usize)> {
+        let i = self.rx_idx(id.rx)?;
+        let j = self.active_rx[i]
+            .receptions
+            .iter()
+            .position(|r| r.seq == id.seq)?;
+        Some((i, j))
     }
 
-    /// Cached far tail for `rx` without touching the cache (used by the
-    /// `&self` query paths: carrier sense, `interference_at`,
-    /// `current_sinr`); recomputes — without storing — when the snapshot
-    /// can no longer be trusted.
-    fn far_value_ro(&self, rx: StationId) -> f64 {
-        let far = self.far.as_ref().expect("far value only in far mode");
-        if let Some(s) = self.snapshot_of(far, rx) {
-            if Self::snapshot_trusted(far, &s, self.thermal.value()) {
-                parn_sim::counter_inc!("phys.far_cache.hit");
-                return s.value;
-            }
+    /// The far tail at `rx` given its stored snapshot (zero in exact
+    /// mode): the snapshot's value while it is trusted, else a recompute,
+    /// returned with the fresh snapshot for the caller to store. The fresh
+    /// snapshot keeps a pending `rise` (evals owed to this receiver's
+    /// receptions): a caller re-evaluates at most one reception, so it
+    /// must not swallow the eval budget the sweep owes the others.
+    fn far_value(&self, rx: StationId, snap: Option<FarSnapshot>) -> (f64, Option<FarSnapshot>) {
+        let Some(far) = &self.far else {
+            return (0.0, None);
+        };
+        let thermal = self.thermal.value();
+        if let Some(s) = snap.filter(|s| Self::snapshot_trusted(far, s, thermal, far.total_drift)) {
+            parn_sim::counter_inc!("phys.far_cache.hit");
+            return (s.value, None);
         }
         parn_sim::counter_inc!("phys.far_cache.recompute");
-        self.recompute_far(rx)
-    }
-
-    /// Cached far tail for `rx`, storing a fresh snapshot on recompute.
-    /// A pending `rise` (evals owed to this receiver's receptions) is
-    /// preserved: this path re-evaluates at most one reception, so it must
-    /// not swallow the eval budget the sweep owes the others.
-    fn far_value_mut(&mut self, rx: StationId) -> f64 {
-        let far = self.far.as_ref().expect("far value only in far mode");
-        let active_idx = self.active_rx_idx(far, rx);
-        let old = match active_idx {
-            Some(i) => far.active_rx[i].snap,
-            None => far.cache.get(&rx).copied(),
+        let value = self.recompute_far(rx);
+        let fresh = FarSnapshot {
+            rise: snap.map_or(0.0, |s| s.rise),
+            ..FarSnapshot::fresh(value, far.total_drift)
         };
-        if let Some(s) = &old {
-            if Self::snapshot_trusted(far, s, self.thermal.value()) {
-                parn_sim::counter_inc!("phys.far_cache.hit");
-                return s.value;
-            }
-        }
-        parn_sim::counter_inc!("phys.far_cache.recompute");
-        let v = self.recompute_far(rx);
-        let far = self.far.as_mut().expect("far mode");
-        let snap = FarSnapshot {
-            value: v,
-            rise: old.map_or(0.0, |s| s.rise),
-            churn: 0.0,
-            global_at: far.total_drift,
-        };
-        match active_idx {
-            Some(i) => far.active_rx[i].snap = Some(snap),
-            None => {
-                far.cache.insert(rx, snap);
-            }
-        }
-        v
+        (value, Some(fresh))
     }
 
     /// Walk the occupied cells: wholly-far cells contribute their power
@@ -689,10 +699,7 @@ impl SinrTracker {
     /// transmitter exact terms for their far members.
     fn recompute_far(&self, rx: StationId) -> f64 {
         let far = self.far.as_ref().expect("far recompute only in far mode");
-        let grid_model = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend");
+        let grid_model = self.grid_model();
         let grid = grid_model.grid();
         let prop = grid_model.propagation();
         let delta = grid.half_diagonal();
@@ -724,41 +731,43 @@ impl SinrTracker {
     /// [`crate::partition::PartitionOverlay`] wrapping `gains`. Every
     /// cached quantity derived from path gains is rebuilt: far-tail
     /// snapshots are dropped (dormant cache and live slots alike), and
-    /// each in-flight reception's signal and exact near-interference sum
+    /// each in-flight reception's signal and running interference sum
     /// are recomputed from the active transmission set under the new
     /// field, then re-evaluated — a reception mid-flight across a cut
     /// that just activated fails immediately, as the physics demands.
     ///
-    /// (The dense backend's incremental interference bookkeeping and the
-    /// far tail's per-cell power aggregates are power-only and stay
+    /// (The far tail's per-cell power aggregates are power-only and stay
     /// valid; only gain-derived values need recomputing.)
     pub fn gains_changed(&mut self) {
         parn_sim::counter_inc!("phys.sinr.full_invalidations");
         if let Some(far) = self.far.as_mut() {
             far.cache.clear();
-            for a in far.active_rx.iter_mut() {
-                a.snap = None;
-            }
         }
-        let rids: Vec<u64> = self.receptions.keys().copied().collect();
-        for rid in rids {
-            let (rx, src_tx, src_station) = {
-                let r = &self.receptions[&rid];
-                (r.rx, r.src_tx, r.src_station)
-            };
-            let src_power = self.active_tx[&src_tx.0].power;
-            let signal = self.received_power(rx, src_station, src_power);
-            let interference = if self.far.is_some() {
-                self.near_interference_at(rx, Some(src_tx))
-            } else {
-                self.interference_at(rx, Some(src_tx))
-            };
-            {
-                let r = self.receptions.get_mut(&rid).expect("unknown reception");
+        for a in self.active_rx.iter_mut() {
+            a.snap = None;
+        }
+        self.recompute_receptions(|_, _| true);
+    }
+
+    /// Recompute the signal and running interference sum, from the active
+    /// set under the current gain field, of every reception that
+    /// `stale(receiver, source station)` selects, and re-evaluate it.
+    fn recompute_receptions(&mut self, stale: impl Fn(StationId, StationId) -> bool) {
+        for i in 0..self.active_rx.len() {
+            let rx = self.active_rx[i].rx;
+            for j in 0..self.active_rx[i].receptions.len() {
+                let r = &self.active_rx[i].receptions[j];
+                if !stale(rx, r.src_station) {
+                    continue;
+                }
+                let signal =
+                    self.received_power(rx, r.src_station, self.active_tx[&r.src_tx.0].power);
+                let interference = self.near_interference_at(rx, Some(r.src_tx));
+                let r = &mut self.active_rx[i].receptions[j];
                 r.signal = signal;
                 r.interference = interference;
+                self.reevaluate(i, j);
             }
-            self.reevaluate(rid);
         }
     }
 
@@ -769,61 +778,39 @@ impl SinrTracker {
     /// the move with [`Self::finish_moves`] after relocating; no other
     /// tracker call may land in between.
     ///
-    /// In far mode this detaches each mover's active transmissions from
-    /// the cell aggregates (end-style sweeps at the old position), pulls
-    /// the mover's entry out of the sweep working set at its old cell, and
-    /// drops its far snapshots — invalidation scoped to the movers, not a
-    /// `gains_changed`-style global drop. Exact mode keeps no
-    /// position-derived caches, so it only records the movers.
+    /// This pulls each mover's entry out of the sweep work list at its old
+    /// cell. In far mode it first detaches each mover's active
+    /// transmissions from the cell aggregates (end-style sweeps at the old
+    /// position) and afterwards drops its dormant far snapshot —
+    /// invalidation scoped to the movers, not a `gains_changed`-style
+    /// global drop.
     pub fn begin_moves(&mut self, movers: &[StationId]) {
         debug_assert!(self.pending_moves.is_empty(), "nested begin_moves");
         debug_assert!(movers.windows(2).all(|w| w[0] < w[1]), "movers unsorted");
         parn_sim::counter_inc!("phys.sinr.scoped_invalidations", movers.len() as u64);
-        if self.far.is_none() {
-            self.pending_moves = movers
-                .iter()
-                .map(|&station| PendingMove {
-                    station,
-                    txs: Vec::new(),
-                    rids: Vec::new(),
-                })
-                .collect();
-            return;
-        }
-        // Detach every mover's active transmissions under the old field.
         let mut pending: Vec<PendingMove> = Vec::with_capacity(movers.len());
         for &station in movers {
             let txs = self
                 .far
                 .as_ref()
-                .expect("far mode")
-                .tx_of_station
-                .get(&station)
-                .cloned()
+                .and_then(|far| far.tx_of_station.get(&station).cloned())
                 .unwrap_or_default();
             for &id in &txs {
                 let power = self.active_tx[&id].power;
-                self.far_detach_tx(id, station, power);
+                self.detach_tx(id, station, power);
             }
             pending.push(PendingMove {
                 station,
                 txs,
-                rids: Vec::new(),
+                entry: None,
             });
         }
-        // Pull movers out of the sweep working set (keyed by old cell) and
-        // drop their snapshots — both are position-derived.
+        // The work-list key and the snapshots are both position-derived.
         for pm in pending.iter_mut() {
-            let far = self.far.as_ref().expect("far mode");
-            if let Some(i) = self.active_rx_idx(far, pm.station) {
-                let entry = self.far.as_mut().expect("far mode").active_rx.remove(i);
-                pm.rids = entry.rids;
+            pm.entry = self.rx_idx(pm.station).map(|i| self.active_rx.remove(i));
+            if let Some(far) = self.far.as_mut() {
+                far.cache.remove(&pm.station);
             }
-            self.far
-                .as_mut()
-                .expect("far mode")
-                .cache
-                .remove(&pm.station);
         }
         self.pending_moves = pending;
     }
@@ -832,87 +819,43 @@ impl SinrTracker {
     /// model has relocated every mover passed to [`Self::begin_moves`].
     ///
     /// Far mode re-attaches the movers' transmissions at their new
-    /// positions (start-style sweeps under the new field) and re-admits
-    /// moved receivers to the working set at their new cells with their
-    /// snapshots dropped; then every reception at a mover or sourced from
-    /// one gets its signal and near interference recomputed and is
-    /// re-evaluated. Exact mode recomputes every active reception from the
-    /// active set — the same backend-agnostic queries on dense and grid,
-    /// so small-n runs stay bit-identical across backends.
+    /// positions (start-style sweeps under the new field). Moved receivers
+    /// rejoin the work list at their new cells with their snapshots
+    /// dropped. Then the receptions with stale gain-derived state get
+    /// their signal and running sum recomputed and are re-evaluated: in
+    /// far mode every reception at a mover or sourced from one, in exact
+    /// mode every reception, because its running sum tracks every
+    /// transmitter and any of those terms may have changed. Exact mode
+    /// runs the same backend-agnostic queries on dense and grid, so
+    /// small-n runs stay bit-identical across backends.
     pub fn finish_moves(&mut self) {
-        let pending = std::mem::take(&mut self.pending_moves);
+        let mut pending = std::mem::take(&mut self.pending_moves);
         if pending.is_empty() {
             return;
         }
-        let rids: Vec<u64> = if self.far.is_some() {
-            for pm in &pending {
-                for &id in &pm.txs {
-                    let power = self.active_tx[&id].power;
-                    self.far_attach_tx(id, pm.station, power);
-                }
+        for pm in &pending {
+            for &id in &pm.txs {
+                let power = self.active_tx[&id].power;
+                self.attach_tx(id, pm.station, power);
             }
-            for pm in &pending {
-                if pm.rids.is_empty() {
-                    continue;
-                }
-                let pos = self.position(pm.station);
-                let cell = self
-                    .gains
-                    .as_grid()
-                    .expect("far-field requires grid backend")
-                    .grid()
-                    .cell_index(pos);
-                let far = self.far.as_mut().expect("far mode");
-                let i = far
-                    .active_rx
-                    .binary_search_by_key(&(cell, pm.station), |a| (a.cell, a.rx))
-                    .expect_err("mover already re-admitted");
-                far.active_rx.insert(
-                    i,
-                    ActiveRx {
-                        cell,
-                        rx: pm.station,
-                        pos,
-                        rids: pm.rids.clone(),
-                        snap: None,
-                    },
-                );
-            }
-            // Unmoved receivers' running sums were updated exactly by the
-            // detach/attach sweeps; only receptions *at* a mover or
-            // *sourced from* one still hold stale gain-derived state.
-            let moved: std::collections::BTreeSet<StationId> =
-                pending.iter().map(|pm| pm.station).collect();
-            self.receptions
-                .iter()
-                .filter(|(_, r)| moved.contains(&r.rx) || moved.contains(&r.src_station))
-                .map(|(&rid, _)| rid)
-                .collect()
-        } else {
-            // Exact mode tracks every transmitter's contribution in each
-            // reception's running sum, and any of those terms may have
-            // changed: rebuild them all from the active set.
-            self.receptions.keys().copied().collect()
-        };
-        for rid in rids {
-            let (rx, src_tx, src_station) = {
-                let r = &self.receptions[&rid];
-                (r.rx, r.src_tx, r.src_station)
-            };
-            let src_power = self.active_tx[&src_tx.0].power;
-            let signal = self.received_power(rx, src_station, src_power);
-            let interference = if self.far.is_some() {
-                self.near_interference_at(rx, Some(src_tx))
-            } else {
-                self.interference_at(rx, Some(src_tx))
-            };
-            {
-                let r = self.receptions.get_mut(&rid).expect("unknown reception");
-                r.signal = signal;
-                r.interference = interference;
-            }
-            self.reevaluate(rid);
         }
+        for pm in pending.iter_mut() {
+            let Some(mut entry) = pm.entry.take() else {
+                continue;
+            };
+            let key = self.rx_key(pm.station);
+            entry.cell = key.0;
+            entry.pos = self.position(pm.station);
+            entry.snap = None;
+            let i = self
+                .active_rx
+                .binary_search_by_key(&key, ActiveRx::key)
+                .expect_err("mover already re-admitted");
+            self.active_rx.insert(i, entry);
+        }
+        let exact = self.far.is_none();
+        let moved = |s: StationId| pending.binary_search_by_key(&s, |pm| pm.station).is_ok();
+        self.recompute_receptions(|rx, src| exact || moved(rx) || moved(src));
     }
 
     /// Total received power at `rx` from all active transmissions plus
@@ -928,7 +871,7 @@ impl SinrTracker {
 
     /// Number of in-flight receptions.
     pub fn active_receptions(&self) -> usize {
-        self.receptions.len()
+        self.active_rx.iter().map(|a| a.receptions.len()).sum()
     }
 
     /// Begin a transmission. All in-flight receptions immediately see the
@@ -984,133 +927,8 @@ impl SinrTracker {
                 violator,
             },
         );
-        if self.far.is_some() {
-            self.far_attach_tx(id, station, power);
-            return TxId(id);
-        }
-        let deltas: Vec<(u64, PowerW)> = self
-            .receptions
-            .iter()
-            .map(|(&rid, r)| (rid, self.received_power(r.rx, station, power)))
-            .collect();
-        for (rid, d) in deltas {
-            self.receptions
-                .get_mut(&rid)
-                .expect("reception vanished")
-                .interference += d;
-            self.reevaluate(rid);
-        }
+        self.attach_tx(id, station, power);
         TxId(id)
-    }
-
-    /// Remove transmission `id` from the far aggregates and run the
-    /// end-style sweep, using the transmitter's *current* position. Shared
-    /// by [`Self::end_transmission`] (which removes the tx from
-    /// `active_tx` first) and [`Self::begin_moves`] (which keeps it active
-    /// for re-attachment at the new position).
-    fn far_detach_tx(&mut self, id: u64, station: StationId, power: PowerW) {
-        let txp = self.position(station);
-        let tx_cell_center = {
-            let grid = self
-                .gains
-                .as_grid()
-                .expect("far-field requires grid backend")
-                .grid();
-            grid.cell_center(grid.cell_index(txp))
-        };
-        let far = self.far.as_mut().expect("far mode");
-        let drift_before = far.total_drift;
-        // O(1) teardown: swap-remove at the recorded positions and fix
-        // up the slot of whichever transmission got moved into the gap
-        // (no O(active) retain scans in dense cells).
-        let slot = far.tx_slot.remove(&id).expect("tx slot vanished");
-        let agg = far
-            .cell_power
-            .get_mut(&slot.cell)
-            .expect("far cell entry vanished");
-        debug_assert_eq!(agg.txs[slot.cell_pos], id);
-        agg.power -= power.value();
-        let moved = *agg.txs.last().expect("cell tx list empty");
-        agg.txs.swap_remove(slot.cell_pos);
-        if moved != id {
-            far.tx_slot
-                .get_mut(&moved)
-                .expect("moved tx slot vanished")
-                .cell_pos = slot.cell_pos;
-        }
-        if agg.txs.is_empty() {
-            far.cell_power.remove(&slot.cell);
-        }
-        far.total_drift += power.value();
-        let per_station = far
-            .tx_of_station
-            .get_mut(&station)
-            .expect("tx station entry vanished");
-        debug_assert_eq!(per_station[slot.station_pos], id);
-        let moved = *per_station.last().expect("station tx list empty");
-        per_station.swap_remove(slot.station_pos);
-        if moved != id {
-            far.tx_slot
-                .get_mut(&moved)
-                .expect("moved tx slot vanished")
-                .station_pos = slot.station_pos;
-        }
-        if per_station.is_empty() {
-            far.tx_of_station.remove(&station);
-        }
-        self.far_sweep(SweepParams {
-            is_start: false,
-            tx_id: id,
-            tx_station: station,
-            txp,
-            tx_cell_center,
-            power: power.value(),
-            drift_before,
-        });
-    }
-
-    /// Insert transmission `id` into the far aggregates at the
-    /// transmitter's *current* position and run the start-style sweep —
-    /// the aggregate half of [`Self::start_tx_inner`]'s far branch, reused
-    /// by [`Self::finish_moves`] to re-attach a mover's transmissions.
-    fn far_attach_tx(&mut self, id: u64, station: StationId, power: PowerW) {
-        let txp = self.position(station);
-        let (cell, tx_cell_center) = {
-            let grid = self
-                .gains
-                .as_grid()
-                .expect("far-field requires grid backend")
-                .grid();
-            let cell = grid.cell_index(txp);
-            (cell, grid.cell_center(cell))
-        };
-        let far = self.far.as_mut().expect("far mode");
-        let drift_before = far.total_drift;
-        let agg = far.cell_power.entry(cell).or_default();
-        let cell_pos = agg.txs.len();
-        agg.power += power.value();
-        agg.txs.push(id);
-        far.total_drift += power.value();
-        let per_station = far.tx_of_station.entry(station).or_default();
-        let station_pos = per_station.len();
-        per_station.push(id);
-        far.tx_slot.insert(
-            id,
-            TxSlot {
-                cell,
-                cell_pos,
-                station_pos,
-            },
-        );
-        self.far_sweep(SweepParams {
-            is_start: true,
-            tx_id: id,
-            tx_station: station,
-            txp,
-            tx_cell_center,
-            power: power.value(),
-            drift_before,
-        });
     }
 
     /// End a transmission. Interference drops for everyone else.
@@ -1119,42 +937,113 @@ impl SinrTracker {
             .active_tx
             .remove(&id.0)
             .expect("ending unknown transmission");
-        if self.far.is_some() {
-            self.far_detach_tx(id.0, tx.station, tx.power);
-            return;
+        self.detach_tx(id.0, tx.station, tx.power);
+    }
+
+    /// The sweep for one start or end of transmission `tx_id`, and the
+    /// transmitter's grid cell. Only far mode fills in the geometry.
+    fn sweep_params(
+        &self,
+        is_start: bool,
+        tx_id: u64,
+        tx_station: StationId,
+        power: PowerW,
+    ) -> (SweepParams, usize) {
+        let mut p = SweepParams {
+            is_start,
+            tx_id,
+            tx_station,
+            power: power.value(),
+            txp: Point::ORIGIN,
+            tx_cell_center: Point::ORIGIN,
+            drift_before: 0.0,
+        };
+        let mut cell = 0;
+        if let Some(far) = &self.far {
+            let grid = self.grid_model().grid();
+            p.txp = self.position(tx_station);
+            cell = grid.cell_index(p.txp);
+            p.tx_cell_center = grid.cell_center(cell);
+            p.drift_before = far.total_drift;
         }
-        let deltas: Vec<(u64, PowerW)> = self
-            .receptions
-            .iter()
-            .filter(|(_, r)| r.src_tx != id)
-            .map(|(&rid, r)| (rid, self.received_power(r.rx, tx.station, tx.power)))
-            .collect();
-        let mut resummations: Vec<(u64, StationId, TxId)> = Vec::new();
-        for (rid, d) in deltas {
-            let r = self.receptions.get_mut(&rid).expect("reception vanished");
-            r.interference -= d;
-            // Numerical guard: the running sum may drift a hair negative.
-            if r.interference.value() < 0.0 {
-                parn_sim::counter_inc!("phys.interference.clamped");
-                if -r.interference.value() > RESUM_REL_EPS * d.value() {
-                    // The drift is orders above last-bit rounding — rebuild
-                    // the sum exactly instead of silently absorbing it.
-                    resummations.push((rid, r.rx, r.src_tx));
-                } else {
-                    r.interference = PowerW::ZERO;
-                }
+        (p, cell)
+    }
+
+    /// Add transmission `id` to the far aggregates (far mode) at the
+    /// transmitter's *current* position and sweep its start into every
+    /// live reception. Shared by TX start and by [`Self::finish_moves`],
+    /// which re-attaches a mover's transmissions.
+    fn attach_tx(&mut self, id: u64, station: StationId, power: PowerW) {
+        let (p, cell) = self.sweep_params(true, id, station, power);
+        if let Some(far) = self.far.as_mut() {
+            let agg = far.cell_power.entry(cell).or_default();
+            let cell_pos = agg.txs.len();
+            agg.power += power.value();
+            agg.txs.push(id);
+            far.total_drift += power.value();
+            let per_station = far.tx_of_station.entry(station).or_default();
+            let station_pos = per_station.len();
+            per_station.push(id);
+            far.tx_slot.insert(
+                id,
+                TxSlot {
+                    cell,
+                    cell_pos,
+                    station_pos,
+                },
+            );
+        }
+        self.sweep(p);
+    }
+
+    /// Remove transmission `id` from the far aggregates (far mode) and
+    /// sweep its end into every live reception, using the transmitter's
+    /// *current* position. Shared by [`Self::end_transmission`] (which
+    /// removes the tx from `active_tx` first) and [`Self::begin_moves`]
+    /// (which keeps it active for re-attachment at the new position).
+    fn detach_tx(&mut self, id: u64, station: StationId, power: PowerW) {
+        let (p, _) = self.sweep_params(false, id, station, power);
+        if let Some(far) = self.far.as_mut() {
+            // O(1) teardown: swap-remove at the recorded positions and fix
+            // up the slot of whichever transmission got moved into the gap
+            // (no O(active) retain scans in dense cells).
+            let slot = far.tx_slot.remove(&id).expect("tx slot vanished");
+            let agg = far
+                .cell_power
+                .get_mut(&slot.cell)
+                .expect("far cell entry vanished");
+            debug_assert_eq!(agg.txs[slot.cell_pos], id);
+            agg.power -= power.value();
+            let moved = *agg.txs.last().expect("cell tx list empty");
+            agg.txs.swap_remove(slot.cell_pos);
+            if moved != id {
+                far.tx_slot
+                    .get_mut(&moved)
+                    .expect("moved tx slot vanished")
+                    .cell_pos = slot.cell_pos;
             }
-            // Interference only went down: no failure can be triggered, but
-            // min_sinr bookkeeping stays consistent on the next update.
+            if agg.txs.is_empty() {
+                far.cell_power.remove(&slot.cell);
+            }
+            far.total_drift += power.value();
+            let per_station = far
+                .tx_of_station
+                .get_mut(&station)
+                .expect("tx station entry vanished");
+            debug_assert_eq!(per_station[slot.station_pos], id);
+            let moved = *per_station.last().expect("station tx list empty");
+            per_station.swap_remove(slot.station_pos);
+            if moved != id {
+                far.tx_slot
+                    .get_mut(&moved)
+                    .expect("moved tx slot vanished")
+                    .station_pos = slot.station_pos;
+            }
+            if per_station.is_empty() {
+                far.tx_of_station.remove(&station);
+            }
         }
-        for (rid, rx, src) in resummations {
-            parn_sim::counter_inc!("phys.interference.resummed");
-            let exact = self.interference_at(rx, Some(src));
-            self.receptions
-                .get_mut(&rid)
-                .expect("reception vanished")
-                .interference = exact;
-        }
+        self.sweep(p);
     }
 
     /// Begin tracking the reception at `rx` of the signal carried by
@@ -1165,111 +1054,71 @@ impl SinrTracker {
         let tx = self
             .active_tx
             .get(&src.0)
-            .expect("receiving from unknown transmission")
-            .clone();
-        let signal = self.received_power(rx, tx.station, tx.power);
-        // In far mode the reception tracks only the near part exactly;
-        // the far tail is re-added at every evaluation.
-        let interference = if self.far.is_some() {
-            self.near_interference_at(rx, Some(src))
-        } else {
-            self.interference_at(rx, Some(src))
-        };
-        let id = self.next_rx;
+            .expect("receiving from unknown transmission");
+        let src_station = tx.station;
+        let signal = self.received_power(rx, src_station, tx.power);
         self.next_rx += 1;
-        self.receptions.insert(
-            id,
-            ActiveReception {
-                rx,
-                src_tx: src,
-                src_station: tx.station,
-                signal,
-                interference,
-                threshold,
-                min_sinr: f64::INFINITY,
-                failed: false,
-                blame: Vec::new(),
-                interference_at_failure: PowerW::ZERO,
-            },
-        );
-        let cell = self.far.is_some().then(|| {
-            self.gains
-                .as_grid()
-                .expect("far-field requires grid backend")
-                .grid()
-                .cell_index(self.position(rx))
-        });
-        if let (Some(cell), Some(far)) = (cell, self.far.as_mut()) {
-            match far
-                .active_rx
-                .binary_search_by_key(&(cell, rx), |a| (a.cell, a.rx))
-            {
-                Ok(i) => far.active_rx[i].rids.push(id),
-                Err(i) => {
-                    // First in-flight reception at this receiver: join the
-                    // sweep working set, adopting any dormant snapshot.
-                    let pos = self.gains.position(rx);
-                    far.active_rx.insert(
-                        i,
-                        ActiveRx {
-                            cell,
-                            rx,
-                            pos,
-                            rids: vec![id],
-                            snap: far.cache.remove(&rx),
-                        },
-                    );
-                }
+        let seq = NonZeroU64::new(self.next_rx).expect("reception counter wrapped");
+        let reception = Reception {
+            seq,
+            src_tx: src,
+            src_station,
+            signal,
+            // In far mode the far tail is re-added at every evaluation.
+            interference: self.near_interference_at(rx, Some(src)),
+            threshold,
+            min_sinr: f64::INFINITY,
+            failed: false,
+            blame: Vec::new(),
+            interference_at_failure: PowerW::ZERO,
+        };
+        let key = self.rx_key(rx);
+        let i = match self.active_rx.binary_search_by_key(&key, ActiveRx::key) {
+            Ok(i) => {
+                self.active_rx[i].receptions.push(reception);
+                i
             }
-        }
-        self.reevaluate(id);
-        RxId(id)
+            Err(i) => {
+                // First in-flight reception at this receiver: join the
+                // sweep work list, adopting any dormant snapshot.
+                let entry = ActiveRx {
+                    cell: key.0,
+                    rx,
+                    pos: self.position(rx),
+                    receptions: vec![reception],
+                    snap: self.far.as_mut().and_then(|far| far.cache.remove(&rx)),
+                };
+                self.active_rx.insert(i, entry);
+                i
+            }
+        };
+        self.reevaluate(i, self.active_rx[i].receptions.len() - 1);
+        RxId { rx, seq }
     }
 
-    /// Drop `rid` from the far-mode working set (no-op in dense mode).
-    /// The receiver's snapshot spills back to the dormant cache when its
-    /// last reception ends, so a later reception can adopt it if the
+    /// Take reception `j` out of work-list entry `i`. The receiver leaves
+    /// the work list with its last reception, and its snapshot spills back
+    /// to the dormant cache, so a later reception can adopt it if the
     /// dormancy-gap guard still trusts it.
-    fn unregister_reception(&mut self, rid: u64, rx: StationId) {
-        if self.far.is_none() {
-            return;
-        }
-        let cell = self
-            .gains
-            .as_grid()
-            .expect("far-field requires grid backend")
-            .grid()
-            .cell_index(self.position(rx));
-        let far = self.far.as_mut().expect("far mode");
-        let Ok(i) = far
-            .active_rx
-            .binary_search_by_key(&(cell, rx), |a| (a.cell, a.rx))
-        else {
-            return;
-        };
-        let entry = &mut far.active_rx[i];
-        if let Some(pos) = entry.rids.iter().position(|&r| r == rid) {
-            entry.rids.swap_remove(pos);
-        }
-        if entry.rids.is_empty() {
-            if let Some(snap) = entry.snap {
-                far.cache.insert(rx, snap);
+    fn remove_reception(&mut self, i: usize, j: usize) -> Reception {
+        let r = self.active_rx[i].receptions.swap_remove(j);
+        if self.active_rx[i].receptions.is_empty() {
+            let a = self.active_rx.remove(i);
+            if let (Some(far), Some(snap)) = (self.far.as_mut(), a.snap) {
+                far.cache.insert(a.rx, snap);
             }
-            far.active_rx.remove(i);
         }
+        r
     }
 
     /// Finish a reception and report its outcome.
     pub fn complete_reception(&mut self, id: RxId) -> ReceptionReport {
+        let (i, j) = self.find(id).expect("completing unknown reception");
         // Final re-evaluation so min_sinr reflects the closing state.
-        self.reevaluate(id.0);
-        let r = self
-            .receptions
-            .remove(&id.0)
-            .expect("completing unknown reception");
-        self.unregister_reception(id.0, r.rx);
+        self.reevaluate(i, j);
+        let r = self.remove_reception(i, j);
         ReceptionReport {
-            rx: r.rx,
+            rx: id.rx,
             src: r.src_station,
             success: !r.failed,
             min_sinr: r.min_sinr,
@@ -1281,41 +1130,29 @@ impl SinrTracker {
     /// Abort a reception without a report (e.g. the simulation is tearing
     /// down).
     pub fn abort_reception(&mut self, id: RxId) {
-        if let Some(r) = self.receptions.remove(&id.0) {
-            self.unregister_reception(id.0, r.rx);
+        if let Some((i, j)) = self.find(id) {
+            self.remove_reception(i, j);
         }
     }
 
     /// Current SINR of a reception.
     pub fn current_sinr(&self, id: RxId) -> f64 {
-        let r = self.receptions.get(&id.0).expect("unknown reception");
-        if self.far.is_some() {
-            let denom = r.interference.value() + self.far_term_at(r.rx, Some(r.src_tx));
-            if denom <= 0.0 {
-                f64::INFINITY
-            } else {
-                r.signal.value() / denom
-            }
-        } else {
-            Self::sinr_of(r)
-        }
+        let (i, j) = self.find(id).expect("unknown reception");
+        let r = &self.active_rx[i].receptions[j];
+        sinr(
+            r.signal.value(),
+            r.interference.value() + self.far_term_at(id.rx, Some(r.src_tx)),
+        )
     }
 
-    fn sinr_of(r: &ActiveReception) -> f64 {
-        if r.interference.value() <= 0.0 {
-            f64::INFINITY
-        } else {
-            r.signal.value() / r.interference.value()
-        }
-    }
-
-    /// SINR of a reception after SIC, recomputed from the full active set.
-    fn sinr_with_sic(&self, r: &ActiveReception) -> f64 {
+    /// SINR of a reception at `rx` after SIC, recomputed from the full
+    /// active set.
+    fn sinr_with_sic(&self, rx: StationId, r: &Reception) -> f64 {
         let contributions: Vec<f64> = self
             .active_tx
             .iter()
             .filter(|(&id, _)| TxId(id) != r.src_tx)
-            .map(|(_, tx)| self.received_power(r.rx, tx.station, tx.power).value())
+            .map(|(_, tx)| self.received_power(rx, tx.station, tx.power).value())
             .collect();
         crate::sic::effective_sinr(
             r.signal.value(),
@@ -1326,59 +1163,45 @@ impl SinrTracker {
         )
     }
 
-    /// Update min_sinr and failure state; snapshot blame on first failure.
-    fn reevaluate(&mut self, rid: u64) {
+    /// Re-evaluate reception `j` of work-list entry `i` against its
+    /// running sum and the receiver's far tail, storing a recomputed
+    /// snapshot.
+    fn reevaluate(&mut self, i: usize, j: usize) {
+        let a = &self.active_rx[i];
+        let (far_v, fresh) = self.far_value(a.rx, a.snap);
+        let r = &a.receptions[j];
+        let eval = self.eval_reception(a.rx, r, r.interference.value(), far_v);
+        let a = &mut self.active_rx[i];
+        if fresh.is_some() {
+            a.snap = fresh;
+        }
+        a.receptions[j].apply(eval);
+    }
+
+    /// Evaluate reception `r` at `rx` against running sum `interference`
+    /// and far tail value `far_v` — the one evaluation behind both
+    /// [`Self::reevaluate`] and the sweep. Read-only.
+    fn eval_reception(&self, rx: StationId, r: &Reception, interference: f64, far_v: f64) -> Eval {
         parn_sim::counter_inc!("phys.sinr.reevaluations");
-        let sic_sinr = if self.sic_depth > 0 {
-            let r = self.receptions.get(&rid).expect("unknown reception");
-            Some(self.sinr_with_sic(r))
+        let far_term = self.far_term_from(far_v, rx, Some(r.src_tx));
+        let sinr = if self.sic_depth > 0 {
+            self.sinr_with_sic(rx, r)
         } else {
-            None
+            sinr(r.signal.value(), interference + far_term)
         };
-        // In far mode the far tail is part of the denominator; compute it
-        // (caching a fresh snapshot if stale) before the mutable borrow.
-        let far_term = if self.far.is_some() {
-            let (rx, src) = {
-                let r = self.receptions.get(&rid).expect("unknown reception");
-                (r.rx, r.src_tx)
-            };
-            Some(self.far_term_at_mut(rx, Some(src)))
-        } else {
-            None
-        };
-        let (newly_failed, rx, src_tx) = {
-            let r = self.receptions.get_mut(&rid).expect("unknown reception");
-            let sinr = sic_sinr.unwrap_or_else(|| match far_term {
-                Some(f) => {
-                    let denom = r.interference.value() + f;
-                    if denom <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        r.signal.value() / denom
-                    }
-                }
-                None => Self::sinr_of(r),
-            });
-            r.min_sinr = r.min_sinr.min(sinr);
-            let newly_failed = !r.failed && sinr < r.threshold;
-            if newly_failed {
-                r.failed = true;
-            }
-            (newly_failed, r.rx, r.src_tx)
-        };
-        if newly_failed {
+        let failure = (!r.failed && sinr < r.threshold).then(|| {
             // In far mode the snapshot only names near interferers — a
             // failure caused purely by the aggregated tail has no single
             // culprit to report, by construction.
-            let near_radius = self.far.as_ref().map(|f| f.near_radius);
             let rxp = self.position(rx);
-            let blame: Vec<Blame> = self
+            let blame = self
                 .active_tx
                 .iter()
-                .filter(|(&id, _)| TxId(id) != src_tx)
-                .filter(|(_, tx)| match near_radius {
-                    Some(rad) => self.position(tx.station).distance(rxp) <= rad,
-                    None => true,
+                .filter(|(&id, tx)| {
+                    TxId(id) != r.src_tx
+                        && self.far.as_ref().is_none_or(|far| {
+                            self.position(tx.station).distance(rxp) <= far.near_radius
+                        })
                 })
                 .map(|(_, tx)| Blame {
                     station: tx.station,
@@ -1389,306 +1212,231 @@ impl SinrTracker {
                 })
                 .filter(|b| b.contribution.value() > 0.0)
                 .collect();
-            let r = self.receptions.get_mut(&rid).expect("unknown reception");
-            r.interference_at_failure = r.interference + PowerW(far_term.unwrap_or(0.0));
-            r.blame = blame;
-        }
+            (blame, PowerW(interference + far_term))
+        });
+        Eval { sinr, failure }
     }
 
-    /// One TX start/end in far mode. Aggregate bookkeeping has already
-    /// been applied by the caller; this walks every receiver with an
-    /// in-flight reception — in (cell-index, receiver-id) order — pushing
-    /// the event's exact per-cell churn into far snapshots, applying exact
-    /// near deltas, and re-evaluating only the receptions whose
-    /// denominator actually moved beyond tolerance.
+    /// One TX start or end, after the far aggregates were updated. Walks
+    /// every receiver with an in-flight reception — in (cell-index,
+    /// receiver-id) order — applying the exact delta to the running sums
+    /// of receivers that see the transmitter as near, pushing the event's
+    /// exact per-cell churn into far receivers' snapshots, and, on a
+    /// start, re-evaluating only the receptions whose denominator moved
+    /// beyond tolerance. Exact mode is the degenerate case: every
+    /// transmitter is near, and there is no tail and no snapshot.
     ///
     /// The walk is partitioned into contiguous shards of that same
-    /// cell-ordered work list. Shards read shared state only, every
-    /// per-receiver decision is independent of every other receiver, and
-    /// the merge applies outputs in work-list order — so results are
-    /// bit-identical whether shards run inline or on the worker pool, at
-    /// any thread count.
-    fn far_sweep(&mut self, p: SweepParams) {
-        let far = self.far.as_ref().expect("far sweep only in far mode");
-        if far.active_rx.is_empty() {
+    /// work list. Shards read shared state only, every per-receiver
+    /// decision is independent of every other receiver, and the merge
+    /// applies outputs in work-list order — so results are bit-identical
+    /// whether shards run inline or on the worker pool, at any thread
+    /// count.
+    fn sweep(&mut self, p: SweepParams) {
+        if self.active_rx.is_empty() {
+            return;
+        }
+        if self.far.is_none() {
+            self.run_sweep(&p);
             return;
         }
         parn_sim::counter_inc!("core.shard.sweeps");
         parn_sim::time_scope!("phys.far_sweep");
-        let work = far.active_rx.as_slice();
-        let updates: Vec<RxUpdate> = match &self.pool {
-            Some(pool) if work.len() >= PAR_MIN_WORK => {
+        self.run_sweep(&p);
+    }
+
+    /// Sweep the work list in shards on the worker pool when it is large
+    /// enough, else inline into the reused buffers, and merge the output.
+    fn run_sweep(&mut self, p: &SweepParams) {
+        match &self.pool {
+            Some(pool) if self.active_rx.len() >= PAR_MIN_WORK => {
                 parn_sim::counter_inc!("core.shard.parallel");
-                let pool = Arc::clone(pool);
-                let shards = self.threads.min(work.len());
-                let chunk = work.len().div_ceil(shards);
+                let work = self.active_rx.as_slice();
+                let chunk = work.len().div_ceil(self.threads.min(work.len()));
                 let this = &*self;
-                let params = &p;
                 let jobs: Vec<_> = work
                     .chunks(chunk)
-                    .map(|shard| move || this.sweep_shard(shard, params))
+                    .enumerate()
+                    .map(|(k, shard)| {
+                        move || {
+                            let mut out = SweepOut::default();
+                            this.sweep_shard(k * chunk, shard, p, &mut out);
+                            out
+                        }
+                    })
                     .collect();
-                pool.run(jobs).into_iter().flatten().collect()
+                for mut out in pool.run(jobs) {
+                    self.apply_sweep(&mut out);
+                }
             }
-            _ => self.sweep_shard(work, &p),
-        };
-        self.apply_sweep(updates);
+            _ => {
+                let mut out = std::mem::take(&mut self.sweep_out);
+                self.sweep_shard(0, &self.active_rx, p, &mut out);
+                self.apply_sweep(&mut out);
+                self.sweep_out = out;
+            }
+        }
     }
 
-    fn sweep_shard(&self, shard: &[ActiveRx], p: &SweepParams) -> Vec<RxUpdate> {
-        shard.iter().map(|a| self.sweep_receiver(a, p)).collect()
+    /// Sweep the work-list entries `shard`, which start at index `base`.
+    fn sweep_shard(&self, base: usize, shard: &[ActiveRx], p: &SweepParams, out: &mut SweepOut) {
+        for (k, a) in shard.iter().enumerate() {
+            self.sweep_receiver(base + k, a, p, out);
+        }
     }
 
-    /// Decide one receiver's fate for one sweep: its snapshot update, its
-    /// receptions' near-delta updates, and any re-evaluations. Pure reads;
-    /// the returned update is applied by [`Self::apply_sweep`].
-    fn sweep_receiver(&self, a: &ActiveRx, p: &SweepParams) -> RxUpdate {
-        let far = self.far.as_ref().expect("far mode");
+    /// Decide one receiver's share of one sweep — its snapshot update, its
+    /// receptions' running sums, and any re-evaluations — into `out`.
+    /// Pure reads; [`Self::apply_sweep`] applies the result.
+    fn sweep_receiver(&self, i: usize, a: &ActiveRx, p: &SweepParams, out: &mut SweepOut) {
         let thermal = self.thermal.value();
-        let rx = a.rx;
-        let rxp = a.pos;
-        let dist_to_tx = rxp.distance(p.txp);
-        let near = dist_to_tx <= far.near_radius;
         // The exact |delta| this event applied to rx's far tail — zero for
         // near receivers, whose running sums track this transmitter
         // exactly.
-        let tail_delta = if near {
-            0.0
-        } else {
-            self.far_contribution_inner(
-                rxp,
-                rx,
-                p.tx_station,
-                p.power,
-                dist_to_tx,
-                p.tx_cell_center,
-            )
+        let (near, tail_delta) = match &self.far {
+            None => (true, 0.0),
+            Some(far) => {
+                let dist = a.pos.distance(p.txp);
+                let tail = self.far_contribution_inner(
+                    a.pos,
+                    a.rx,
+                    p.tx_station,
+                    p.power,
+                    dist,
+                    p.tx_cell_center,
+                );
+                (dist <= far.near_radius, tail)
+            }
+        };
+        let near_delta = || {
+            self.received_power(a.rx, p.tx_station, PowerW(p.power))
+                .value()
         };
         // `total_drift` after this event's bump — both start and end bump
         // by |power|, so shards can stamp `global_at` without mutable
         // access.
         let drift_after = p.drift_before + p.power;
-        let snap = a.snap.as_ref();
-        // Can the incrementally maintained value absorb this push, or is a
-        // recompute due? (Dormancy gap, rounding turnover, or the value
-        // being cancelled below zero by this very subtraction.)
-        let trusted = match snap {
-            Some(s) => {
-                let budget = s.value + thermal;
-                (p.drift_before - s.global_at) * far.g_near <= far.tolerance * budget
-                    && s.churn <= CHURN_REFRESH_FACTOR * budget
-                    && (p.is_start || s.value - tail_delta >= 0.0)
-            }
-            None => false,
-        };
-        let rid_list = &a.rids;
-        let mut rids: Vec<RidUpdate> = Vec::new();
         if p.is_start {
             // Push the signed delta forward, or recompute when the value
             // can't be trusted; decide whether the receptions re-evaluate.
-            let (snap_new, skip_evals) = if trusted {
-                parn_sim::counter_inc!("phys.far_cache.hit");
-                let s = snap.expect("trusted implies snapshot");
-                let value = s.value + tail_delta;
-                let rise = s.rise + tail_delta;
-                // Near receivers always re-evaluate (their running sums
-                // just gained this transmission's exact contribution);
-                // far receivers skip while the accumulated rise stays
-                // inside the tolerance budget.
-                let skip = !near && rise <= far.tolerance * (value + thermal);
-                (
-                    FarSnapshot {
+            let (snap, skip) = match (&self.far, a.snap) {
+                (None, _) => (None, false),
+                (Some(far), Some(s))
+                    if Self::snapshot_trusted(far, &s, thermal, p.drift_before) =>
+                {
+                    parn_sim::counter_inc!("phys.far_cache.hit");
+                    let value = s.value + tail_delta;
+                    let rise = s.rise + tail_delta;
+                    // Near receivers always re-evaluate (their running sums
+                    // just gained this transmission's exact contribution);
+                    // far receivers skip while the accumulated rise stays
+                    // inside the tolerance budget.
+                    let skip = !near && rise <= far.tolerance * (value + thermal);
+                    let snap = FarSnapshot {
                         value,
                         rise: if skip { rise } else { 0.0 },
                         churn: s.churn + tail_delta,
                         global_at: drift_after,
-                    },
-                    skip,
-                )
-            } else {
-                parn_sim::counter_inc!("phys.far_cache.recompute");
-                (
-                    FarSnapshot::fresh(self.recompute_far(rx), drift_after),
-                    false,
-                )
-            };
-            if skip_evals {
-                parn_sim::counter_inc!("phys.sinr.skipped_reevals", rid_list.len() as u64);
-            } else {
-                let near_delta = if near {
-                    self.received_power(rx, p.tx_station, PowerW(p.power))
-                        .value()
-                } else {
-                    0.0
-                };
-                for &rid in rid_list {
-                    let r = &self.receptions[&rid];
-                    if r.src_tx.0 == p.tx_id {
-                        // Its own signal, never its interference. Fresh
-                        // ids can't be a source, but a move re-attaching
-                        // an existing transmission can sweep past it.
-                        continue;
-                    }
-                    let new_i = r.interference.value() + near_delta;
-                    let eval = self.eval_reception(r, new_i, snap_new.value);
-                    rids.push(RidUpdate {
-                        rid,
-                        new_interference: if near { Some(new_i) } else { None },
-                        clamped: false,
-                        resummed: false,
-                        eval: Some(eval),
-                    });
+                    };
+                    (Some(snap), skip)
                 }
+                (Some(_), _) => {
+                    parn_sim::counter_inc!("phys.far_cache.recompute");
+                    let value = self.recompute_far(a.rx);
+                    (Some(FarSnapshot::fresh(value, drift_after)), false)
+                }
+            };
+            if let Some(s) = snap {
+                out.snaps.push((i, s));
             }
-            RxUpdate {
-                snap: SnapUpdate::Set(snap_new),
-                rids,
+            if skip {
+                parn_sim::counter_inc!("phys.sinr.skipped_reevals", a.receptions.len() as u64);
+                return;
+            }
+            let delta = if near { near_delta() } else { 0.0 };
+            let far_v = snap.map_or(0.0, |s| s.value);
+            for (j, r) in a.receptions.iter().enumerate() {
+                if r.src_tx.0 == p.tx_id {
+                    // Its own signal, never its interference. Fresh ids
+                    // can't be a source, but a move re-attaching an
+                    // existing transmission can sweep past it.
+                    continue;
+                }
+                let interference = r.interference.value() + delta;
+                out.receptions.push(RxUpdate {
+                    at: (i, j),
+                    interference,
+                    eval: Some(self.eval_reception(a.rx, r, interference, far_v)),
+                });
             }
         } else {
-            // TX end: interference only drops, so nothing re-evaluates
-            // (mirrors the dense path); near receivers subtract the exact
-            // delta, far receivers push the tail value down. Dormant
-            // receivers (no snapshot) stay dormant.
+            // TX end: interference only drops, so nothing re-evaluates;
+            // near receivers subtract the exact delta, far receivers push
+            // the tail value down. Dormant receivers (no snapshot) stay
+            // dormant.
             if near {
-                let delta = self
-                    .received_power(rx, p.tx_station, PowerW(p.power))
-                    .value();
-                for &rid in rid_list {
-                    let r = &self.receptions[&rid];
+                let delta = near_delta();
+                for (j, r) in a.receptions.iter().enumerate() {
                     if r.src_tx.0 == p.tx_id {
                         continue; // its own signal, never its interference
                     }
-                    let mut new_i = r.interference.value() - delta;
-                    let mut clamped = false;
-                    let mut resummed = false;
-                    if new_i < 0.0 {
-                        clamped = true;
-                        if -new_i > RESUM_REL_EPS * delta {
-                            resummed = true;
-                            new_i = self.near_interference_at(rx, Some(r.src_tx)).value();
+                    let mut interference = r.interference.value() - delta;
+                    // Numerical guard: the running sum may drift a hair
+                    // negative. Drift orders above last-bit rounding is
+                    // rebuilt exactly instead of silently absorbed.
+                    if interference < 0.0 {
+                        parn_sim::counter_inc!("phys.interference.clamped");
+                        interference = if -interference > RESUM_REL_EPS * delta {
+                            parn_sim::counter_inc!("phys.interference.resummed");
+                            self.near_interference_at(a.rx, Some(r.src_tx)).value()
                         } else {
-                            new_i = 0.0;
-                        }
+                            0.0
+                        };
                     }
-                    rids.push(RidUpdate {
-                        rid,
-                        new_interference: Some(new_i),
-                        clamped,
-                        resummed,
+                    out.receptions.push(RxUpdate {
+                        at: (i, j),
+                        interference,
                         eval: None,
                     });
                 }
             }
-            let snap_update = match snap {
-                Some(s) if trusted => SnapUpdate::Set(FarSnapshot {
-                    value: s.value - tail_delta,
-                    rise: s.rise,
-                    churn: s.churn + tail_delta,
-                    global_at: drift_after,
-                }),
-                Some(s) => {
+            if let (Some(far), Some(s)) = (&self.far, a.snap) {
+                let snap = if Self::snapshot_trusted(far, &s, thermal, p.drift_before)
+                    && s.value - tail_delta >= 0.0
+                {
+                    FarSnapshot {
+                        value: s.value - tail_delta,
+                        rise: s.rise,
+                        churn: s.churn + tail_delta,
+                        global_at: drift_after,
+                    }
+                } else {
                     // The value can't absorb this subtraction (rounding
                     // floor or turnover guard): rebuild it now — the
                     // receptions here stay live and will consume it.
                     parn_sim::counter_inc!("phys.far_cache.recompute");
-                    SnapUpdate::Set(FarSnapshot {
-                        value: self.recompute_far(rx),
+                    FarSnapshot {
                         rise: s.rise,
-                        churn: 0.0,
-                        global_at: drift_after,
-                    })
-                }
-                None => SnapUpdate::Keep,
-            };
-            RxUpdate {
-                snap: snap_update,
-                rids,
-            }
-        }
-    }
-
-    /// Re-evaluate one reception against an updated near sum and far tail
-    /// value (shard-side, read-only). Mirrors [`Self::reevaluate`]'s far
-    /// branch exactly.
-    fn eval_reception(&self, r: &ActiveReception, new_interference: f64, far_v: f64) -> EvalUpdate {
-        parn_sim::counter_inc!("phys.sinr.reevaluations");
-        let far_term = self.far_term_from(far_v, r.rx, Some(r.src_tx));
-        let sinr = if self.sic_depth > 0 {
-            self.sinr_with_sic(r)
-        } else {
-            let denom = new_interference + far_term;
-            if denom <= 0.0 {
-                f64::INFINITY
-            } else {
-                r.signal.value() / denom
-            }
-        };
-        let newly_failed = !r.failed && sinr < r.threshold;
-        let mut blame = Vec::new();
-        let mut interference_at_failure = 0.0;
-        if newly_failed {
-            // Blame names near interferers only — a failure caused purely
-            // by the aggregated tail has no single culprit, by
-            // construction.
-            let far = self.far.as_ref().expect("far mode");
-            let rxp = self.position(r.rx);
-            blame = self
-                .active_tx
-                .iter()
-                .filter(|(&id, _)| TxId(id) != r.src_tx)
-                .filter(|(_, tx)| self.position(tx.station).distance(rxp) <= far.near_radius)
-                .map(|(_, tx)| Blame {
-                    station: tx.station,
-                    intended_rx: tx.intended_rx,
-                    contribution: self.received_power(r.rx, tx.station, tx.power),
-                    jammer: tx.jammer,
-                    violator: tx.violator,
-                })
-                .filter(|b| b.contribution.value() > 0.0)
-                .collect();
-            interference_at_failure = new_interference + far_term;
-        }
-        EvalUpdate {
-            sinr,
-            newly_failed,
-            blame,
-            interference_at_failure,
-        }
-    }
-
-    /// Apply shard outputs in work-list (cell-index) order — the stable
-    /// reduction step that keeps runs bit-identical across thread counts.
-    fn apply_sweep(&mut self, updates: Vec<RxUpdate>) {
-        for (i, up) in updates.into_iter().enumerate() {
-            match up.snap {
-                SnapUpdate::Keep => {}
-                SnapUpdate::Set(s) => {
-                    let far = self.far.as_mut().expect("far mode");
-                    far.active_rx[i].snap = Some(s);
-                }
-            }
-            for ru in up.rids {
-                if ru.clamped {
-                    parn_sim::counter_inc!("phys.interference.clamped");
-                }
-                if ru.resummed {
-                    parn_sim::counter_inc!("phys.interference.resummed");
-                }
-                let r = self
-                    .receptions
-                    .get_mut(&ru.rid)
-                    .expect("reception vanished");
-                if let Some(i) = ru.new_interference {
-                    r.interference = PowerW(i);
-                }
-                if let Some(e) = ru.eval {
-                    r.min_sinr = r.min_sinr.min(e.sinr);
-                    if e.newly_failed {
-                        r.failed = true;
-                        r.blame = e.blame;
-                        r.interference_at_failure = PowerW(e.interference_at_failure);
+                        ..FarSnapshot::fresh(self.recompute_far(a.rx), drift_after)
                     }
-                }
+                };
+                out.snaps.push((i, snap));
+            }
+        }
+    }
+
+    /// Apply sweep output in work-list order — the stable reduction step
+    /// that keeps runs bit-identical across thread counts. Drains `out`,
+    /// keeping its buffers.
+    fn apply_sweep(&mut self, out: &mut SweepOut) {
+        for (i, snap) in out.snaps.drain(..) {
+            self.active_rx[i].snap = Some(snap);
+        }
+        for u in out.receptions.drain(..) {
+            let r = &mut self.active_rx[u.at.0].receptions[u.at.1];
+            r.interference = PowerW(u.interference);
+            if let Some(eval) = u.eval {
+                r.apply(eval);
             }
         }
     }
@@ -1915,7 +1663,8 @@ mod tests {
             // After every cycle the running sum must bit-match a
             // from-scratch recompute of the active set (here: empty).
             let exact = t.interference_at(1, Some(tx));
-            let running = t.receptions[&rx.0].interference;
+            let (i, j) = t.find(rx).expect("reception in flight");
+            let running = t.active_rx[i].receptions[j].interference;
             assert_eq!(
                 running.value().to_bits(),
                 exact.value().to_bits(),
@@ -2085,14 +1834,17 @@ mod tests {
             // Enough live receivers (> PAR_MIN_WORK) that the pooled path
             // actually engages, then heavy interferer churn so sweeps do
             // real work. Every per-reception outcome must match to the bit
-            // regardless of thread count — the stable-reduction-order
-            // guarantee the CI determinism matrix also checks end to end.
+            // regardless of thread count, with far field on and off — the
+            // stable-reduction-order guarantee the CI determinism matrix
+            // also checks end to end.
             let gm = grid_model(400, 300.0, 13);
-            let run = |threads: usize| {
+            let run = |far: bool, threads: usize| {
                 let mut t =
-                    SinrTracker::new(Arc::clone(&gm) as Arc<dyn GainModel>, PowerW(1e-13), 1e12)
-                        .with_far_field(60.0, 0.05)
-                        .with_threads_unclamped(threads);
+                    SinrTracker::new(Arc::clone(&gm) as Arc<dyn GainModel>, PowerW(1e-13), 1e12);
+                if far {
+                    t = t.with_far_field(60.0, 0.05);
+                }
+                let mut t = t.with_threads_unclamped(threads);
                 let mut rng = Rng::new(99);
                 let mut links = Vec::new();
                 for i in 0..120 {
@@ -2122,9 +1874,15 @@ mod tests {
                 }
                 out
             };
-            let single = run(1);
-            for threads in [2, 4] {
-                assert_eq!(single, run(threads), "diverged at threads={threads}");
+            for far in [true, false] {
+                let single = run(far, 1);
+                for threads in [2, 4] {
+                    assert_eq!(
+                        single,
+                        run(far, threads),
+                        "diverged at threads={threads}, far={far}"
+                    );
+                }
             }
         }
 

@@ -76,11 +76,6 @@ impl RemoteClockModel {
         self.refit();
     }
 
-    /// Number of samples currently in the window.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// The fitted rate ratio d(theirs)/d(mine).
     pub fn rate(&self) -> f64 {
         self.rate
@@ -227,7 +222,7 @@ mod tests {
                 theirs: i * 1000,
             });
         }
-        assert_eq!(m.sample_count(), RemoteClockModel::DEFAULT_WINDOW);
+        assert_eq!(m.samples.len(), RemoteClockModel::DEFAULT_WINDOW);
         assert_eq!(m.samples.capacity(), RemoteClockModel::DEFAULT_WINDOW);
         assert!((m.rate() - 1.0).abs() < 1e-12);
     }
@@ -301,7 +296,7 @@ mod tests {
             mine: 2_000_000,
             theirs: 500,
         });
-        assert_eq!(m.sample_count(), 1);
+        assert_eq!(m.samples.len(), 1);
         assert_eq!(m.rate(), 1.0);
         assert_eq!(m.predict(2_000_100), 600);
     }

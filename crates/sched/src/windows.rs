@@ -457,6 +457,19 @@ mod tests {
                 Window::new(Time(250), Time(300)),
             ]
         );
+        // Two cuts inside one window.
+        let cuts = vec![
+            Window::new(Time(12), Time(14)),
+            Window::new(Time(20), Time(22)),
+        ];
+        assert_eq!(
+            subtract_lists(&[Window::new(Time(10), Time(30))], &cuts),
+            vec![
+                Window::new(Time(10), Time(12)),
+                Window::new(Time(14), Time(20)),
+                Window::new(Time(22), Time(30)),
+            ]
+        );
     }
 
     #[test]

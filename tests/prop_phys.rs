@@ -4,8 +4,9 @@
 use parn::phys::geom::{relay_saves_energy, Disk};
 use parn::phys::placement::Placement;
 use parn::phys::propagation::{FreeSpace, Propagation};
-use parn::phys::sinr::SinrTracker;
-use parn::phys::{Db, GainMatrix, Point, PowerW};
+use parn::phys::sinr::{ReceptionReport, RxId, SinrTracker, TxId};
+use parn::phys::{Db, GainMatrix, GainModel, GridGainModel, Point, PowerW};
+use parn::sim::Rng;
 use parn::testkit::cases;
 use std::sync::Arc;
 
@@ -125,6 +126,106 @@ fn tracker_min_sinr_never_exceeds_final() {
             t.end_transmission(id);
         }
         t.end_transmission(tx);
+    });
+}
+
+#[test]
+fn tracker_matches_a_from_scratch_oracle() {
+    // Random TX starts and ends, reception begins and completions, and
+    // one-station moves in exact mode on both backends. After every step
+    // the oracle recomputes each live reception's SINR from the active
+    // set and keeps the running minimum the tracker must report.
+    const THERMAL: f64 = 1e-9;
+    const SELF_GAIN: f64 = 1e12;
+    cases(64, "tracker_oracle", |_, rng| {
+        let pts = Placement::UniformDisk {
+            n: 20,
+            radius: 100.0,
+        }
+        .generate(rng);
+        let seed = rng.next_u64();
+        let dense = GainMatrix::build_shared(&pts, Arc::new(FreeSpace::unit()));
+        let grid = GridGainModel::new(&pts, Box::new(FreeSpace::unit()));
+        for gm in [Arc::new(dense) as Arc<dyn GainModel>, Arc::new(grid)] {
+            let mut rng = Rng::new(seed);
+            let mut t = SinrTracker::new(Arc::clone(&gm), PowerW(THERMAL), SELF_GAIN);
+            // (handle, station, power) per live transmission.
+            let mut txs: Vec<(TxId, usize, f64)> = Vec::new();
+            // (handle, receiver, source, threshold, oracle minimum) per
+            // live reception.
+            let mut rxs: Vec<(RxId, usize, TxId, f64, f64)> = Vec::new();
+            let oracle_sinr = |txs: &[(TxId, usize, f64)], rx: usize, src: TxId| {
+                let (mut signal, mut noise) = (0.0, THERMAL);
+                for &(id, s, p) in txs {
+                    let received = if s == rx {
+                        p * SELF_GAIN
+                    } else {
+                        gm.gain(rx, s).value() * p
+                    };
+                    if id == src {
+                        signal = received;
+                    } else {
+                        noise += received;
+                    }
+                }
+                signal / noise
+            };
+            let check = |rep: ReceptionReport, threshold: f64, min: f64| {
+                assert!(
+                    (rep.min_sinr - min).abs() <= 1e-9 * min,
+                    "min_sinr {} vs oracle {min}",
+                    rep.min_sinr
+                );
+                if (min - threshold).abs() > 1e-9 * threshold {
+                    assert_eq!(rep.success, min >= threshold, "oracle min {min}");
+                }
+            };
+            for _ in 0..300 {
+                match rng.below(5) {
+                    0 => {
+                        let s = rng.below(20) as usize;
+                        let p = rng.range_f64(1e-3, 1e-2);
+                        txs.push((t.start_transmission(s, PowerW(p), None), s, p));
+                    }
+                    1 => {
+                        let idle: Vec<usize> = (0..txs.len())
+                            .filter(|&k| rxs.iter().all(|r| r.2 != txs[k].0))
+                            .collect();
+                        if !idle.is_empty() {
+                            let k = idle[rng.below(idle.len() as u64) as usize];
+                            t.end_transmission(txs.swap_remove(k).0);
+                        }
+                    }
+                    2 if !txs.is_empty() => {
+                        let (src, s, _) = txs[rng.below(txs.len() as u64) as usize];
+                        let rx = (s + 1 + rng.below(19) as usize) % 20;
+                        let threshold = 10f64.powf(rng.range_f64(-2.0, 1.0));
+                        let id = t.begin_reception(rx, src, threshold);
+                        rxs.push((id, rx, src, threshold, f64::INFINITY));
+                    }
+                    3 if !rxs.is_empty() => {
+                        let k = rng.below(rxs.len() as u64) as usize;
+                        let (id, _, _, threshold, min) = rxs.swap_remove(k);
+                        check(t.complete_reception(id), threshold, min);
+                    }
+                    4 => {
+                        let s = rng.below(20) as usize;
+                        t.begin_moves(&[s]);
+                        let to =
+                            Point::new(rng.range_f64(-100.0, 100.0), rng.range_f64(-100.0, 100.0));
+                        gm.relocate(s, to);
+                        t.finish_moves();
+                    }
+                    _ => {}
+                }
+                for r in rxs.iter_mut() {
+                    r.4 = r.4.min(oracle_sinr(&txs, r.1, r.2));
+                }
+            }
+            for (id, _, _, threshold, min) in rxs {
+                check(t.complete_reception(id), threshold, min);
+            }
+        }
     });
 }
 
