@@ -923,7 +923,9 @@ impl Network {
                             return cand - now;
                         }
                         // Burst over before the draw landed: silence next.
-                        t = self.burst_until[s];
+                        // After an outage the burst ended in the past, and
+                        // the silence starts no earlier than `now`.
+                        t = t.max(self.burst_until[s]);
                         self.burst_on[s] = false;
                         self.burst_until[s] =
                             t + Duration::from_secs_f64(self.rng_traffic.exp(off_mean_s));

@@ -76,10 +76,10 @@ impl<E> EventQueue<E> {
 
     /// Schedule `payload` at absolute time `at`.
     ///
-    /// Panics (in debug builds) when scheduling into the past: a simulator
-    /// bug that must not be silently reordered.
+    /// Panics when scheduling into the past: a simulator bug that must not
+    /// be silently reordered.
     pub fn schedule(&mut self, at: Time, payload: E) {
-        debug_assert!(
+        assert!(
             at >= self.now,
             "scheduling into the past: {:?} < {:?}",
             at,
@@ -167,7 +167,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduling into the past")]
-    #[cfg(debug_assertions)]
     fn past_scheduling_panics() {
         let mut q = EventQueue::new();
         q.schedule(Time(10), ());

@@ -4,7 +4,7 @@
 //! identical across PHY backends.
 
 use parn::core::{
-    ByzMode, CutAxis, FaultPlan, HealConfig, NetConfig, Network, PhyBackend, RouteMode,
+    ByzMode, CutAxis, FaultPlan, HealConfig, NetConfig, Network, PhyBackend, RouteMode, SourceModel,
 };
 use parn::sim::{Duration, Rng};
 use parn::testkit::cases;
@@ -20,6 +20,14 @@ fn churn_config(rng: &mut Rng) -> NetConfig {
     cfg.faults = FaultPlan::generate(rng.below(1 << 32), n, count, cfg.run_for);
     if rng.chance(0.5) {
         cfg.heal = HealConfig::local();
+    }
+    // Last draw, so every other parameter of a case stays as it was: an
+    // on-off source's arrival chain must restart cleanly after an outage.
+    if rng.chance(0.5) {
+        cfg.traffic.source = SourceModel::OnOff {
+            on_mean_s: 0.5,
+            off_mean_s: 0.5,
+        };
     }
     cfg
 }
