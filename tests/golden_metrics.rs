@@ -7,16 +7,18 @@
 //! into modes that were supposed to be untouched. The two `distributed_*`
 //! fixtures pin the distance-vector exchange under faults and under
 //! motion, together with the conditional `route`, `adversary` and
-//! `mobility` metrics blocks. The `baseline_*` fixtures pin each
-//! contention MAC of experiment E3 the same way.
+//! `mobility` metrics blocks. `centralized_oracle_adversary` and
+//! `greedy_walk_churn` pin oracle healing through every fault kind and
+//! greedy routing under motion and churn. The `baseline_*` fixtures pin
+//! each contention MAC of experiment E3 the same way.
 //!
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`
 
 use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
 use parn::core::{
-    ByzMode, ChurnPlan, DestPolicy, FaultPlan, HealConfig, MobilityConfig, NetConfig, Network,
-    RouteMode, SyncMode,
+    ByzMode, ChurnPlan, CutAxis, DestPolicy, FaultPlan, HealConfig, MobilityConfig, MobilityModel,
+    NetConfig, Network, PhyBackend, RouteMode, SourceModel, SyncMode,
 };
 use parn::phys::{Point, PowerW};
 use parn::sim::Duration;
@@ -107,6 +109,81 @@ fn distributed_mobility_churn_metrics_are_pinned() {
     assert!(json.contains("\"route\":{"), "{json}");
     assert!(json.contains("\"mobility\":{"), "{json}");
     check("distributed_mobility_churn.json", &json);
+}
+
+/// Centralized routing under oracle healing through one fault of every
+/// kind, with hotspot destinations and on-off sources: pins the oracle
+/// reroutes, the end of each timed fault, and an on-off chain that
+/// restarts after a reboot. The run records 17 Type-1 collisions, all
+/// from the partition's gain transient (the same plan without the
+/// partition has none): docs/ROBUSTNESS.md documents that transient as
+/// the one exception to collision-freedom.
+#[test]
+fn centralized_oracle_adversary_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(40, 23);
+    cfg.run_for = Duration::from_secs(12);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.traffic.dest = DestPolicy::Hotspot {
+        sinks: 4,
+        skew: 1.0,
+    };
+    cfg.traffic.source = SourceModel::OnOff {
+        on_mean_s: 0.5,
+        off_mean_s: 0.5,
+    };
+    cfg.faults = FaultPlan::none()
+        .crash(Duration::from_secs(2), 11)
+        .crash_recover(Duration::from_secs(3), 7, Duration::from_secs(3))
+        .clock_jump(Duration::from_secs(4), 13, 1500)
+        .jam(
+            Duration::from_secs(5),
+            17,
+            Duration::from_secs(1),
+            PowerW(1e-5),
+        )
+        .partition(
+            Duration::from_secs(6),
+            CutAxis::Vertical,
+            0.0,
+            30.0,
+            Duration::from_secs(2),
+        )
+        .byzantine(
+            Duration::from_secs(8),
+            19,
+            ByzMode::Violator,
+            Duration::from_secs(1),
+        )
+        .reactive_jam(Duration::from_secs(9), 23, Duration::from_millis(300), 0.2);
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"adversary\":{"), "{json}");
+    check("centralized_oracle_adversary.json", &json);
+}
+
+/// Greedy routing on the grid backend under a bounded random walk and
+/// join/leave churn, with gravity destinations and no clock resync: pins
+/// the motion step, greedy rebuilds over moved positions, the gravity
+/// sampler rebuilt after motion, and a join at a new position.
+#[test]
+fn greedy_walk_churn_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(60, 29);
+    cfg.run_for = Duration::from_secs(6);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.phy_backend = PhyBackend::Grid { far_field: None };
+    cfg.route_mode = RouteMode::Greedy;
+    cfg.clock.sync = SyncMode::None;
+    cfg.traffic.dest = DestPolicy::Gravity { exponent: 2.0 };
+    cfg.mobility = Some(MobilityConfig {
+        model: MobilityModel::RandomWalk { speed: 2.0 },
+        epoch: Duration::from_millis(200),
+    });
+    cfg.churn = ChurnPlan::none()
+        .leave_for(Duration::from_secs(2), 5, Duration::from_secs(1))
+        .leave(Duration::from_secs(3), 9)
+        .join(Duration::from_secs(4), 9, Point::new(5.0, 5.0));
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"mobility\":{"), "{json}");
+    check("greedy_walk_churn.json", &json);
 }
 
 /// One-hop routing with neighbor-only traffic: pins the single-hop mode's
