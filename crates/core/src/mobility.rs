@@ -2,7 +2,9 @@
 //!
 //! Shepard's network is built from stations that users buy, install,
 //! carry around, and unplug — topology is *dynamic*, not a one-shot
-//! placement. This module describes that dynamism as configuration:
+//! placement. This module describes that dynamism as configuration, and
+//! runs the motion itself through a crate-private runtime that owns the
+//! `"mobility"` stream, the waypoint targets and the step rule:
 //!
 //! * a [`MobilityConfig`] selects a [`MobilityModel`] (random waypoint
 //!   or bounded random walk) and the motion-epoch cadence. All motion
@@ -22,7 +24,7 @@
 //! per-station array, the gain backend, and the conservation ledger
 //! index-stable through arbitrary churn.
 
-use parn_phys::Point;
+use parn_phys::{GainModel, Point, StationId};
 use parn_sim::json::{obj, Json};
 use parn_sim::{Duration, Rng};
 
@@ -340,6 +342,94 @@ impl ChurnPlan {
                 })
                 .collect(),
         )
+    }
+}
+
+/// The motion runtime of a run with a mobility model: the `"mobility"`
+/// RNG substream, the waypoint targets and the step rule. It is built
+/// only when a model is set, so static runs draw nothing from the stream.
+pub(crate) struct Motion {
+    cfg: MobilityConfig,
+    rng: Rng,
+    /// Deployment-disk radius: waypoint draws and the walk's rim.
+    radius: f64,
+    /// Random-waypoint targets. Each station starts "at" its own
+    /// position, so the first epoch draws a fresh target.
+    targets: Vec<Point>,
+}
+
+impl Motion {
+    /// Motion under `cfg` for stations starting at `positions` in the
+    /// disk of radius `radius`.
+    pub(crate) fn new(cfg: MobilityConfig, rng: Rng, positions: &[Point], radius: f64) -> Motion {
+        Motion {
+            cfg,
+            rng,
+            radius,
+            targets: positions.to_vec(),
+        }
+    }
+
+    /// Interval between motion epochs.
+    pub(crate) fn epoch(&self) -> Duration {
+        self.cfg.epoch
+    }
+
+    /// One epoch: every `alive` station advances from its position in
+    /// `gains` along the model. Returns the stations that moved, in
+    /// ascending id order, and where they moved to.
+    pub(crate) fn step(
+        &mut self,
+        gains: &dyn GainModel,
+        alive: &[bool],
+    ) -> (Vec<StationId>, Vec<Point>) {
+        let dt = self.cfg.epoch.as_secs_f64();
+        let mut movers = Vec::new();
+        let mut dests = Vec::new();
+        for s in (0..alive.len()).filter(|&s| alive[s]) {
+            let p = gains.position(s);
+            let to = match self.cfg.model {
+                MobilityModel::RandomWaypoint { speed } => {
+                    let step = speed * dt;
+                    let target = self.targets[s];
+                    let (dx, dy) = (target.x - p.x, target.y - p.y);
+                    let dist = dx.hypot(dy);
+                    if dist <= step {
+                        // Arrived: land on the waypoint (the leftover step
+                        // is the model's dwell) and draw the next leg's
+                        // target for the following epoch.
+                        self.targets[s] = uniform_in_disk(&mut self.rng, self.radius);
+                        target
+                    } else {
+                        Point::new(p.x + dx / dist * step, p.y + dy / dist * step)
+                    }
+                }
+                MobilityModel::RandomWalk { speed } => {
+                    let theta = self.rng.next_f64() * std::f64::consts::TAU;
+                    let step = speed * dt;
+                    let (x, y) = (p.x + step * theta.cos(), p.y + step * theta.sin());
+                    let r = x.hypot(y);
+                    if r > self.radius {
+                        // Bounded walk: radial clamp to the region rim.
+                        let f = self.radius / r;
+                        Point::new(x * f, y * f)
+                    } else {
+                        Point::new(x, y)
+                    }
+                }
+            };
+            if to != p {
+                movers.push(s);
+                dests.push(to);
+            }
+        }
+        (movers, dests)
+    }
+
+    /// Station `s` (re)appears at `pos`; under random waypoint its next
+    /// epoch draws a fresh target from there.
+    pub(crate) fn place(&mut self, s: StationId, pos: Point) {
+        self.targets[s] = pos;
     }
 }
 

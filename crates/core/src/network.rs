@@ -12,23 +12,25 @@
 //! collision counters stay at zero.
 
 use crate::collision::classify;
-use crate::config::{DestPolicy, NetConfig, PhyBackend, RouteMode, SourceModel, SyncMode};
+use crate::config::{NetConfig, PhyBackend, RouteMode, SyncMode};
 use crate::faults::{ByzMode, FaultKind, FaultPlan, HealMode};
 use crate::metrics::{Metrics, WarmupGate};
-use crate::mobility::{uniform_in_disk, ChurnKind, MobilityModel};
+use crate::mobility::{ChurnKind, Motion};
 use crate::packet::{ControlPayload, LossCause, Packet, PacketKind};
 use crate::power::PowerPolicy;
 use crate::station::{NeighborHealth, PlannedTx, Station};
+use crate::traffic::Traffic;
 use parn_phys::partition::{GeoCut, PartitionOverlay};
 use parn_phys::placement::density;
 use parn_phys::propagation::{FreeSpace, Propagation, Shadowed};
 use parn_phys::sinr::{RxId, SinrTracker, TxId};
-use parn_phys::{GainMatrix, GainModel, GravitySampler, GridGainModel, Point, PowerW, StationId};
+use parn_phys::{GainMatrix, GainModel, GridGainModel, Point, PowerW, StationId};
 use parn_route::{DvCluster, DvState, EnergyGraph, RouteTable};
 use parn_sched::{
     intersect_lists, subtract_lists, ClockSample, PredictedSchedule, QuarterSlot, RemoteClockModel,
     SlotKind, StationClock, StationSchedule, Window,
 };
+use parn_sim::stats::Tally;
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,21 +99,10 @@ pub enum Event {
         /// Index into [`NetConfig::faults`]`.events`.
         index: usize,
     },
-    /// A crashed station reboots and rejoins with fresh volatile state.
-    StationRecover {
-        /// The rebooting station.
-        station: StationId,
-    },
-    /// A jammer window ends.
-    JammerOff {
-        /// Index into [`NetConfig::faults`]`.events` of the jam fault.
-        index: usize,
-    },
-    /// A geographic partition transient ends: the shadowing cut lifts and
-    /// gains across it are restored.
-    PartitionHeal {
-        /// Index into [`NetConfig::faults`]`.events` of the partition
-        /// fault.
+    /// A timed fault ends: a crashed station reboots, a jam or Byzantine
+    /// window closes, or a partition's shadowing cut lifts.
+    FaultEnd {
+        /// Index into [`NetConfig::faults`]`.events`.
         index: usize,
     },
     /// One step of a Byzantine schedule violator's rogue cadence: `on`
@@ -123,13 +114,6 @@ pub enum Event {
         index: usize,
         /// Whether this step starts (true) or ends (false) a burst.
         on: bool,
-    },
-    /// A Byzantine misbehavior window ends (the station reverts to
-    /// honest protocol behaviour).
-    ByzOff {
-        /// Index into [`NetConfig::faults`]`.events` of the Byzantine
-        /// fault.
-        index: usize,
     },
     /// A reactive-jam burst ends (the adversary's transmitter goes
     /// quiet until it senses the next reception).
@@ -198,6 +182,25 @@ fn decayed_penalty(h: &NeighborHealth, now: Time, half_life: Duration) -> f64 {
     h.flap_penalty * 0.5f64.powf(now.since(t0).as_secs_f64() / hl)
 }
 
+/// How a dark station comes back ([`Network::power_up`]).
+#[derive(Clone, Copy, Debug)]
+enum PowerUp {
+    /// A crashed station reboots where it was.
+    Reboot,
+    /// A timed-outage departure ends at the position it left from.
+    Return,
+    /// A departed station is readmitted at a new position.
+    Join(Point),
+}
+
+/// Close an open outage or recovery mark at `at`, sampling its age (a
+/// time to detect or to heal) into `tally`.
+fn close_mark(mark: &mut Option<Time>, at: Time, tally: &mut Tally) {
+    if let Some(t0) = mark.take() {
+        tally.add(at.since(t0).as_secs_f64());
+    }
+}
+
 /// Runtime state of one armed budget-limited reactive jammer: it senses
 /// transmissions going on the air and burns jam air-time against them,
 /// bounded by a total budget and a duty-cycle cap.
@@ -229,32 +232,12 @@ pub struct Network {
     threshold: f64,
     airtime: Duration,
     warm: WarmupGate,
-    rng_traffic: Rng,
+    /// When packets arrive and whom they address.
+    traffic: Traffic,
     next_packet_id: u64,
-    /// Per-source reachable destinations (for traffic sampling).
-    reachable: Vec<Vec<StationId>>,
-    /// Per-source fixed-flow destinations (for `DestPolicy::Flows`).
-    flow_dsts: Vec<Vec<StationId>>,
-    /// Station positions (greedy route rebuilds, gravity sampling).
-    /// Time-varying under mobility: every relocation writes through here
-    /// *and* the gain backend, so all consumers see one epoch of truth.
-    positions: Vec<Point>,
-    /// Random-waypoint targets (each station starts "at" its own
-    /// position, so the first motion epoch draws a fresh target).
-    mob_target: Vec<Point>,
-    /// Deployment-region radius (mobility target draws, walk clamping).
-    region_radius: f64,
-    /// Spatial destination sampler (`DestPolicy::Gravity` only).
-    gravity: Option<GravitySampler>,
-    /// Cumulative Zipf weights over the sink stations
-    /// (`DestPolicy::Hotspot` only; sink `k` is station id `k`).
-    hotspot_cum: Vec<f64>,
-    /// Per-station on-off burst phase (`SourceModel::OnOff` only): true
-    /// while the station is inside a talk spurt.
-    burst_on: Vec<bool>,
-    /// When the current on/off phase ends (lazily initialized at the
-    /// first interarrival draw).
-    burst_until: Vec<Time>,
+    /// Station motion (`None` without a mobility model). Positions live
+    /// in the gain backend, which every relocation writes.
+    motion: Option<Motion>,
     end: Time,
     /// Interference budget for §7.3 significance: delivered/θ.
     interference_budget: PowerW,
@@ -266,12 +249,9 @@ pub struct Network {
     pub metrics: Metrics,
     /// Fault-machinery RNG (reboot clocks, retry-backoff jitter).
     rng_faults: Rng,
-    /// Mobility RNG (the dedicated "mobility" substream): drawn from only
-    /// by motion epochs, so immobile runs consume nothing from it and
-    /// every other stream stays bit-identical to pre-mobility builds.
-    rng_mobility: Rng,
-    /// Active jammer PHY handles, keyed by fault-plan event index.
-    jammer_tx: BTreeMap<usize, TxId>,
+    /// Adversarial emissions on the air, keyed by fault-plan event
+    /// index: jam windows and Byzantine violators' rogue bursts.
+    emissions: BTreeMap<usize, TxId>,
     /// Shadowing-cut overlay over the gain model — present only when the
     /// construction-time fault plan contains a partition fault, and
     /// transparent until a cut activates, so plans without partitions run
@@ -279,9 +259,6 @@ pub struct Network {
     partition: Option<Arc<PartitionOverlay>>,
     /// Open Byzantine misbehavior windows: fault-plan event index → mode.
     byz_active: BTreeMap<usize, ByzMode>,
-    /// Rogue out-of-window emissions currently on the air, keyed by the
-    /// Byzantine fault's event index.
-    byz_tx: BTreeMap<usize, TxId>,
     /// Armed reactive-jam adversaries, keyed by fault-plan event index.
     rjam: BTreeMap<usize, RJamState>,
     /// Reactive-jam bursts currently on the air: burst sequence →
@@ -332,9 +309,7 @@ impl Network {
         let root = Rng::new(cfg.seed);
         let mut rng_place = root.substream("placement");
         let mut rng_clock = root.substream("clocks");
-        let rng_traffic = root.substream("traffic");
         let rng_faults = root.substream("faults");
-        let rng_mobility = root.substream("mobility");
 
         let positions = cfg.placement.generate(&mut rng_place);
         let n = positions.len();
@@ -406,8 +381,6 @@ impl Network {
         } else {
             (0..n).map(|s| graph.neighbors(s).to_vec()).collect()
         };
-        let alive = vec![true; n];
-
         let mut tracker = SinrTracker::new(
             Arc::clone(&gains),
             cfg.thermal_noise + cfg.external_din,
@@ -433,87 +406,23 @@ impl Network {
         };
         let interference_budget = PowerW(cfg.delivered_power.value() / threshold);
 
-        // Stations: random clocks, shared schedule function.
-        let mut clocks = Vec::with_capacity(n);
-        let mut stations = Vec::with_capacity(n);
-        for id in 0..n {
-            let clock = StationClock::random(&mut rng_clock, cfg.clock.max_ppm);
-            clocks.push(clock);
-            stations.push(Station::new(id, StationSchedule::new(cfg.sched, clock)));
-        }
-
-        // Distributed mode exchanges vectors over every usable link, not
-        // just current next hops, so link neighbours need clock models
-        // from boot.
-        for (id, links) in dv_links.iter().enumerate() {
-            let mine = clocks[id].reading(Time::ZERO);
-            for &(nb, _) in links {
-                let theirs = clocks[nb].reading(Time::ZERO);
-                stations[id].models.insert(
-                    nb,
-                    RemoteClockModel::from_first_sample(ClockSample { mine, theirs }),
-                );
-            }
-        }
-
-        // Reachable destination lists for traffic — only UniformAll reads
-        // them; skipping the O(M²) scan otherwise keeps metro-scale
-        // neighbour-traffic runs linear.
-        let reachable: Vec<Vec<StationId>> = match &cfg.traffic.dest {
-            DestPolicy::UniformAll => (0..n).map(|s| routes.reachable_from(s)).collect(),
-            _ => vec![Vec::new(); n],
-        };
-        let mut flow_dsts = vec![Vec::new(); n];
-        if let DestPolicy::Flows(flows) = &cfg.traffic.dest {
-            for &(s, d) in flows {
-                assert!(s < n && d < n, "flow endpoint out of range");
-                flow_dsts[s].push(d);
-            }
-        }
-        // Spatial traffic models. All of this state is inert (None/empty)
-        // unless the matching policy is selected, so default-config runs
-        // build and draw exactly as before.
-        let gravity = match &cfg.traffic.dest {
-            DestPolicy::Gravity { exponent } => {
-                assert!(*exponent >= 0.0, "gravity exponent must be >= 0");
-                // Radius draws span hop length → metro diameter: shorter
-                // draws snap to a neighbour anyway, longer ones can't land
-                // inside the placement disk.
-                let r_max = (2.0 * region.radius).max(2.0 * reach);
-                Some(GravitySampler::new(&positions, *exponent, reach, r_max))
-            }
-            _ => None,
-        };
-        let hotspot_cum: Vec<f64> = match &cfg.traffic.dest {
-            DestPolicy::Hotspot { sinks, skew } => {
-                assert!(*sinks >= 1, "need at least one hotspot sink");
-                assert!(*skew >= 0.0, "hotspot skew must be >= 0");
-                let k = (*sinks).min(n);
-                let w: Vec<f64> = (0..k).map(|i| ((i + 1) as f64).powf(-skew)).collect();
-                let total: f64 = w.iter().sum();
-                let mut cum = 0.0;
-                w.iter()
-                    .map(|x| {
-                        cum += x / total;
-                        cum
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        let bursty = match cfg.traffic.source {
-            SourceModel::Poisson => false,
-            SourceModel::OnOff {
-                on_mean_s,
-                off_mean_s,
-            } => {
-                assert!(on_mean_s > 0.0, "on_mean_s must be > 0");
-                assert!(off_mean_s >= 0.0, "off_mean_s must be >= 0");
-                true
-            }
-        };
-        let burst_on = vec![false; if bursty { n } else { 0 }];
-        let burst_until = vec![Time::ZERO; if bursty { n } else { 0 }];
+        // Stations with random clocks; a station's schedule is the shared
+        // slot function reckoned by its clock.
+        let clocks: Vec<StationClock> = (0..n)
+            .map(|_| StationClock::random(&mut rng_clock, cfg.clock.max_ppm))
+            .collect();
+        let stations = (0..n).map(Station::new).collect();
+        let traffic = Traffic::new(
+            &cfg.traffic,
+            root.substream("traffic"),
+            &routes,
+            &positions,
+            reach,
+            region.radius,
+        );
+        let motion = cfg
+            .mobility
+            .map(|mc| Motion::new(mc, root.substream("mobility"), &positions, region.radius));
 
         let warm = WarmupGate {
             warm_at: Time::ZERO + cfg.warmup,
@@ -522,8 +431,6 @@ impl Network {
         let airtime = cfg.packet_airtime();
         let mut metrics = Metrics::new(n);
         metrics.measured_span = cfg.run_for.saturating_sub(cfg.warmup);
-        let mob_target = positions.clone();
-        let region_radius = region.radius;
 
         let mut net = Network {
             cfg,
@@ -536,28 +443,18 @@ impl Network {
             threshold,
             airtime,
             warm,
-            rng_traffic,
+            traffic,
             next_packet_id: 0,
-            reachable,
-            flow_dsts,
-            positions,
-            mob_target,
-            region_radius,
-            gravity,
-            hotspot_cum,
-            burst_on,
-            burst_until,
+            motion,
             end,
             interference_budget,
-            alive,
+            alive: vec![true; n],
             usable_gain,
             metrics,
             rng_faults,
-            rng_mobility,
-            jammer_tx: BTreeMap::new(),
+            emissions: BTreeMap::new(),
             partition,
             byz_active: BTreeMap::new(),
-            byz_tx: BTreeMap::new(),
             rjam: BTreeMap::new(),
             rjam_active: BTreeMap::new(),
             rjam_seq: 0,
@@ -576,6 +473,16 @@ impl Network {
             dv_check_pending: false,
             dv_episodes: 0,
         };
+        // Distributed mode exchanges vectors over every usable link, not
+        // just current next hops, so link neighbours need clock models
+        // from boot.
+        if net.distributed() {
+            for s in 0..n {
+                for &(nb, _) in graph.neighbors(s) {
+                    net.rendezvous(s, nb, Time::ZERO, false);
+                }
+            }
+        }
         for id in 0..n {
             let rn = net.routes.routing_neighbors(id);
             net.set_routing_view(id, rn, Time::ZERO);
@@ -629,8 +536,11 @@ impl Network {
     pub fn prime(&mut self, queue: &mut EventQueue<Event>) {
         let n = self.stations.len();
         for s in 0..n {
-            if self.has_traffic(s) {
-                let dt = self.next_interarrival(s, Time::ZERO);
+            if self
+                .traffic
+                .has_traffic(s, &self.stations[s].routing_neighbors)
+            {
+                let dt = self.traffic.next_interarrival(s, Time::ZERO);
                 queue.schedule(Time::ZERO + dt, Event::NextArrival { station: s });
                 self.arrivals_live[s] = true;
             }
@@ -670,10 +580,10 @@ impl Network {
                 );
             }
         }
-        // Translate the fault plan into injection events plus their
-        // derived consequences (reboots, jammer switch-offs, and — under
-        // oracle healing with table-based routing — the delayed global
-        // route repairs; distributed routing repairs itself).
+        // Translate the fault plan into injection events, the ends of
+        // timed faults, and — under oracle healing with table-based
+        // routing — the delayed global route repairs after each change
+        // to the link set (distributed routing repairs itself).
         if let Err(e) = self.cfg.faults.validate(n) {
             panic!("invalid fault plan: {e}");
         }
@@ -682,43 +592,30 @@ impl Network {
         for (index, ev) in self.cfg.faults.events.iter().enumerate() {
             let at = Time::ZERO + ev.at;
             queue.schedule(at, Event::Fault { index });
-            match ev.kind {
-                FaultKind::Crash => {
-                    if oracle {
-                        queue.schedule(at + delay, Event::Reroute);
-                    }
+            // A reactive jammer has no scheduled end: it goes quiet when
+            // its budget runs dry.
+            let window = match ev.kind {
+                FaultKind::CrashRecover { down_for } => Some(down_for),
+                FaultKind::Jam { for_, .. }
+                | FaultKind::Partition { for_, .. }
+                | FaultKind::Byzantine { for_, .. } => Some(for_),
+                FaultKind::Crash | FaultKind::ClockJump { .. } | FaultKind::ReactiveJam { .. } => {
+                    None
                 }
-                FaultKind::CrashRecover { down_for } => {
-                    queue.schedule(
-                        at + down_for,
-                        Event::StationRecover {
-                            station: ev.station,
-                        },
-                    );
-                    if oracle {
-                        queue.schedule(at + delay, Event::Reroute);
-                        queue.schedule(at + down_for + delay, Event::Reroute);
-                    }
-                }
-                FaultKind::ClockJump { .. } => {}
-                FaultKind::Jam { for_, .. } => {
-                    queue.schedule(at + for_, Event::JammerOff { index });
-                }
-                FaultKind::Partition { for_, .. } => {
-                    queue.schedule(at + for_, Event::PartitionHeal { index });
-                    if oracle {
-                        // The oracle notices the severed links on its
-                        // usual delay, and again once the cut lifts.
-                        queue.schedule(at + delay, Event::Reroute);
-                        queue.schedule(at + for_ + delay, Event::Reroute);
-                    }
-                }
-                FaultKind::Byzantine { for_, .. } => {
-                    queue.schedule(at + for_, Event::ByzOff { index });
-                }
-                FaultKind::ReactiveJam { .. } => {
-                    // Armed at injection; goes quiet when its budget runs
-                    // dry — no scheduled end.
+            };
+            if let Some(d) = window {
+                queue.schedule(at + d, Event::FaultEnd { index });
+            }
+            let severs = matches!(
+                ev.kind,
+                FaultKind::Crash | FaultKind::CrashRecover { .. } | FaultKind::Partition { .. }
+            );
+            if oracle && severs {
+                // The oracle notices the lost links on its usual delay,
+                // and again once they come back.
+                queue.schedule(at + delay, Event::Reroute);
+                if let Some(d) = window {
+                    queue.schedule(at + d + delay, Event::Reroute);
                 }
             }
         }
@@ -820,6 +717,16 @@ impl Network {
         self.metrics.queue_depth_hist.adjust(now, delta);
     }
 
+    /// Empty every queue at `s`, with occupancy bookkeeping.
+    fn take_queued(&mut self, s: StationId, now: Time) -> Vec<Packet> {
+        let queued: Vec<Packet> = std::mem::take(&mut self.stations[s].queues)
+            .into_values()
+            .flatten()
+            .collect();
+        self.track_queue(now, -(queued.len() as f64));
+        queued
+    }
+
     /// Enqueue at a station with occupancy bookkeeping.
     fn enqueue_tracked(&mut self, s: StationId, next_hop: StationId, packet: Packet, now: Time) {
         self.stations[s].enqueue(next_hop, packet, now);
@@ -878,117 +785,6 @@ impl Network {
                 }
                 self.stations[at].attempts.remove(&packet.id);
                 self.settle_drop(&packet, cause);
-            }
-        }
-    }
-
-    fn has_traffic(&self, s: StationId) -> bool {
-        if self.cfg.traffic.arrivals_per_station_per_sec <= 0.0 {
-            return false;
-        }
-        match &self.cfg.traffic.dest {
-            DestPolicy::UniformAll => !self.reachable[s].is_empty(),
-            DestPolicy::Neighbors => !self.stations[s].routing_neighbors.is_empty(),
-            DestPolicy::Flows(_) => !self.flow_dsts[s].is_empty(),
-            DestPolicy::Gravity { .. } => self.gravity.is_some(),
-            // Every station sends to the sinks, except a lone sink with
-            // nobody else to address.
-            DestPolicy::Hotspot { .. } => {
-                !(self.hotspot_cum.is_empty() || (self.hotspot_cum.len() == 1 && s == 0))
-            }
-        }
-    }
-
-    /// Time from `now` until station `s` generates its next packet.
-    /// Poisson sources draw one exponential per call — the exact sequence
-    /// pre-traffic-subsystem runs drew, keeping them bit-identical. On-off
-    /// sources walk the station's two-state phase machine: exponential
-    /// interarrivals at the inflated within-burst rate while on, skipping
-    /// the off periods entirely.
-    fn next_interarrival(&mut self, s: StationId, now: Time) -> Duration {
-        let mean_rate = self.cfg.traffic.arrivals_per_station_per_sec;
-        match self.cfg.traffic.source {
-            SourceModel::Poisson => Duration::from_secs_f64(self.rng_traffic.exp(1.0 / mean_rate)),
-            SourceModel::OnOff {
-                on_mean_s,
-                off_mean_s,
-            } => {
-                let peak = self.cfg.traffic.source.peak_rate(mean_rate);
-                let mut t = now;
-                loop {
-                    if self.burst_on[s] {
-                        let dt = Duration::from_secs_f64(self.rng_traffic.exp(1.0 / peak));
-                        let cand = t + dt;
-                        if cand <= self.burst_until[s] {
-                            return cand - now;
-                        }
-                        // Burst over before the draw landed: silence next.
-                        // After an outage the burst ended in the past, and
-                        // the silence starts no earlier than `now`.
-                        t = t.max(self.burst_until[s]);
-                        self.burst_on[s] = false;
-                        self.burst_until[s] =
-                            t + Duration::from_secs_f64(self.rng_traffic.exp(off_mean_s));
-                    } else {
-                        // Skip the rest of the off period (for the lazy
-                        // initial state `burst_until` is `Time::ZERO`,
-                        // so the first burst starts immediately).
-                        t = t.max(self.burst_until[s]);
-                        self.burst_on[s] = true;
-                        self.burst_until[s] =
-                            t + Duration::from_secs_f64(self.rng_traffic.exp(on_mean_s));
-                    }
-                }
-            }
-        }
-    }
-
-    fn pick_destination(&mut self, s: StationId) -> Option<StationId> {
-        match &self.cfg.traffic.dest {
-            DestPolicy::UniformAll => {
-                let opts = &self.reachable[s];
-                if opts.is_empty() {
-                    None
-                } else {
-                    Some(*self.rng_traffic.choose(opts))
-                }
-            }
-            DestPolicy::Neighbors => {
-                let opts = &self.stations[s].routing_neighbors;
-                if opts.is_empty() {
-                    None
-                } else {
-                    Some(*self.rng_traffic.choose(opts))
-                }
-            }
-            DestPolicy::Flows(_) => {
-                let opts = &self.flow_dsts[s];
-                if opts.is_empty() {
-                    None
-                } else {
-                    Some(*self.rng_traffic.choose(opts))
-                }
-            }
-            DestPolicy::Gravity { .. } => {
-                let sampler = self.gravity.as_ref()?;
-                sampler.sample(s, &mut self.rng_traffic)
-            }
-            DestPolicy::Hotspot { .. } => {
-                if self.hotspot_cum.is_empty() {
-                    return None;
-                }
-                let u = self.rng_traffic.next_f64();
-                let k = self.hotspot_cum.partition_point(|&c| c <= u);
-                let dst = k.min(self.hotspot_cum.len() - 1);
-                if dst != s {
-                    Some(dst)
-                } else if self.hotspot_cum.len() > 1 {
-                    // A sink never addresses itself: fold onto the next
-                    // sink (wrapping), preserving one draw per packet.
-                    Some((dst + 1) % self.hotspot_cum.len())
-                } else {
-                    None
-                }
             }
         }
     }
@@ -1101,8 +897,7 @@ impl Network {
         // overhang into the station's own receive slot is enough to kill
         // an incoming reception (Type 3) under the hold-for-the-whole-
         // packet criterion. Real radios need TX/RX turnaround time anyway.
-        let my_tx: Vec<Window> = self.stations[s]
-            .schedule
+        let my_tx: Vec<Window> = StationSchedule::new(params, my_clock)
             .windows(now, end, SlotKind::Transmit)
             .into_iter()
             .map(|w| w.shrunk(Duration(2)))
@@ -1282,7 +1077,7 @@ impl Network {
             self.metrics.tx_airtime[s] += self.airtime.as_secs_f64();
             // Scheme self-check: the packet should land inside the
             // receiver's *actual* receive windows.
-            let sched = &self.stations[nh].schedule;
+            let sched = StationSchedule::new(self.cfg.sched, self.clocks[nh]);
             let end = now + self.airtime;
             if sched.kind_at(now) != SlotKind::Receive
                 || sched.kind_at(end - Duration(1)) != SlotKind::Receive
@@ -1549,14 +1344,11 @@ impl Network {
         }
         // Schedule the next arrival first (keeps the process going even if
         // this packet is unroutable).
-        let dt = self.next_interarrival(s, now);
-        let next = now + dt;
-        if next <= self.end {
-            queue.schedule(next, Event::NextArrival { station: s });
-        } else {
-            self.arrivals_live[s] = false;
-        }
-        let Some(dst) = self.pick_destination(s) else {
+        self.chain_arrival(s, now, queue);
+        let Some(dst) = self
+            .traffic
+            .pick_destination(s, &self.stations[s].routing_neighbors)
+        else {
             return;
         };
         let id = self.next_packet_id;
@@ -1566,11 +1358,7 @@ impl Network {
             self.metrics.generated += 1;
             self.metrics.per_station_generated[s] += 1;
         }
-        let spatial_dest = matches!(
-            self.cfg.traffic.dest,
-            DestPolicy::Gravity { .. } | DestPolicy::Hotspot { .. }
-        );
-        if self.distributed() || spatial_dest {
+        if self.distributed() || self.traffic.spatial() {
             // The reachable list can be stale while the exchange
             // reconverges — and the spatial policies sample destinations
             // without a reachability scan (greedy forwarding can dead-end
@@ -1586,6 +1374,16 @@ impl Network {
                 .expect("picked an unroutable destination");
             self.enqueue_tracked(s, next_hop, packet, now);
             self.try_schedule(s, now, queue);
+        }
+    }
+
+    /// Draw station `s`'s next arrival after `now` and schedule it if it
+    /// falls within the run; the chain is live while one is pending.
+    fn chain_arrival(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
+        let next = now + self.traffic.next_interarrival(s, now);
+        self.arrivals_live[s] = next <= self.end;
+        if self.arrivals_live[s] {
+            queue.schedule(next, Event::NextArrival { station: s });
         }
     }
 
@@ -1624,22 +1422,7 @@ impl Network {
         };
         if self.alive[s] {
             let neighbors = self.stations[s].routing_neighbors.clone();
-            for nb in neighbors {
-                let already = self.stations[s]
-                    .queues
-                    .get(&nb)
-                    .map(|q| q.iter().any(|p| p.kind == PacketKind::Hello))
-                    .unwrap_or(false);
-                if already {
-                    continue;
-                }
-                let id = self.next_packet_id;
-                self.next_packet_id += 1;
-                let mut hello = Packet::new(id, s, nb, now);
-                hello.kind = PacketKind::Hello;
-                self.enqueue_tracked(s, nb, hello, now);
-            }
-            self.try_schedule(s, now, queue);
+            self.queue_control(s, neighbors, PacketKind::Hello, now, queue);
         }
         let next = now + hello_interval;
         if next <= self.end {
@@ -1654,17 +1437,28 @@ impl Network {
         if !matches!(self.cfg.clock.sync, SyncMode::Piggyback { .. }) {
             return;
         }
-        let sample = ClockSample {
-            mine: self.clocks[rx].reading(start),
-            theirs: self.clocks[sender].reading(start),
-        };
         match self.stations[rx].models.get_mut(&sender) {
-            Some(m) => m.add_sample(sample),
-            None => {
-                self.stations[rx]
-                    .models
-                    .insert(sender, RemoteClockModel::from_first_sample(sample));
-            }
+            Some(m) => m.add_sample(ClockSample {
+                mine: self.clocks[rx].reading(start),
+                theirs: self.clocks[sender].reading(start),
+            }),
+            None => self.rendezvous(rx, sender, start, false),
+        }
+    }
+
+    /// A rendezvous at `at` (§7): `s` reads `nb`'s clock against its own
+    /// and starts a model of `nb` from that one sample where it holds
+    /// none, or with `restart` in place of the one it holds (`nb`'s clock
+    /// jumped, so the old samples would poison the fit).
+    fn rendezvous(&mut self, s: StationId, nb: StationId, at: Time, restart: bool) {
+        if restart || self.stations[s].models.get(&nb).is_none() {
+            let sample = ClockSample {
+                mine: self.clocks[s].reading(at),
+                theirs: self.clocks[nb].reading(at),
+            };
+            self.stations[s]
+                .models
+                .insert(nb, RemoteClockModel::from_first_sample(sample));
         }
     }
 
@@ -1809,12 +1603,8 @@ impl Network {
             protected = self.gains.hearable_by(s, thr);
             protected.retain(|&p| p != s && self.alive[p]);
         }
-        let mine = self.clocks[s].reading(now);
         for &nb in rn.iter().chain(protected.iter()) {
-            let theirs = self.clocks[nb].reading(now);
-            self.stations[s].models.entry(nb).or_insert_with(|| {
-                RemoteClockModel::from_first_sample(ClockSample { mine, theirs })
-            });
+            self.rendezvous(s, nb, now, false);
         }
         let st = &mut self.stations[s];
         st.routing_neighbors = rn;
@@ -1889,9 +1679,11 @@ impl Network {
         );
         for s in 0..self.stations.len() {
             if self.alive[s] && self.evicted_by[s] == 0 {
-                if let Some(t0) = self.recover_mark[s].take() {
-                    self.metrics.time_to_heal.add(last.since(t0).as_secs_f64());
-                }
+                close_mark(
+                    &mut self.recover_mark[s],
+                    last,
+                    &mut self.metrics.time_to_heal,
+                );
             }
         }
     }
@@ -1927,20 +1719,32 @@ impl Network {
             return;
         }
         let links: Vec<StationId> = self.dv[s].links().keys().copied().collect();
-        for nb in links {
-            let already = self.stations[s]
+        self.queue_control(s, links, PacketKind::RouteUpdate, now, queue);
+    }
+
+    /// Queue one `kind` control frame from `s` to each station in `to`
+    /// that has none waiting yet, then run the MAC.
+    fn queue_control(
+        &mut self,
+        s: StationId,
+        to: Vec<StationId>,
+        kind: PacketKind,
+        now: Time,
+        queue: &mut EventQueue<Event>,
+    ) {
+        for nb in to {
+            let waiting = self.stations[s]
                 .queues
                 .get(&nb)
-                .map(|q| q.iter().any(|p| p.kind == PacketKind::RouteUpdate))
-                .unwrap_or(false);
-            if already {
+                .is_some_and(|q| q.iter().any(|p| p.kind == kind));
+            if waiting {
                 continue;
             }
             let id = self.next_packet_id;
             self.next_packet_id += 1;
-            let mut update = Packet::new(id, s, nb, now);
-            update.kind = PacketKind::RouteUpdate;
-            self.enqueue_tracked(s, nb, update, now);
+            let mut frame = Packet::new(id, s, nb, now);
+            frame.kind = kind;
+            self.enqueue_tracked(s, nb, frame, now);
         }
         self.try_schedule(s, now, queue);
     }
@@ -2011,12 +1815,12 @@ impl Network {
         );
         match ev.kind {
             FaultKind::Crash | FaultKind::CrashRecover { .. } => {
-                self.on_station_fail(ev.station, now, queue)
+                self.power_down(ev.station, LossCause::StationFailed, now, queue)
             }
             FaultKind::ClockJump { ticks } => self.on_clock_jump(ev.station, ticks, now, queue),
             FaultKind::Jam { power, .. } => {
                 let tx = self.tracker.start_jammer(ev.station, power);
-                self.jammer_tx.insert(index, tx);
+                self.emissions.insert(index, tx);
             }
             FaultKind::Partition {
                 axis,
@@ -2054,6 +1858,25 @@ impl Network {
         }
     }
 
+    /// A timed fault ends: a crashed station reboots, a partition heals,
+    /// and a jam or Byzantine window closes, silencing whatever it still
+    /// has on the air (the station reverts to honest behaviour).
+    fn on_fault_end(&mut self, index: usize, now: Time, queue: &mut EventQueue<Event>) {
+        let ev = self.cfg.faults.events[index];
+        match ev.kind {
+            FaultKind::CrashRecover { .. } => {
+                self.power_up(ev.station, PowerUp::Reboot, now, queue)
+            }
+            FaultKind::Partition { .. } => self.on_partition_heal(index, now),
+            _ => {
+                self.byz_active.remove(&index);
+                if let Some(tx) = self.emissions.remove(&index) {
+                    self.tracker.end_transmission(tx);
+                }
+            }
+        }
+    }
+
     /// A partition transient ends: lift the shadowing cut, restore the
     /// severed gains, and re-derive every gain-dependent PHY quantity.
     /// Healing the *routes* is the protocols' job from here — the oracle
@@ -2084,7 +1907,7 @@ impl Network {
     /// next burst. The cadence dies silently once the window closes.
     fn on_byz_step(&mut self, index: usize, on: bool, now: Time, queue: &mut EventQueue<Event>) {
         if !self.byz_active.contains_key(&index) {
-            // Window closed; ByzOff already silenced any live burst.
+            // Window closed; its end already silenced any live burst.
             return;
         }
         if on {
@@ -2100,12 +1923,12 @@ impl Network {
                     .fold(0.0f64, f64::max);
                 if p > 0.0 {
                     let tx = self.tracker.start_violator(s, PowerW(p));
-                    self.byz_tx.insert(index, tx);
+                    self.emissions.insert(index, tx);
                 }
             }
             queue.schedule(now + self.airtime, Event::ByzStep { index, on: false });
         } else {
-            if let Some(tx) = self.byz_tx.remove(&index) {
+            if let Some(tx) = self.emissions.remove(&index) {
                 self.tracker.end_transmission(tx);
             }
             // Next rogue burst every fourth slot: frequent enough to
@@ -2113,15 +1936,6 @@ impl Network {
             // degenerate into a plain continuous jammer.
             let gap = Duration(self.cfg.sched.slot.ticks().max(1) * 4);
             queue.schedule(now + gap, Event::ByzStep { index, on: true });
-        }
-    }
-
-    /// A Byzantine misbehavior window ends: the station reverts to honest
-    /// behaviour, and any rogue emission still on the air is silenced.
-    fn on_byz_off(&mut self, index: usize) {
-        self.byz_active.remove(&index);
-        if let Some(tx) = self.byz_tx.remove(&index) {
-            self.tracker.end_transmission(tx);
         }
     }
 
@@ -2190,41 +2004,33 @@ impl Network {
         }
     }
 
-    /// A station goes silent (permanently, or until a scheduled
-    /// recovery): its queued and planned packets die with it (accounted
-    /// as `StationFailed` drops); in-flight PHY activity is allowed to
-    /// drain so the interference bookkeeping stays exact.
-    fn on_station_fail(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
+    /// A station powers down: it crashes (`cause` is `StationFailed`),
+    /// for good or until its reboot, or leaves cleanly (`Departed`). It
+    /// leaves the air, its queued and planned packets die with it
+    /// (accounted with `cause`), and eviction votes it held lapse.
+    /// In-flight PHY activity drains, so the interference bookkeeping
+    /// stays exact.
+    fn power_down(
+        &mut self,
+        s: StationId,
+        cause: LossCause,
+        now: Time,
+        queue: &mut EventQueue<Event>,
+    ) {
         if !self.alive[s] {
             return;
         }
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
+        let event = if cause == LossCause::Departed {
+            self.metrics.leaves += 1;
+            parn_sim::counter_inc!("core.leaves");
+            parn_sim::trace::TraceEvent::StationLeft { station: s }
+        } else {
             parn_sim::trace::TraceEvent::StationFailed { station: s }
-        );
-        self.take_down_station(s, now, queue, LossCause::StationFailed);
-    }
-
-    /// Shared teardown for crashes and clean departures: the station
-    /// leaves the air, its queued and planned packets die with it
-    /// (accounted with `cause`), and eviction votes it held lapse.
-    fn take_down_station(
-        &mut self,
-        s: StationId,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-        cause: LossCause,
-    ) {
+        };
+        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = false;
         self.down_since[s] = Some(now);
-        let st = &mut self.stations[s];
-        let mut lost: Vec<Packet> = Vec::new();
-        for (_, q) in std::mem::take(&mut st.queues) {
-            lost.extend(q);
-        }
-        self.track_queue(now, -(lost.len() as f64));
+        let mut lost = self.take_queued(s, now);
         let st = &mut self.stations[s];
         lost.extend(
             std::mem::take(&mut st.pending_tx)
@@ -2250,9 +2056,11 @@ impl Network {
             self.evicted_by[nb] -= 1;
             if self.evicted_by[nb] == 0 {
                 any_lapsed = true;
-                if let Some(t0) = self.recover_mark[nb].take() {
-                    self.metrics.time_to_heal.add(now.since(t0).as_secs_f64());
-                }
+                close_mark(
+                    &mut self.recover_mark[nb],
+                    now,
+                    &mut self.metrics.time_to_heal,
+                );
             }
         }
         if any_lapsed && !self.distributed() {
@@ -2260,63 +2068,50 @@ impl Network {
         }
     }
 
-    /// A crashed station reboots: fresh clock and schedule (volatile
-    /// state is gone), a two-way rejoin handshake re-seeds clock models
-    /// on both sides, and stations that planned transmissions against the
-    /// pre-reboot schedule re-plan them.
-    fn on_station_recover(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
+    /// A dark station powers back up with a fresh clock (volatile state
+    /// is gone). A two-way rejoin handshake restarts clock models on both
+    /// sides, and stations that planned transmissions against the old
+    /// schedule re-plan them. Routing readmits it per the heal mode, and
+    /// its arrival process restarts. A joiner relocates *before* it
+    /// re-enters the air (any reception still draining at or from it is
+    /// recomputed against the new geometry), and its links come from the
+    /// new geometry.
+    fn power_up(&mut self, s: StationId, how: PowerUp, now: Time, queue: &mut EventQueue<Event>) {
         if self.alive[s] {
             return;
         }
-        self.metrics.stations_recovered += 1;
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
+        if let PowerUp::Join(pos) = how {
+            self.apply_moves(&[s], &[pos], now);
+            if let Some(motion) = &mut self.motion {
+                motion.place(s, pos);
+            }
+        }
+        let event = if let PowerUp::Reboot = how {
+            self.metrics.stations_recovered += 1;
             parn_sim::trace::TraceEvent::StationRecovered { station: s }
-        );
-        self.revive_station(s, now, queue);
-    }
-
-    /// Shared power-up for reboots and churn re-admissions: fresh clock
-    /// and schedule (volatile state is gone), a two-way rejoin handshake
-    /// re-seeding clock models on both sides, routing readmission per the
-    /// heal mode, and an arrival-process restart.
-    fn revive_station(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
+        } else {
+            self.metrics.joins += 1;
+            parn_sim::counter_inc!("core.joins");
+            parn_sim::trace::TraceEvent::StationJoined { station: s }
+        };
+        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = true;
         self.boot_epoch[s] += 1;
         self.down_since[s] = None;
-        let clock = StationClock::random(&mut self.rng_faults, self.cfg.clock.max_ppm);
-        self.clocks[s] = clock;
-        self.stations[s].schedule = StationSchedule::new(self.cfg.sched, clock);
-        // Rejoin handshake, both ways: the rebooted station re-seeds its
+        self.clocks[s] = StationClock::random(&mut self.rng_faults, self.cfg.clock.max_ppm);
+        // Rejoin handshake, both ways: the rebooted station restarts its
         // models of everything it tracks, and every live station tracking
-        // it re-seeds its model (the old one predicts a schedule that no
+        // it restarts its model (the old one predicts a schedule that no
         // longer exists) and re-plans any transmissions computed with it.
-        let s_reading = self.clocks[s].reading(now);
         let tracked: Vec<StationId> = self.stations[s].models.keys().copied().collect();
         for nb in tracked {
-            if !self.alive[nb] {
-                continue;
-            }
-            let sample = ClockSample {
-                mine: s_reading,
-                theirs: self.clocks[nb].reading(now),
-            };
-            if let Some(m) = self.stations[s].models.get_mut(&nb) {
-                m.reset(sample);
+            if self.alive[nb] {
+                self.rendezvous(s, nb, now, true);
             }
         }
         for o in 0..self.stations.len() {
-            if o == s || !self.alive[o] {
-                continue;
-            }
-            let mine = self.clocks[o].reading(now);
-            if let Some(m) = self.stations[o].models.get_mut(&s) {
-                m.reset(ClockSample {
-                    mine,
-                    theirs: s_reading,
-                });
+            if o != s && self.alive[o] && self.stations[o].models.get(&s).is_some() {
+                self.rendezvous(o, s, now, true);
                 self.cancel_plans(o, now);
                 self.try_schedule(o, now, queue);
             }
@@ -2336,24 +2131,24 @@ impl Network {
         }
         // Restart the arrival process if the pre-crash chain died out.
         if !self.arrivals_live[s] && self.cfg.traffic.arrivals_per_station_per_sec > 0.0 {
-            let dt = self.next_interarrival(s, now);
-            let next = now + dt;
-            if next <= self.end {
-                queue.schedule(next, Event::NextArrival { station: s });
-                self.arrivals_live[s] = true;
+            self.chain_arrival(s, now, queue);
+        }
+        if let PowerUp::Join(_) = how {
+            if self.distributed() {
+                self.refresh_dv_after_motion(now, queue);
             }
+            self.traffic.stations_moved(&*self.gains);
         }
     }
 
     /// Two-phase PHY move: stash the movers' reception state against the
-    /// old geometry, relocate them in the gain backend (and the position
-    /// mirror), then re-attach and recompute only the affected receptions
-    /// — see `SinrTracker::begin_moves`. `movers` must be ascending.
+    /// old geometry, relocate them in the gain backend, then re-attach and
+    /// recompute only the affected receptions — see
+    /// `SinrTracker::begin_moves`. `movers` must be ascending.
     fn apply_moves(&mut self, movers: &[StationId], dests: &[Point], now: Time) {
         self.tracker.begin_moves(movers);
         for (&s, &to) in movers.iter().zip(dests) {
             self.gains.relocate(s, to);
-            self.positions[s] = to;
         }
         self.tracker.finish_moves();
         self.metrics.station_moves += movers.len() as u64;
@@ -2368,35 +2163,14 @@ impl Network {
         }
     }
 
-    /// Rebuild the gravity destination sampler over the moved positions.
-    /// The sampler is derived state (its draws live in the traffic RNG
-    /// stream), so rebuilding it costs no randomness.
-    fn rebuild_gravity(&mut self) {
-        if self.gravity.is_none() {
-            return;
-        }
-        let exponent = match &self.cfg.traffic.dest {
-            DestPolicy::Gravity { exponent } => *exponent,
-            _ => return,
-        };
-        let reach = 1.0 / self.usable_gain.0.sqrt();
-        let r_max = (2.0 * self.region_radius).max(2.0 * reach);
-        self.gravity = Some(GravitySampler::new(&self.positions, exponent, reach, r_max));
-    }
-
     /// Distributed routing under motion: re-derive the physical link set
     /// from the moved geometry and feed each station's private state the
     /// diff — lost links fail (poisoning routes through them), new links
     /// restore first-hand (hold-down exempt), surviving links re-cost in
     /// place without triggering hold-down.
     fn refresh_dv_after_motion(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        let n = self.stations.len();
-        let tx_ok = self.alive.clone();
-        let rx_ok: Vec<bool> = (0..n)
-            .map(|j| self.alive[j] && self.evicted_by[j] == 0)
-            .collect();
-        let graph = EnergyGraph::from_model_masked(&*self.gains, self.usable_gain, &tx_ok, &rx_ok);
-        for s in 0..n {
+        let (graph, _) = self.usable_graph();
+        for s in 0..self.stations.len() {
             // Keep the readmission baseline at the current geometry, for
             // dead stations too: a later reboot must re-measure today's
             // links, not the boot-time ones.
@@ -2421,7 +2195,6 @@ impl Network {
                     Some(_) => {}
                 }
             }
-            let mine = self.clocks[s].reading(now);
             for (&nb, &c) in &fresh {
                 if old.iter().any(|&(o, _)| o == nb) {
                     continue;
@@ -2429,10 +2202,7 @@ impl Network {
                 self.dv[s].restore_link(nb, c);
                 // A brand-new link neighbour needs a clock model before
                 // any advertisement can be planned to it.
-                let theirs = self.clocks[nb].reading(now);
-                self.stations[s].models.entry(nb).or_insert_with(|| {
-                    RemoteClockModel::from_first_sample(ClockSample { mine, theirs })
-                });
+                self.rendezvous(s, nb, now, false);
                 changed = true;
             }
             if changed {
@@ -2449,54 +2219,11 @@ impl Network {
     /// re-derive everything position-dependent (routes, §7.3 protection,
     /// gravity sampling).
     fn on_motion_epoch(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        let Some(mc) = self.cfg.mobility else {
+        let Some(motion) = &mut self.motion else {
             return;
         };
-        let dt = mc.epoch.as_secs_f64();
-        let n = self.stations.len();
-        let mut movers: Vec<StationId> = Vec::new();
-        let mut dests: Vec<Point> = Vec::new();
-        for s in 0..n {
-            if !self.alive[s] {
-                continue;
-            }
-            let p = self.positions[s];
-            let to = match mc.model {
-                MobilityModel::RandomWaypoint { speed } => {
-                    let step = speed * dt;
-                    let target = self.mob_target[s];
-                    let (dx, dy) = (target.x - p.x, target.y - p.y);
-                    let dist = dx.hypot(dy);
-                    if dist <= step {
-                        // Arrived: land on the waypoint (the leftover step
-                        // is the model's dwell) and draw the next leg's
-                        // target for the following epoch.
-                        self.mob_target[s] =
-                            uniform_in_disk(&mut self.rng_mobility, self.region_radius);
-                        target
-                    } else {
-                        Point::new(p.x + dx / dist * step, p.y + dy / dist * step)
-                    }
-                }
-                MobilityModel::RandomWalk { speed } => {
-                    let theta = self.rng_mobility.next_f64() * std::f64::consts::TAU;
-                    let step = speed * dt;
-                    let (x, y) = (p.x + step * theta.cos(), p.y + step * theta.sin());
-                    let r = x.hypot(y);
-                    if r > self.region_radius {
-                        // Bounded walk: radial clamp to the region rim.
-                        let f = self.region_radius / r;
-                        Point::new(x * f, y * f)
-                    } else {
-                        Point::new(x, y)
-                    }
-                }
-            };
-            if to != p {
-                movers.push(s);
-                dests.push(to);
-            }
-        }
+        let epoch = motion.epoch();
+        let (movers, dests) = motion.step(&*self.gains, &self.alive);
         if !movers.is_empty() {
             self.apply_moves(&movers, &dests, now);
             if self.distributed() {
@@ -2504,11 +2231,11 @@ impl Network {
             } else {
                 self.rebuild_routes(now, queue);
             }
-            self.rebuild_gravity();
+            self.traffic.stations_moved(&*self.gains);
         }
         self.metrics.motion_epochs += 1;
         parn_sim::counter_inc!("core.motion_epochs");
-        let next = now + mc.epoch;
+        let next = now + epoch;
         if next <= self.end {
             queue.schedule(next, Event::MotionEpoch);
         }
@@ -2518,81 +2245,14 @@ impl Network {
     fn on_churn_step(&mut self, index: usize, now: Time, queue: &mut EventQueue<Event>) {
         let ev = self.cfg.churn.events[index];
         match ev.kind {
-            ChurnKind::Leave { .. } => self.on_station_leave(ev.station, now, queue),
-            ChurnKind::Join { pos } => self.on_station_join(ev.station, pos, now, queue),
+            ChurnKind::Leave { .. } => self.power_down(ev.station, LossCause::Departed, now, queue),
+            ChurnKind::Join { pos } => self.power_up(ev.station, PowerUp::Join(pos), now, queue),
         }
-    }
-
-    /// A clean departure: same teardown as a crash, but the packets that
-    /// die with the station are accounted as `Departed`, not failures.
-    fn on_station_leave(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        if !self.alive[s] {
-            return;
-        }
-        self.metrics.leaves += 1;
-        parn_sim::counter_inc!("core.leaves");
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
-            parn_sim::trace::TraceEvent::StationLeft { station: s }
-        );
-        self.take_down_station(s, now, queue, LossCause::Departed);
-    }
-
-    /// A re-admission at a fresh position: the dormant station relocates
-    /// *before* it re-enters the air (any reception still draining at or
-    /// from it is recomputed against the new geometry), then powers up
-    /// through the shared rejoin path.
-    fn on_station_join(
-        &mut self,
-        s: StationId,
-        pos: Point,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.alive[s] {
-            return;
-        }
-        self.apply_moves(&[s], &[pos], now);
-        self.mob_target[s] = pos;
-        self.metrics.joins += 1;
-        parn_sim::counter_inc!("core.joins");
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
-            parn_sim::trace::TraceEvent::StationJoined { station: s }
-        );
-        self.revive_station(s, now, queue);
-        if self.distributed() {
-            // The joiner moved, so its link set — and its new neighbours'
-            // — comes from the current geometry, not the boot-time one.
-            self.refresh_dv_after_motion(now, queue);
-        }
-        self.rebuild_gravity();
-    }
-
-    /// A timed-outage departure ends: power back up at the position the
-    /// station left from.
-    fn on_churn_return(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        if self.alive[s] {
-            return;
-        }
-        self.metrics.joins += 1;
-        parn_sim::counter_inc!("core.joins");
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
-            parn_sim::trace::TraceEvent::StationJoined { station: s }
-        );
-        self.revive_station(s, now, queue);
     }
 
     /// An instantaneous discontinuity in a station's clock. The station
-    /// notices its own jump: it rebuilds its schedule, re-plans pending
-    /// transmissions, and shifts the "mine" axis of every clock model it
+    /// notices its own jump: its schedule moves with its clock, it
+    /// re-plans pending transmissions, and shifts the "mine" axis of every clock model it
     /// holds. Its *neighbours'* models of it are now stale — that
     /// lingering staleness is the injected fault, healed by resync
     /// (oracle sync), packet headers (piggyback), or evict-and-readmit
@@ -2608,20 +2268,11 @@ impl Network {
             return;
         }
         self.clocks[s].offset = self.clocks[s].offset.wrapping_add_signed(ticks);
-        let clock = self.clocks[s];
-        self.stations[s].schedule = StationSchedule::new(self.cfg.sched, clock);
         self.cancel_plans(s, now);
         for m in self.stations[s].models.values_mut() {
             m.rebase_mine(ticks);
         }
         self.try_schedule(s, now, queue);
-    }
-
-    /// A jammer window ends: silence the extra transmitter.
-    fn on_jammer_off(&mut self, index: usize) {
-        if let Some(tx) = self.jammer_tx.remove(&index) {
-            self.tracker.end_transmission(tx);
-        }
     }
 
     /// Cancel every outstanding plan at `o` and put the packets back in
@@ -2718,13 +2369,13 @@ impl Network {
                 }
             );
             self.evicted_by[nh] += 1;
-            if self.evicted_by[nh] == 1 {
+            if self.evicted_by[nh] == 1 && !self.alive[nh] {
                 // First evictor: this is the network's detection moment.
-                if !self.alive[nh] {
-                    if let Some(t0) = self.down_since[nh].take() {
-                        self.metrics.time_to_detect.add(now.since(t0).as_secs_f64());
-                    }
-                }
+                close_mark(
+                    &mut self.down_since[nh],
+                    now,
+                    &mut self.metrics.time_to_detect,
+                );
             }
             if self.distributed() {
                 // The evictor repairs only its own state; poisoned
@@ -2762,10 +2413,9 @@ impl Network {
 
     /// A station heard an evicted neighbour again: the reachability
     /// update floods (modelled instantly, like the global route rebuild
-    /// it triggers), lifting every eviction of `subject` and re-seeding
+    /// it triggers), lifting every eviction of `subject` and restarting
     /// its former evictors' (possibly reboot-stale) clock models of it.
     fn readmit_everywhere(&mut self, subject: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        let theirs = self.clocks[subject].reading(now);
         let flap_damping = self.cfg.heal.flap_damping;
         let flap_suppress = self.cfg.heal.flap_suppress;
         let flap_half_life = self.cfg.heal.flap_half_life;
@@ -2776,7 +2426,6 @@ impl Network {
             if o == subject || !self.alive[o] {
                 continue;
             }
-            let mine = self.clocks[o].reading(now);
             let Some(h) = self.stations[o].liveness.get_mut(&subject) else {
                 continue;
             };
@@ -2796,15 +2445,7 @@ impl Network {
             h.consecutive_failures = 0;
             h.suspected_at = None;
             lifted.push(o);
-            let sample = ClockSample { mine, theirs };
-            match self.stations[o].models.get_mut(&subject) {
-                Some(m) => m.reset(sample),
-                None => {
-                    self.stations[o]
-                        .models
-                        .insert(subject, RemoteClockModel::from_first_sample(sample));
-                }
-            }
+            self.rendezvous(o, subject, now, true);
         }
         self.metrics.neighbors_readmitted += lifted.len() as u64;
         self.metrics.readmissions_suppressed += suppressed;
@@ -2830,9 +2471,11 @@ impl Network {
             return;
         }
         if self.evicted_by[subject] == 0 {
-            if let Some(t0) = self.recover_mark[subject].take() {
-                self.metrics.time_to_heal.add(now.since(t0).as_secs_f64());
-            }
+            close_mark(
+                &mut self.recover_mark[subject],
+                now,
+                &mut self.metrics.time_to_heal,
+            );
         }
         self.rebuild_routes(now, queue);
     }
@@ -2853,40 +2496,21 @@ impl Network {
         );
         self.metrics.route_repairs += 1;
         parn_sim::counter_inc!("core.route_repairs");
-        let n = self.stations.len();
-        let tx_ok = self.alive.clone();
-        let rx_ok: Vec<bool> = (0..n)
-            .map(|j| self.alive[j] && self.evicted_by[j] == 0)
-            .collect();
-        let graph = EnergyGraph::from_model_masked(&*self.gains, self.usable_gain, &tx_ok, &rx_ok);
+        let (graph, rx_ok) = self.usable_graph();
         self.routes = match self.cfg.route_mode {
             RouteMode::OneHop => RouteTable::one_hop(&graph),
-            RouteMode::Greedy => RouteTable::greedy(&graph, &self.positions),
+            RouteMode::Greedy => RouteTable::greedy(&graph, &self.gains.positions()),
             _ => RouteTable::centralized(&graph),
         };
-        if matches!(self.cfg.traffic.dest, DestPolicy::UniformAll) {
-            for s in 0..n {
-                self.reachable[s] = if self.alive[s] {
-                    let mut dsts = self.routes.reachable_from(s);
-                    dsts.retain(|&d| rx_ok[d]);
-                    dsts
-                } else {
-                    Vec::new()
-                };
-            }
-        }
-        for s in 0..n {
+        self.traffic
+            .routes_changed(&self.routes, &self.alive, &rx_ok);
+        for s in 0..self.stations.len() {
             if !self.alive[s] {
                 continue;
             }
             let rn = self.routes.routing_neighbors(s);
             self.set_routing_view(s, rn, now);
-            let queued: Vec<Packet> = std::mem::take(&mut self.stations[s].queues)
-                .into_values()
-                .flatten()
-                .collect();
-            self.track_queue(now, -(queued.len() as f64));
-            for p in queued {
+            for p in self.take_queued(s, now) {
                 if p.kind == PacketKind::Hello {
                     // Hellos are pinned to their addressee; keep one only
                     // if the addressee is still a direct neighbour, else
@@ -2905,6 +2529,18 @@ impl Network {
         }
     }
 
+    /// The usable-link graph over the live topology: dead stations drop
+    /// out, and evicted ones (local healing) still send but receive no
+    /// routed traffic. Also returns that receive mask.
+    fn usable_graph(&self) -> (EnergyGraph, Vec<bool>) {
+        let rx_ok: Vec<bool> = (0..self.stations.len())
+            .map(|j| self.alive[j] && self.evicted_by[j] == 0)
+            .collect();
+        let graph =
+            EnergyGraph::from_model_masked(&*self.gains, self.usable_gain, &self.alive, &rx_ok);
+        (graph, rx_ok)
+    }
+
     /// Oracle-mode route repair event: sample detect/heal latencies for
     /// the outages this repair notices, then rebuild. Inert under
     /// distributed routing (and never scheduled there).
@@ -2913,12 +2549,18 @@ impl Network {
             return;
         }
         for s in 0..self.stations.len() {
-            if !self.alive[s] {
-                if let Some(t0) = self.down_since[s].take() {
-                    self.metrics.time_to_detect.add(now.since(t0).as_secs_f64());
-                }
-            } else if let Some(t0) = self.recover_mark[s].take() {
-                self.metrics.time_to_heal.add(now.since(t0).as_secs_f64());
+            if self.alive[s] {
+                close_mark(
+                    &mut self.recover_mark[s],
+                    now,
+                    &mut self.metrics.time_to_heal,
+                );
+            } else {
+                close_mark(
+                    &mut self.down_since[s],
+                    now,
+                    &mut self.metrics.time_to_detect,
+                );
             }
         }
         self.rebuild_routes(now, queue);
@@ -2950,11 +2592,8 @@ impl Model for Network {
             Event::Resync => self.on_resync(now, queue),
             Event::HelloRound { station } => self.on_hello_round(station, now, queue),
             Event::Fault { index } => self.on_fault(index, now, queue),
-            Event::StationRecover { station } => self.on_station_recover(station, now, queue),
-            Event::JammerOff { index } => self.on_jammer_off(index),
-            Event::PartitionHeal { index } => self.on_partition_heal(index, now),
+            Event::FaultEnd { index } => self.on_fault_end(index, now, queue),
             Event::ByzStep { index, on } => self.on_byz_step(index, on, now, queue),
-            Event::ByzOff { index } => self.on_byz_off(index),
             Event::RJamOff { seq } => self.on_rjam_off(seq),
             Event::RetryRelease {
                 station,
@@ -2968,7 +2607,7 @@ impl Model for Network {
             Event::ConvergenceCheck => self.on_convergence_check(now, queue),
             Event::MotionEpoch => self.on_motion_epoch(now, queue),
             Event::ChurnStep { index } => self.on_churn_step(index, now, queue),
-            Event::ChurnReturn { station } => self.on_churn_return(station, now, queue),
+            Event::ChurnReturn { station } => self.power_up(station, PowerUp::Return, now, queue),
         }
     }
 }
@@ -2976,6 +2615,7 @@ impl Model for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DestPolicy, SourceModel};
 
     fn small_cfg(n: usize, seed: u64) -> NetConfig {
         let mut cfg = NetConfig::paper_default(n, seed);
@@ -3859,7 +3499,7 @@ mod tests {
         net.prime(&mut queue);
         parn_sim::run(&mut net, &mut queue, end);
         assert!(net.alive[5]);
-        let p = net.positions[5];
+        let p = net.gains.position(5);
         assert!((p.x - 10.0).abs() < 1e-12 && (p.y + 8.0).abs() < 1e-12);
         let m = net.finish();
         assert_eq!(m.leaves, 1, "{}", m.summary());
@@ -3879,18 +3519,18 @@ mod tests {
         let mut net = Network::new(cfg);
         let mut queue = EventQueue::new();
         net.prime(&mut queue);
-        let before = net.positions.clone();
+        let before = net.gains.positions();
         // First epoch draws waypoints; the second produces real moves.
         let t1 = Time::ZERO + Duration::from_millis(200);
         net.on_motion_epoch(t1, &mut queue);
         let t2 = t1 + Duration::from_millis(200);
         net.on_motion_epoch(t2, &mut queue);
-        assert_ne!(net.positions, before, "nobody moved");
+        assert_ne!(net.gains.positions(), before, "nobody moved");
         // Greedy forwarding must be computed over the *post-move*
         // geometry: the live table has to agree with one rebuilt from
         // scratch over the current positions.
         let graph = EnergyGraph::from_model(&*net.gains, net.usable_gain);
-        let fresh = RouteTable::greedy(&graph, &net.positions);
+        let fresh = RouteTable::greedy(&graph, &net.gains.positions());
         let n = net.len();
         for s in 0..n {
             for d in 0..n {

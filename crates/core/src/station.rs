@@ -1,7 +1,8 @@
 //! Per-station protocol state.
 //!
-//! A station owns its clock/schedule, its models of neighbours' clocks,
-//! per-next-hop packet queues, and its transmitter commitments. The MAC
+//! A station owns its models of neighbours' clocks, per-next-hop packet
+//! queues, and its transmitter commitments. Its schedule is not stored:
+//! it is the shared slot function reckoned by the station's clock. The MAC
 //! logic that manipulates this state lives in
 //! [`network`](crate::network), which has the global view (gain matrix,
 //! SINR tracker) a simulator needs; nothing in here lets a station peek at
@@ -10,7 +11,7 @@
 use crate::packet::Packet;
 use crate::vecmap::VecMap;
 use parn_phys::StationId;
-use parn_sched::{RemoteClockModel, StationSchedule, Window};
+use parn_sched::{RemoteClockModel, Window};
 use parn_sim::Time;
 use std::collections::VecDeque;
 
@@ -58,9 +59,6 @@ pub struct PlannedTx {
 pub struct Station {
     /// Station id.
     pub id: StationId,
-    /// Own schedule: the shared slot function reckoned by this station's
-    /// clock.
-    pub schedule: StationSchedule,
     /// Models of tracked neighbours' clocks (routing neighbours plus
     /// §7.3-protected close stations).
     pub models: VecMap<StationId, RemoteClockModel>,
@@ -100,10 +98,9 @@ pub struct Station {
 
 impl Station {
     /// Fresh station state.
-    pub fn new(id: StationId, schedule: StationSchedule) -> Station {
+    pub fn new(id: StationId) -> Station {
         Station {
             id,
-            schedule,
             models: VecMap::new(),
             queues: VecMap::new(),
             pending_tx: VecMap::new(),
@@ -167,13 +164,9 @@ impl Station {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parn_sched::{SchedParams, StationClock};
 
     fn station() -> Station {
-        Station::new(
-            0,
-            StationSchedule::new(SchedParams::paper_default(), StationClock::ideal()),
-        )
+        Station::new(0)
     }
 
     fn pkt(id: u64) -> Packet {

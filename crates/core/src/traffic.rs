@@ -18,9 +18,16 @@
 //!   exercising the queueing and protected-set machinery around them;
 //! * [`SourceModel::OnOff`] clumps arrivals into bursts at the same mean
 //!   rate, exercising queue depth rather than steady-state throughput.
+//!
+//! The simulator runs the configured pair through a crate-private
+//! generator that owns the RNG stream and every piece of per-policy
+//! state: the destination lists, the gravity sampler, the hotspot weights
+//! and the on-off phases.
 
+use parn_phys::{GainModel, GravitySampler, Point, StationId};
+use parn_route::RouteTable;
 use parn_sim::json::obj;
-use parn_sim::Json;
+use parn_sim::{Duration, Json, Rng, Time};
 
 /// How packet destinations are drawn for each generated packet.
 ///
@@ -171,6 +178,257 @@ impl TrafficConfig {
             ("dest", dest),
             ("source", self.source.to_json()),
         ])
+    }
+}
+
+/// The traffic generator of one run: when each station's next packet
+/// arrives and whom it addresses. It owns the `"traffic"` RNG substream,
+/// and every draw comes from it in the order the event loop asks.
+pub(crate) struct Traffic {
+    rng: Rng,
+    /// Mean arrivals per station per second.
+    rate: f64,
+    source: SourceModel,
+    dest: Dest,
+    /// Per-station on-off phase (`SourceModel::OnOff` only, else
+    /// empty): whether the station is inside a talk spurt, and when the
+    /// phase ends. `(false, Time::ZERO)` starts a burst at the first draw.
+    phase: Vec<(bool, Time)>,
+}
+
+/// A destination policy's runtime state.
+enum Dest {
+    /// Uniform over a per-source list: the reachable set under
+    /// `UniformAll` (refreshed by every route rebuild) or the fixed
+    /// destinations under `Flows`.
+    List {
+        lists: Vec<Vec<StationId>>,
+        reachable: bool,
+    },
+    /// Uniform over the source's routing neighbours.
+    Neighbors,
+    /// Distance-weighted, rebuilt over the moved positions after motion
+    /// with the exponent and radii kept here.
+    Gravity {
+        sampler: GravitySampler,
+        exponent: f64,
+        hop: f64,
+        r_max: f64,
+    },
+    /// Zipf over the sinks: cumulative weights, sink `k` is station `k`.
+    Hotspot(Vec<f64>),
+}
+
+impl Traffic {
+    /// The generator for `cfg` over stations at `positions`, with the
+    /// build-time routes, nominal hop length `reach` and deployment-disk
+    /// radius. A policy's state is built only when it is selected, so
+    /// default runs draw exactly as before.
+    pub(crate) fn new(
+        cfg: &TrafficConfig,
+        rng: Rng,
+        routes: &RouteTable,
+        positions: &[Point],
+        reach: f64,
+        region_radius: f64,
+    ) -> Traffic {
+        let n = positions.len();
+        let dest = match &cfg.dest {
+            DestPolicy::UniformAll => Dest::List {
+                lists: (0..n).map(|s| routes.reachable_from(s)).collect(),
+                reachable: true,
+            },
+            DestPolicy::Flows(flows) => {
+                let mut lists = vec![Vec::new(); n];
+                for &(s, d) in flows {
+                    assert!(s < n && d < n, "flow endpoint out of range");
+                    lists[s].push(d);
+                }
+                Dest::List {
+                    lists,
+                    reachable: false,
+                }
+            }
+            DestPolicy::Neighbors => Dest::Neighbors,
+            DestPolicy::Gravity { exponent } => {
+                assert!(*exponent >= 0.0, "gravity exponent must be >= 0");
+                // Radius draws span hop length → metro diameter: shorter
+                // draws snap to a neighbour anyway, longer ones can't land
+                // inside the placement disk.
+                let r_max = (2.0 * region_radius).max(2.0 * reach);
+                // Rebuilds measure the hop length back from the usable-gain
+                // threshold 1/reach², which can differ from `reach` in the
+                // last bit.
+                let hop = 1.0 / (1.0 / (reach * reach)).sqrt();
+                Dest::Gravity {
+                    sampler: GravitySampler::new(positions, *exponent, reach, r_max),
+                    exponent: *exponent,
+                    hop,
+                    r_max: (2.0 * region_radius).max(2.0 * hop),
+                }
+            }
+            DestPolicy::Hotspot { sinks, skew } => {
+                assert!(*sinks >= 1, "need at least one hotspot sink");
+                assert!(*skew >= 0.0, "hotspot skew must be >= 0");
+                let k = (*sinks).min(n);
+                let w: Vec<f64> = (0..k).map(|i| ((i + 1) as f64).powf(-skew)).collect();
+                let total: f64 = w.iter().sum();
+                let mut cum = 0.0;
+                Dest::Hotspot(
+                    w.iter()
+                        .map(|x| {
+                            cum += x / total;
+                            cum
+                        })
+                        .collect(),
+                )
+            }
+        };
+        let phase = match cfg.source {
+            SourceModel::Poisson => Vec::new(),
+            SourceModel::OnOff {
+                on_mean_s,
+                off_mean_s,
+            } => {
+                assert!(on_mean_s > 0.0, "on_mean_s must be > 0");
+                assert!(off_mean_s >= 0.0, "off_mean_s must be >= 0");
+                vec![(false, Time::ZERO); n]
+            }
+        };
+        Traffic {
+            rng,
+            rate: cfg.arrivals_per_station_per_sec,
+            source: cfg.source.clone(),
+            dest,
+            phase,
+        }
+    }
+
+    /// Whether station `s` generates traffic at all, given its routing
+    /// neighbours.
+    pub(crate) fn has_traffic(&self, s: StationId, routing_neighbors: &[StationId]) -> bool {
+        if self.rate <= 0.0 {
+            return false;
+        }
+        match &self.dest {
+            Dest::List { lists, .. } => !lists[s].is_empty(),
+            Dest::Neighbors => !routing_neighbors.is_empty(),
+            Dest::Gravity { .. } => true,
+            // Every station sends to the sinks, except a lone sink with
+            // nobody else to address.
+            Dest::Hotspot(cum) => !(cum.is_empty() || (cum.len() == 1 && s == 0)),
+        }
+    }
+
+    /// True for the spatial policies (gravity, hotspot), which draw
+    /// destinations without a reachability scan.
+    pub(crate) fn spatial(&self) -> bool {
+        matches!(self.dest, Dest::Gravity { .. } | Dest::Hotspot(_))
+    }
+
+    /// Time from `now` until station `s` generates its next packet.
+    /// Poisson sources draw one exponential per call. On-off sources walk
+    /// the station's two-state phase machine: exponential interarrivals
+    /// at the inflated within-burst rate while on, skipping the off
+    /// periods entirely.
+    pub(crate) fn next_interarrival(&mut self, s: StationId, now: Time) -> Duration {
+        let SourceModel::OnOff {
+            on_mean_s,
+            off_mean_s,
+        } = self.source
+        else {
+            return Duration::from_secs_f64(self.rng.exp(1.0 / self.rate));
+        };
+        let peak = self.source.peak_rate(self.rate);
+        let (on, until) = &mut self.phase[s];
+        let mut t = now;
+        loop {
+            if *on {
+                let cand = t + Duration::from_secs_f64(self.rng.exp(1.0 / peak));
+                if cand <= *until {
+                    return cand - now;
+                }
+                // Burst over before the draw landed: silence next.
+                // After an outage the burst ended in the past, and the
+                // silence starts no earlier than `now`.
+                t = t.max(*until);
+                *on = false;
+                *until = t + Duration::from_secs_f64(self.rng.exp(off_mean_s));
+            } else {
+                // Skip the rest of the off period (for the lazy initial
+                // state the phase ends at `Time::ZERO`, so the first
+                // burst starts immediately).
+                t = t.max(*until);
+                *on = true;
+                *until = t + Duration::from_secs_f64(self.rng.exp(on_mean_s));
+            }
+        }
+    }
+
+    /// Draw the destination of station `s`'s next packet, given its
+    /// routing neighbours; `None` when it has nobody to address.
+    pub(crate) fn pick_destination(
+        &mut self,
+        s: StationId,
+        routing_neighbors: &[StationId],
+    ) -> Option<StationId> {
+        let opts = match &self.dest {
+            Dest::List { lists, .. } => &lists[s],
+            Dest::Neighbors => routing_neighbors,
+            Dest::Gravity { sampler, .. } => return sampler.sample(s, &mut self.rng),
+            Dest::Hotspot(cum) => {
+                if cum.is_empty() {
+                    return None;
+                }
+                let u = self.rng.next_f64();
+                let dst = cum.partition_point(|&c| c <= u).min(cum.len() - 1);
+                return if dst != s {
+                    Some(dst)
+                } else if cum.len() > 1 {
+                    // A sink never addresses itself: fold onto the next
+                    // sink (wrapping), preserving one draw per packet.
+                    Some((dst + 1) % cum.len())
+                } else {
+                    None
+                };
+            }
+        };
+        (!opts.is_empty()).then(|| *self.rng.choose(opts))
+    }
+
+    /// The routes were rebuilt: under `UniformAll`, each live source now
+    /// addresses the stations it reaches that may receive (`rx_ok`).
+    pub(crate) fn routes_changed(&mut self, routes: &RouteTable, alive: &[bool], rx_ok: &[bool]) {
+        let Dest::List {
+            lists,
+            reachable: true,
+        } = &mut self.dest
+        else {
+            return;
+        };
+        for (s, list) in lists.iter_mut().enumerate() {
+            *list = if alive[s] {
+                let mut dsts = routes.reachable_from(s);
+                dsts.retain(|&d| rx_ok[d]);
+                dsts
+            } else {
+                Vec::new()
+            };
+        }
+    }
+
+    /// Stations moved: rebuild the gravity sampler over the positions in
+    /// `gains`. It is derived state, so the rebuild draws nothing.
+    pub(crate) fn stations_moved(&mut self, gains: &dyn GainModel) {
+        if let Dest::Gravity {
+            sampler,
+            exponent,
+            hop,
+            r_max,
+        } = &mut self.dest
+        {
+            *sampler = GravitySampler::new(&gains.positions(), *exponent, *hop, *r_max);
+        }
     }
 }
 

@@ -39,6 +39,11 @@ pub trait GainModel: std::fmt::Debug + Send + Sync {
     /// Position of one station (current — mobility moves stations).
     fn position(&self, id: StationId) -> Point;
 
+    /// Current positions of all stations, by id.
+    fn positions(&self) -> Vec<Point> {
+        (0..self.len()).map(|id| self.position(id)).collect()
+    }
+
     /// Move station `id` to `to`, updating whatever derived state the
     /// backend keeps (dense rows/columns, grid buckets, gain caches) so
     /// that subsequent queries answer as if the station had always been

@@ -56,16 +56,6 @@ impl RemoteClockModel {
         self.refit();
     }
 
-    /// Discard all history and restart the model from a single fresh
-    /// exchange — the neighbour's clock is known to be discontinuous
-    /// (reboot, re-admission after an outage), so the old samples would
-    /// poison the fit.
-    pub fn reset(&mut self, s: ClockSample) {
-        self.samples.clear();
-        self.samples.push(s);
-        self.refit();
-    }
-
     /// Shift the *local* axis of every retained sample by `delta` ticks:
     /// my own clock just jumped by a known amount, so the exchanged
     /// history stays valid once re-expressed in the new local timescale.
@@ -283,22 +273,6 @@ mod tests {
         });
         assert_eq!(m.rate(), 1.0);
         assert_eq!(m.predict(200), 1000);
-    }
-
-    #[test]
-    fn reset_forgets_history() {
-        let mut m = RemoteClockModel::from_first_sample(ClockSample { mine: 0, theirs: 0 });
-        m.add_sample(ClockSample {
-            mine: 1_000_000,
-            theirs: 1_000_100,
-        });
-        m.reset(ClockSample {
-            mine: 2_000_000,
-            theirs: 500,
-        });
-        assert_eq!(m.samples.len(), 1);
-        assert_eq!(m.rate(), 1.0);
-        assert_eq!(m.predict(2_000_100), 600);
     }
 
     #[test]
