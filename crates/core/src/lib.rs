@@ -6,16 +6,17 @@
 //! * [`faults`] — deterministic fault plans (crash / crash-recover /
 //!   clock jump / jammer) and the healing policy (oracle vs local);
 //! * [`mobility`] — station motion models and join/leave churn plans
-//!   (dynamic topology);
+//!   (dynamic topology), and the motion runtime;
 //! * [`packet`] — packets and loss causes;
 //! * [`power`] — §6.1 power control (deliver constant power);
 //! * [`collision`] — the §5 collision taxonomy over PHY failure reports;
 //! * [`station`] — per-station protocol state;
 //! * [`vecmap`] — the sorted-vector map that holds it;
-//! * [`network`] — the full event-driven simulator (MAC + PHY + routing +
-//!   traffic);
+//! * [`network`] — the full event-driven simulator (event loop, MAC,
+//!   PHY bookkeeping, routing glue, faults);
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
-//!   sources × uniform / neighbour / gravity / hotspot destinations);
+//!   sources × uniform / neighbour / gravity / hotspot destinations), and
+//!   the generator that runs them;
 //! * [`metrics`] — loss/delay/duty accounting.
 //!
 //! ```

@@ -183,7 +183,7 @@ fn decayed_penalty(h: &NeighborHealth, now: Time, half_life: Duration) -> f64 {
 }
 
 /// How a dark station comes back ([`Network::power_up`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 enum PowerUp {
     /// A crashed station reboots where it was.
     Reboot,
@@ -1448,8 +1448,8 @@ impl Network {
 
     /// A rendezvous at `at` (§7): `s` reads `nb`'s clock against its own
     /// and starts a model of `nb` from that one sample where it holds
-    /// none, or with `restart` in place of the one it holds (`nb`'s clock
-    /// jumped, so the old samples would poison the fit).
+    /// none, or with `restart` in place of the one it holds (one of the
+    /// two clocks restarted, so the old samples would poison the fit).
     fn rendezvous(&mut self, s: StationId, nb: StationId, at: Time, restart: bool) {
         if restart || self.stations[s].models.get(&nb).is_none() {
             let sample = ClockSample {
@@ -1868,6 +1868,7 @@ impl Network {
                 self.power_up(ev.station, PowerUp::Reboot, now, queue)
             }
             FaultKind::Partition { .. } => self.on_partition_heal(index, now),
+            // A jam or Byzantine window: no other kind has a timed end.
             _ => {
                 self.byz_active.remove(&index);
                 if let Some(tx) = self.emissions.remove(&index) {
