@@ -186,6 +186,26 @@ fn greedy_walk_churn_metrics_are_pinned() {
     check("greedy_walk_churn.json", &json);
 }
 
+/// The centralized table under oracle healing on the grid backend, with
+/// random-waypoint motion and join/leave churn: pins the oracle reroutes
+/// that motion epochs and churn events trigger, and with them every
+/// all-pairs table rebuilt over a moved or changed topology.
+#[test]
+fn centralized_waypoint_churn_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(60, 31);
+    cfg.run_for = Duration::from_secs(6);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.phy_backend = PhyBackend::Grid { far_field: None };
+    cfg.mobility = Some(MobilityConfig::paper_default());
+    cfg.churn = ChurnPlan::none()
+        .leave_for(Duration::from_millis(1100), 5, Duration::from_millis(1300))
+        .leave(Duration::from_millis(2300), 9)
+        .join(Duration::from_millis(3700), 9, Point::new(5.0, 5.0));
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"mobility\":{"), "{json}");
+    check("centralized_waypoint_churn.json", &json);
+}
+
 /// One-hop routing with neighbor-only traffic: pins the single-hop mode's
 /// delivery statistics and the metrics wire format with empty fault books.
 #[test]
