@@ -25,7 +25,8 @@
 //! Scale arms use the single-hop regime ([`DestPolicy::Neighbors`] +
 //! [`RouteMode::OneHop`]) like E6; the n=10³ arms run the full
 //! centralized table so per-epoch reroutes (`route_repairs`) are part of
-//! what's measured.
+//! what's measured, and assert that every reroute either solved or reused
+//! the table (`route.table_solves` + `route.table_reuses`).
 
 use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
 use parn_core::{
@@ -120,10 +121,29 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
         "motion triggered {full} global cache rebuilds at n={n}: \
          scoped invalidation regressed to gains_changed"
     );
+    // The centralized arms solve the all-pairs table at build and then
+    // solve or reuse it once per oracle reroute. Under churn, a reroute
+    // 500 ms after its event usually lands after a motion epoch rebuilt
+    // over the same usable graph, so some rebuilds must be reuses.
+    let solves = counter("route.table_solves");
+    let reuses = counter("route.table_reuses");
+    if n < 10_000 {
+        assert_eq!(
+            solves + reuses,
+            m.route_repairs + 1,
+            "n={n}: {solves} table solves + {reuses} reuses for {} reroutes and the build",
+            m.route_repairs
+        );
+        assert!(
+            churn_events == 0 || reuses > 0,
+            "n={n} churn={churn_events}: no rebuild reused an unchanged table"
+        );
+    }
     println!(
         "n={n} speed={speed} churn={churn_events}{threads_suffix} wall_s={wall:.2} \
          peak_rss_mb={rss_mb:.1} delivered={} moves={} leaves={} joins={} \
-         relocations={} scoped_inval={scoped} full_inval={full} collisions={}",
+         relocations={} scoped_inval={scoped} full_inval={full} table_solves={solves} \
+         table_reuses={reuses} collisions={}",
         m.delivered,
         m.station_moves,
         m.leaves,

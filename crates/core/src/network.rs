@@ -2484,9 +2484,12 @@ impl Network {
     /// Rebuild the shared routing table over the currently usable
     /// topology: dead stations drop out entirely; evicted stations
     /// (local healing) stop receiving routed traffic but keep
-    /// transmitting their own. Queued packets are re-pointed through the
-    /// new table; packets whose destinations became unreachable are
-    /// dropped (accounted). This is the *table-based* repair path only —
+    /// transmitting their own. A centralized table is kept when that
+    /// graph has not changed since its last solve, and is otherwise
+    /// re-solved in its own buffers; the rest runs either way. Queued
+    /// packets are re-pointed through the table; packets whose
+    /// destinations became unreachable are dropped (accounted). This is
+    /// the *table-based* repair path only —
     /// in [`RouteMode::Distributed`] it is never called after a fault;
     /// reconvergence there is genuine, carried hop by hop through the
     /// advertisement exchange.
@@ -2498,11 +2501,13 @@ impl Network {
         self.metrics.route_repairs += 1;
         parn_sim::counter_inc!("core.route_repairs");
         let (graph, rx_ok) = self.usable_graph();
-        self.routes = match self.cfg.route_mode {
-            RouteMode::OneHop => RouteTable::one_hop(&graph),
-            RouteMode::Greedy => RouteTable::greedy(&graph, &self.gains.positions()),
-            _ => RouteTable::centralized(&graph),
-        };
+        match self.cfg.route_mode {
+            RouteMode::OneHop => self.routes = RouteTable::one_hop(&graph),
+            RouteMode::Greedy => {
+                self.routes = RouteTable::greedy(&graph, &self.gains.positions());
+            }
+            _ => self.routes.rebuild_centralized(graph),
+        }
         self.traffic
             .routes_changed(&self.routes, &self.alive, &rx_ok);
         for s in 0..self.stations.len() {

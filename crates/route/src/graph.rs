@@ -114,6 +114,73 @@ impl EnergyGraph {
     pub fn edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()
     }
+
+    /// Whether `other` has the same stations and the same links, in the
+    /// same order, with the same cost bits.
+    pub(crate) fn same_links(&self, other: &EnergyGraph) -> bool {
+        self.n == other.n
+            && self.adj.iter().zip(&other.adj).all(|(a, b)| {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|(&(s, x), &(t, y))| s == t && x.to_bits() == y.to_bits())
+            })
+    }
+
+    /// This graph minus every *dominated* link: `u → v` goes when some
+    /// station `w` with links `u → w` and `w → v` gives
+    /// `c(u,w) + c(w,v) < c(u,v) − 8ε·(C + c(u,v))`, where `C` is the sum
+    /// of all link costs (a bound on any route cost). §6.2's diameter
+    /// circle is the geometric case: a relay inside it always wins.
+    ///
+    /// Dijkstra over the result settles the same stations in the same
+    /// `(dist, id)` order with the same distance bits and first hops as
+    /// over the full graph. A dominated link's relaxation lands strictly
+    /// above the float distance its detour delivers, and the detour's
+    /// middle station settles first, so that relaxation never sets a
+    /// final distance or first hop and never reaches the top of the heap.
+    /// The margin covers float rounding, which can make the detour
+    /// costlier than the direct link although it is cheaper in exact
+    /// arithmetic. An equal-cost detour is kept: the strict `<`
+    /// relaxation can pick the direct link in a tie.
+    pub(crate) fn undominated(&self) -> EnergyGraph {
+        let total: f64 = self.adj.iter().flatten().map(|&(_, c)| c).sum();
+        let margin = 8.0 * f64::EPSILON;
+        // Per source `u`: the cheapest link to each `w`, and the cheapest
+        // two-link detour to each `v`; both reset before the next `u`.
+        let mut via = vec![f64::INFINITY; self.n];
+        let mut detour = vec![f64::INFINITY; self.n];
+        let adj = self
+            .adj
+            .iter()
+            .map(|out| {
+                for &(w, a) in out {
+                    via[w] = via[w].min(a);
+                }
+                for &(w, _) in out {
+                    for &(v, b) in &self.adj[w] {
+                        detour[v] = detour[v].min(via[w] + b);
+                    }
+                }
+                // An infinite cost makes the threshold -∞ or NaN: nothing
+                // is pruned.
+                let dominated = |v: StationId, c: f64| detour[v] < c - margin * (total + c);
+                let kept: Vec<(StationId, f64)> = out
+                    .iter()
+                    .copied()
+                    .filter(|&(v, c)| !dominated(v, c))
+                    .collect();
+                for &(w, _) in out {
+                    via[w] = f64::INFINITY;
+                    for &(v, _) in &self.adj[w] {
+                        detour[v] = f64::INFINITY;
+                    }
+                }
+                kept
+            })
+            .collect();
+        EnergyGraph { n: self.n, adj }
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +315,34 @@ mod tests {
         assert!(g.edge_cost(0, 1).is_none(), "edge into evicted rx kept");
         assert!(g.edge_cost(1, 0).is_some(), "evicted station lost tx");
         assert!(g.edge_cost(1, 2).is_some());
+    }
+
+    #[test]
+    fn undominated_drops_links_a_relay_beats_and_keeps_ties() {
+        // 0→2 (400) against the relay 0→1→2 (200) goes; the one-hop
+        // links stay.
+        let g = EnergyGraph::from_model(&line_gains(), Gain(1e-6)).undominated();
+        assert_eq!(g.edge_cost(0, 2), None);
+        assert_eq!(g.edge_cost(2, 0), None);
+        assert_eq!(g.edge_count(), 4);
+        // A detour that only ties the direct link keeps it.
+        let tie = EnergyGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)]);
+        assert_eq!(tie.undominated().edge_count(), 3);
+    }
+
+    #[test]
+    fn same_links_compares_targets_order_and_cost_bits() {
+        let g = EnergyGraph::from_edges(3, &[(0, 1, 1.0), (0, 2, 2.0)]);
+        assert!(g.same_links(&g.clone()));
+        let reordered = EnergyGraph::from_edges(3, &[(0, 2, 2.0), (0, 1, 1.0)]);
+        assert!(!g.same_links(&reordered));
+        let nudged = EnergyGraph::from_edges(
+            3,
+            &[(0, 1, 1.0), (0, 2, f64::from_bits(2.0f64.to_bits() + 1))],
+        );
+        assert!(!g.same_links(&nudged));
+        let bigger = EnergyGraph::from_edges(4, &[(0, 1, 1.0), (0, 2, 2.0)]);
+        assert!(!g.same_links(&bigger));
     }
 
     #[test]

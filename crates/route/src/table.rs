@@ -10,7 +10,7 @@ use crate::dijkstra::{decode_hop, Solver};
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
 
-/// Immutable all-pairs next-hop table.
+/// All-pairs next-hop table.
 ///
 /// ```
 /// use parn_route::{EnergyGraph, RouteTable};
@@ -32,7 +32,8 @@ pub struct RouteTable {
 
 /// Internal storage. `Dense` is the classic O(M²) all-pairs table: 12 B
 /// per pair, a `u32` next hop ([`NO_HOP`](crate::dijkstra::NO_HOP) for
-/// none) and an `f64` cost;
+/// none) and an `f64` cost, plus, for a centralized table, the usable
+/// graph it was solved from;
 /// `OneHop` stores only the direct usable edges (O(E)) for workloads
 /// whose destinations are always one hop away (`DestPolicy::Neighbors`
 /// traffic at metro scale), where an all-pairs table would dwarf the
@@ -45,6 +46,8 @@ enum Repr {
     Dense {
         next_hop: Vec<u32>, // row-major [src][dst]
         cost: Vec<f64>,
+        /// `None` for a distance-vector snapshot.
+        solved_from: Option<EnergyGraph>,
     },
     OneHop {
         adj: Vec<Vec<(StationId, f64)>>,
@@ -56,33 +59,76 @@ enum Repr {
 }
 
 impl RouteTable {
-    /// Build centrally by running Dijkstra from every source: one solver,
-    /// reused for all n runs, whose distance and first-hop buffers are
-    /// copied straight into each row.
+    /// Build centrally by running Dijkstra from every source, counted as
+    /// `route.table_solves`.
     pub fn centralized(graph: &EnergyGraph) -> RouteTable {
+        RouteTable::solve(graph.clone(), Vec::new(), Vec::new())
+    }
+
+    /// Make this table the centralized table of `graph`, as
+    /// [`centralized`](RouteTable::centralized) would build it. When
+    /// `graph` equals the usable graph this table was solved from (same
+    /// links, same cost bits) the table is kept, counted as
+    /// `route.table_reuses`: it is a pure function of that graph.
+    /// Otherwise the solve writes into this table's own n² buffers, so a
+    /// rebuild never holds two tables.
+    pub fn rebuild_centralized(&mut self, graph: EnergyGraph) {
+        let (next_hop, cost) = match &mut self.repr {
+            Repr::Dense {
+                solved_from: Some(old),
+                ..
+            } if old.same_links(&graph) => {
+                parn_sim::counter_inc!("route.table_reuses");
+                return;
+            }
+            Repr::Dense { next_hop, cost, .. } => (std::mem::take(next_hop), std::mem::take(cost)),
+            _ => (Vec::new(), Vec::new()),
+        };
+        *self = RouteTable::solve(graph, next_hop, cost);
+    }
+
+    /// Solve `graph` into `next_hop` and `cost` (cleared first, their
+    /// capacity reused): one solver, reused for all n sources over the
+    /// graph's [undominated](EnergyGraph::undominated) links, whose
+    /// distance and first-hop buffers are copied straight into each row.
+    fn solve(graph: EnergyGraph, mut next_hop: Vec<u32>, mut cost: Vec<f64>) -> RouteTable {
+        parn_sim::counter_inc!("route.table_solves");
         let n = graph.len();
-        let mut next_hop = Vec::with_capacity(n * n);
-        let mut cost = Vec::with_capacity(n * n);
+        next_hop.clear();
+        next_hop.reserve_exact(n * n);
+        cost.clear();
+        cost.reserve_exact(n * n);
+        let pruned = graph.undominated();
         let mut solver = Solver::default();
         for src in 0..n {
-            solver.run(graph, src);
+            solver.run(&pruned, src);
             next_hop.extend_from_slice(solver.first());
             cost.extend_from_slice(solver.dist());
         }
-        RouteTable::from_dense(n, next_hop, cost)
+        RouteTable {
+            n,
+            repr: Repr::Dense {
+                next_hop,
+                cost,
+                solved_from: Some(graph),
+            },
+        }
     }
 
     /// Assemble a dense table from row-major `[src][dst]` compact next
     /// hops ([`encode_hop`](crate::dijkstra::encode_hop)) and route
-    /// costs — the one constructor behind
-    /// [`centralized`](RouteTable::centralized) and
-    /// [`DvCluster::to_table`](crate::dv::DvCluster::to_table).
+    /// costs: [`DvCluster::to_table`](crate::dv::DvCluster::to_table)'s
+    /// snapshot of the per-station tables.
     pub(crate) fn from_dense(n: usize, next_hop: Vec<u32>, cost: Vec<f64>) -> RouteTable {
         assert_eq!(next_hop.len(), n * n);
         assert_eq!(cost.len(), n * n);
         RouteTable {
             n,
-            repr: Repr::Dense { next_hop, cost },
+            repr: Repr::Dense {
+                next_hop,
+                cost,
+                solved_from: None,
+            },
         }
     }
 
@@ -393,6 +439,58 @@ mod tests {
         assert_eq!(t.cost(0, 3), 3.0);
         assert!(t.fully_connected());
         assert!(t.check_consistency(&chain()).is_ok());
+    }
+
+    /// The dense buffers, for checking where a rebuild wrote.
+    fn dense(t: &mut RouteTable) -> (&mut Vec<u32>, &mut Vec<f64>) {
+        match &mut t.repr {
+            Repr::Dense { next_hop, cost, .. } => (next_hop, cost),
+            _ => panic!("not a dense table"),
+        }
+    }
+
+    #[test]
+    fn rebuild_keeps_a_table_solved_from_an_equal_graph() {
+        let mut t = RouteTable::centralized(&chain());
+        // A marker no solve would write survives only if nothing re-solves.
+        dense(&mut t).1[1] = -1.0;
+        t.rebuild_centralized(chain());
+        assert_eq!(t.cost(0, 1), -1.0);
+        // A distance-vector snapshot records no graph, so it re-solves.
+        let mut dv = crate::DvCluster::new(&chain());
+        dv.converge_sync(16).expect("converges");
+        let mut snapshot = dv.to_table();
+        dense(&mut snapshot).1[1] = -1.0;
+        snapshot.rebuild_centralized(chain());
+        assert_eq!(snapshot.cost(0, 1), 1.0);
+    }
+
+    #[test]
+    fn rebuild_resolves_a_changed_graph_into_the_same_buffers() {
+        let mut t = RouteTable::centralized(&chain());
+        let before = (dense(&mut t).0.as_ptr(), dense(&mut t).1.as_ptr());
+        // Dropping the 1–2 links forces 0 → 3 over the expensive 0–2 hop.
+        let cut = EnergyGraph::from_edges(
+            4,
+            &[
+                (0, 1, 1.0),
+                (1, 0, 1.0),
+                (2, 3, 1.0),
+                (3, 2, 1.0),
+                (0, 2, 3.0),
+                (2, 0, 3.0),
+            ],
+        );
+        t.rebuild_centralized(cut.clone());
+        assert_eq!((dense(&mut t).0.as_ptr(), dense(&mut t).1.as_ptr()), before);
+        let fresh = RouteTable::centralized(&cut);
+        for s in 0..4 {
+            for d in 0..4 {
+                assert_eq!(t.next_hop(s, d), fresh.next_hop(s, d), "{s}->{d}");
+                assert_eq!(t.cost(s, d).to_bits(), fresh.cost(s, d).to_bits());
+            }
+        }
+        assert_eq!(t.path(0, 3), Some(vec![0, 2, 3]));
     }
 
     #[test]

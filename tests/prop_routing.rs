@@ -2,8 +2,9 @@
 //! exchange always lands on Dijkstra's route costs, whatever the delivery
 //! order, and heals to the survivor optimum when a station dies; route
 //! costs obey metric sanity, tables are internally consistent, and the
-//! centralized table matches an independent reference Dijkstra bit for
-//! bit.
+//! centralized table, which solves over the undominated links only,
+//! matches an independent reference Dijkstra over every link bit for bit:
+//! on masked, unsorted, tied and float-boundary graphs too.
 
 use parn::phys::placement::Placement;
 use parn::phys::propagation::FreeSpace;
@@ -27,6 +28,10 @@ fn random_graph(seed: u64, n: usize, p_edge: f64) -> EnergyGraph {
     EnergyGraph::from_edges(n, &edges)
 }
 
+/// Usable hops out to 2/sqrt(rho) = 20 m at `geometric_graph`'s density:
+/// ~12 neighbours, the sparse graphs the simulator routes on.
+const USABLE: Gain = Gain(1.0 / (20.0 * 20.0));
+
 fn geometric_graph(seed: u64, n: usize) -> (EnergyGraph, GainMatrix) {
     let mut rng = Rng::new(seed);
     let pts = Placement::UniformDisk {
@@ -35,9 +40,7 @@ fn geometric_graph(seed: u64, n: usize) -> (EnergyGraph, GainMatrix) {
     }
     .generate(&mut rng);
     let gm = GainMatrix::build(&pts, &FreeSpace::unit());
-    // Usable hops out to 2/sqrt(rho) = 20 m at this density: ~12
-    // neighbours, the sparse graphs the simulator routes on.
-    let g = EnergyGraph::from_model(&gm, Gain(1.0 / (20.0f64 * 20.0)));
+    let g = EnergyGraph::from_model(&gm, USABLE);
     (g, gm)
 }
 
@@ -308,6 +311,124 @@ fn centralized_matches_reference_dijkstra_on_geometric_graphs() {
         let n = 20 + rng.below(100) as usize;
         let (g, _) = geometric_graph(rng.below(10_000), n);
         assert_matches_reference(&g, &format!("geometric n={n}"));
+    });
+}
+
+/// Route repair's graphs: a dead station neither sends nor receives, and
+/// an evicted one may send but not receive, so some links are one-way.
+#[test]
+fn centralized_matches_reference_dijkstra_on_masked_graphs() {
+    cases(16, "reference_masked", |_, rng| {
+        let n = 10 + rng.below(60) as usize;
+        let (_, gm) = geometric_graph(rng.below(10_000), n);
+        let tx_ok: Vec<bool> = (0..n).map(|_| rng.chance(0.9)).collect();
+        let rx_ok: Vec<bool> = tx_ok.iter().map(|&tx| tx && rng.chance(0.7)).collect();
+        let g = EnergyGraph::from_model_masked(&gm, USABLE, &tx_ok, &rx_ok);
+        assert_matches_reference(&g, &format!("masked n={n}"));
+    });
+}
+
+/// `from_edges` keeps links in the order given, so an adjacency list need
+/// not be sorted by target, and it may hold parallel links. Costs are
+/// squared distances, so most long links have a cheaper relay.
+#[test]
+fn centralized_matches_reference_dijkstra_on_unsorted_adjacency() {
+    cases(24, "reference_unsorted", |_, rng| {
+        let n = 5 + rng.below(40) as usize;
+        let pts: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.range_f64(0.0, 50.0), rng.range_f64(0.0, 50.0)))
+            .collect();
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                let d2 = (pts[a].0 - pts[b].0).powi(2) + (pts[a].1 - pts[b].1).powi(2);
+                if d2 < 400.0 {
+                    edges.push((a, b, d2));
+                    if rng.chance(0.1) {
+                        edges.push((a, b, d2 * rng.range_f64(0.5, 2.0)));
+                    }
+                }
+            }
+        }
+        rng.shuffle(&mut edges);
+        let g = EnergyGraph::from_edges(n, &edges);
+        assert_matches_reference(&g, &format!("unsorted n={n}"));
+    });
+}
+
+/// Detours that tie the direct link exactly (`c(u,w) + c(w,v) = c(u,v)`).
+/// Ties settle by `(dist, id)`, so the strict `<` relaxation can keep the
+/// direct link. With every cost zero, or a small multiple of the least
+/// subnormal, the float margin is zero, and only a strict `<` in the
+/// pruning rule keeps a tied direct link.
+#[test]
+fn centralized_matches_reference_dijkstra_when_detours_tie() {
+    cases(48, "reference_exact_ties", |case, rng| {
+        let unit = [1.0, 0.0, f64::from_bits(1)][case as usize % 3];
+        let n = 3 + rng.below(20) as usize;
+        let mut edges = Vec::new();
+        for _ in 0..2 * n {
+            let (u, w, v) = (
+                rng.below(n as u64),
+                rng.below(n as u64),
+                rng.below(n as u64),
+            );
+            let (u, w, v) = (u as usize, w as usize, v as usize);
+            if u == w || w == v || u == v {
+                continue;
+            }
+            let (a, b) = (rng.below(3) as f64, rng.below(3) as f64);
+            edges.push((u, w, a * unit));
+            edges.push((w, v, b * unit));
+            edges.push((u, v, (a + b) * unit));
+        }
+        rng.shuffle(&mut edges);
+        let g = EnergyGraph::from_edges(n, &edges);
+        assert_matches_reference(&g, &format!("ties n={n} unit={unit:e}"));
+    });
+}
+
+/// A detour cheaper in exact arithmetic but dearer in floats. Behind a
+/// 2⁵³ + 2 link, where floats are 2 apart, the direct link 1 → 3 (2.6)
+/// gives station 3 the distance 2⁵³ + 4, and the detour through 2
+/// (1 + 1.5 = 2.5) gives 2⁵³ + 6: the pruning margin must keep the
+/// direct link.
+#[test]
+fn centralized_keeps_a_direct_link_its_detour_beats_only_in_exact_arithmetic() {
+    let big = 2f64.powi(53);
+    let g = EnergyGraph::from_edges(
+        4,
+        &[(0, 1, big + 2.0), (1, 2, 1.0), (2, 3, 1.5), (1, 3, 2.6)],
+    );
+    assert_matches_reference(&g, "float boundary");
+    let t = RouteTable::centralized(&g);
+    assert_eq!(t.cost(0, 3), big + 4.0);
+    assert_eq!(t.path(1, 3), Some(vec![1, 2, 3]));
+}
+
+/// The same boundary at random: one link of about 2⁵³ into triangles
+/// whose two-link detour beats the direct link by a tenth or two, where
+/// float sums behind the large link round unlike exact ones.
+#[test]
+fn centralized_matches_reference_dijkstra_behind_a_large_link() {
+    cases(32, "reference_large_link", |_, rng| {
+        let n = 4 + rng.below(16) as usize;
+        let mut edges = vec![(0, 1, 2f64.powi(53) + 2.0 * rng.below(8) as f64)];
+        let mut station = || 1 + rng.below(n as u64 - 1) as usize;
+        let picks: Vec<(usize, usize, usize)> = (0..2 * n)
+            .map(|_| (station(), station(), station()))
+            .collect();
+        for (u, w, v) in picks {
+            if u == w || w == v || u == v {
+                continue;
+            }
+            let a = (1 + rng.below(20)) as f64 / 10.0;
+            let b = (1 + rng.below(20)) as f64 / 10.0;
+            let slack = (1 + rng.below(2)) as f64 / 10.0;
+            edges.extend([(u, w, a), (w, v, b), (u, v, a + b + slack)]);
+        }
+        let g = EnergyGraph::from_edges(n, &edges);
+        assert_matches_reference(&g, &format!("large link n={n}"));
     });
 }
 
