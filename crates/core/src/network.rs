@@ -1602,6 +1602,9 @@ impl Network {
             );
             protected = self.gains.hearable_by(s, thr);
             protected.retain(|&p| p != s && self.alive[p]);
+            // Held for the whole run: keep it at its exact size, not the
+            // capacity the range query left behind.
+            protected.shrink_to_fit();
         }
         for &nb in rn.iter().chain(protected.iter()) {
             self.rendezvous(s, nb, now, false);
