@@ -60,7 +60,7 @@ enum Repr {
 
 impl RouteTable {
     /// Build centrally by running Dijkstra from every source, counted as
-    /// `route.table_solves`.
+    /// `route.table_solves` and timed as `route.table_solve`.
     pub fn centralized(graph: &EnergyGraph) -> RouteTable {
         RouteTable::solve(graph.clone(), Vec::new(), Vec::new())
     }
@@ -93,6 +93,7 @@ impl RouteTable {
     /// distance and first-hop buffers are copied straight into each row.
     fn solve(graph: EnergyGraph, mut next_hop: Vec<u32>, mut cost: Vec<f64>) -> RouteTable {
         parn_sim::counter_inc!("route.table_solves");
+        parn_sim::time_scope!("route.table_solve");
         let n = graph.len();
         next_hop.clear();
         next_hop.reserve_exact(n * n);
