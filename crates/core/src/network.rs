@@ -1600,11 +1600,12 @@ impl Network {
                 self.cfg.protection.significance_fraction * self.interference_budget.value()
                     / max_power_used,
             );
-            protected = self.gains.hearable_by(s, thr);
-            protected.retain(|&p| p != s && self.alive[p]);
-            // Held for the whole run: keep it at its exact size, not the
-            // capacity the range query left behind.
-            protected.shrink_to_fit();
+            // Held for the whole run, so allocated at its exact size
+            // rather than kept in the range query's larger buffer.
+            let near = self.gains.hearable_by(s, thr);
+            let keep = |&p: &StationId| p != s && self.alive[p];
+            protected = Vec::with_capacity(near.iter().filter(|p| keep(p)).count());
+            protected.extend(near.into_iter().filter(keep));
         }
         for &nb in rn.iter().chain(protected.iter()) {
             self.rendezvous(s, nb, now, false);
@@ -2492,10 +2493,9 @@ impl Network {
     /// re-solved in its own buffers; the rest runs either way. Queued
     /// packets are re-pointed through the table; packets whose
     /// destinations became unreachable are dropped (accounted). This is
-    /// the *table-based* repair path only —
-    /// in [`RouteMode::Distributed`] it is never called after a fault;
-    /// reconvergence there is genuine, carried hop by hop through the
-    /// advertisement exchange.
+    /// the *table-based* repair path only — in [`RouteMode::Distributed`]
+    /// it is never called after a fault; reconvergence there is genuine,
+    /// carried hop by hop through the advertisement exchange.
     fn rebuild_routes(&mut self, now: Time, queue: &mut EventQueue<Event>) {
         debug_assert!(
             !self.distributed(),
