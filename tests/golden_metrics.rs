@@ -9,8 +9,10 @@
 //! motion, together with the conditional `route`, `adversary` and
 //! `mobility` metrics blocks. `centralized_oracle_adversary` and
 //! `greedy_walk_churn` pin oracle healing through every fault kind and
-//! greedy routing under motion and churn. The `baseline_*` fixtures pin
-//! each contention MAC of experiment E3 the same way.
+//! greedy routing under motion and churn, and `centralized_waypoint_churn`
+//! pins the centralized table rebuilt under motion and churn. The
+//! `baseline_*` fixtures pin each contention MAC of experiment E3 the same
+//! way.
 //!
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`

@@ -368,12 +368,8 @@ fn centralized_matches_reference_dijkstra_when_detours_tie() {
         let n = 3 + rng.below(20) as usize;
         let mut edges = Vec::new();
         for _ in 0..2 * n {
-            let (u, w, v) = (
-                rng.below(n as u64),
-                rng.below(n as u64),
-                rng.below(n as u64),
-            );
-            let (u, w, v) = (u as usize, w as usize, v as usize);
+            let mut station = || rng.below(n as u64) as usize;
+            let (u, w, v) = (station(), station(), station());
             if u == w || w == v || u == v {
                 continue;
             }
