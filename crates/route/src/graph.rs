@@ -146,20 +146,16 @@ impl EnergyGraph {
     pub(crate) fn undominated(&self) -> EnergyGraph {
         let total: f64 = self.adj.iter().flatten().map(|&(_, c)| c).sum();
         let margin = 8.0 * f64::EPSILON;
-        // Per source `u`: the cheapest link to each `w`, and the cheapest
-        // two-link detour to each `v`; both reset before the next `u`.
-        let mut via = vec![f64::INFINITY; self.n];
+        // Per source `u`: the cheapest two-link detour to each `v`, reset
+        // before the next `u`.
         let mut detour = vec![f64::INFINITY; self.n];
         let adj = self
             .adj
             .iter()
             .map(|out| {
                 for &(w, a) in out {
-                    via[w] = via[w].min(a);
-                }
-                for &(w, _) in out {
                     for &(v, b) in &self.adj[w] {
-                        detour[v] = detour[v].min(via[w] + b);
+                        detour[v] = detour[v].min(a + b);
                     }
                 }
                 // An infinite cost makes the threshold -∞ or NaN: nothing
@@ -171,7 +167,6 @@ impl EnergyGraph {
                     .filter(|&(v, c)| !dominated(v, c))
                     .collect();
                 for &(w, _) in out {
-                    via[w] = f64::INFINITY;
                     for &(v, _) in &self.adj[w] {
                         detour[v] = f64::INFINITY;
                     }
