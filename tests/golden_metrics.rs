@@ -9,8 +9,10 @@
 //! motion, together with the conditional `route`, `adversary` and
 //! `mobility` metrics blocks. `centralized_oracle_adversary` and
 //! `greedy_walk_churn` pin oracle healing through every fault kind and
-//! greedy routing under motion and churn, and `centralized_waypoint_churn`
-//! pins the centralized table rebuilt under motion and churn. The
+//! greedy routing under motion and churn, `centralized_waypoint_churn`
+//! pins the centralized table rebuilt under motion and churn, and
+//! `centralized_local_heal_adversary` pins local healing with flap
+//! damping under reactive jams, a jam window and a violator. The
 //! `baseline_*` fixtures pin each contention MAC of experiment E3 the same
 //! way.
 //!
@@ -160,6 +162,54 @@ fn centralized_oracle_adversary_metrics_are_pinned() {
     let json = Network::run(cfg).to_json().to_string();
     assert!(json.contains("\"adversary\":{"), "{json}");
     check("centralized_oracle_adversary.json", &json);
+}
+
+/// Centralized routing under local healing with flap damping, through a
+/// train of reactive jams, a crash-recover outage, a jam window and a
+/// schedule violator, with hello gossip at 250 ms: pins suspicion,
+/// eviction, readmission and suppressed readmission under attack, and
+/// the detect/heal marks they set and close.
+#[test]
+fn centralized_local_heal_adversary_metrics_are_pinned() {
+    let mut cfg = NetConfig::paper_default(40, 23);
+    cfg.run_for = Duration::from_secs(12);
+    cfg.warmup = Duration::from_secs(1);
+    cfg.traffic.arrivals_per_station_per_sec = 2.0;
+    cfg.clock.sync = SyncMode::Piggyback {
+        hello_interval: Duration::from_millis(250),
+    };
+    cfg.heal = HealConfig::local();
+    cfg.heal.suspect_after = 2;
+    cfg.heal.evict_timeout = Duration::from_millis(40);
+    cfg.heal.flap_damping = true;
+    cfg.heal.flap_suppress = 1.5;
+    cfg.heal.flap_half_life = Duration::from_secs(4);
+    let mut plan = FaultPlan::none();
+    for at in [2, 4, 6] {
+        plan = plan.reactive_jam(
+            Duration::from_secs(at),
+            17,
+            Duration::from_millis(300),
+            0.95,
+        );
+    }
+    cfg.faults = plan
+        .crash_recover(Duration::from_secs(3), 7, Duration::from_secs(2))
+        .jam(
+            Duration::from_secs(8),
+            17,
+            Duration::from_millis(500),
+            PowerW(1e-5),
+        )
+        .byzantine(
+            Duration::from_secs(9),
+            19,
+            ByzMode::Violator,
+            Duration::from_secs(1),
+        );
+    let json = Network::run(cfg).to_json().to_string();
+    assert!(json.contains("\"adversary\":{"), "{json}");
+    check("centralized_local_heal_adversary.json", &json);
 }
 
 /// Greedy routing on the grid backend under a bounded random walk and
