@@ -13,7 +13,8 @@
 //! * [`station`] — per-station protocol state;
 //! * [`vecmap`] — the sorted-vector map that holds it;
 //! * [`network`] — the full event-driven simulator (event loop, MAC,
-//!   PHY bookkeeping, routing glue, faults);
+//!   PHY bookkeeping, routing glue, faults), with local failure detection
+//!   and the adversary runtime in two crate-private modules;
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
 //!   sources × uniform / neighbour / gravity / hotspot destinations), and
 //!   the generator that runs them;
@@ -30,9 +31,11 @@
 
 #![warn(missing_docs)]
 
+mod adversary;
 pub mod collision;
 pub mod config;
 pub mod faults;
+mod heal;
 pub mod metrics;
 pub mod mobility;
 pub mod network;

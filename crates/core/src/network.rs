@@ -11,16 +11,17 @@
 //! collision** — every loss cause is accounted, and under the scheme the
 //! collision counters stay at zero.
 
+use crate::adversary::Adversary;
 use crate::collision::classify;
 use crate::config::{NetConfig, PhyBackend, RouteMode, SyncMode};
-use crate::faults::{ByzMode, FaultKind, FaultPlan, HealMode};
+use crate::faults::{FaultKind, FaultPlan};
+use crate::heal::{Heal, HopVerdict};
 use crate::metrics::{Metrics, WarmupGate};
 use crate::mobility::{ChurnKind, Motion};
 use crate::packet::{ControlPayload, LossCause, Packet, PacketKind};
 use crate::power::PowerPolicy;
-use crate::station::{NeighborHealth, PlannedTx, Station};
+use crate::station::{PlannedTx, Station};
 use crate::traffic::Traffic;
-use parn_phys::partition::{GeoCut, PartitionOverlay};
 use parn_phys::placement::density;
 use parn_phys::propagation::{FreeSpace, Propagation, Shadowed};
 use parn_phys::sinr::{RxId, SinrTracker, TxId};
@@ -30,7 +31,7 @@ use parn_sched::{
     intersect_lists, subtract_lists, ClockSample, PredictedSchedule, QuarterSlot, RemoteClockModel,
     SlotKind, StationClock, StationSchedule, Window,
 };
-use parn_sim::stats::Tally;
+use parn_sim::trace::{Level, TraceEvent, Tracer};
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -118,11 +119,11 @@ pub enum Event {
     /// A reactive-jam burst ends (the adversary's transmitter goes
     /// quiet until it senses the next reception).
     RJamOff {
-        /// Burst sequence number (keys the active-burst map).
-        seq: u64,
+        /// The burst's PHY transmission handle.
+        tx: TxId,
     },
     /// A backed-off retransmission becomes eligible again
-    /// ([`HealMode::Local`]).
+    /// ([`HealMode::Local`](crate::faults::HealMode::Local)).
     RetryRelease {
         /// The station holding the packet.
         station: StationId,
@@ -132,9 +133,10 @@ pub enum Event {
         epoch: u64,
     },
     /// Oracle-mode routing repair after a failure or recovery
-    /// ([`HealMode::Oracle`] with table-based routing). Never scheduled
-    /// in [`RouteMode::Distributed`], where reconvergence emerges from
-    /// the per-station distance-vector exchange instead.
+    /// ([`HealMode::Oracle`](crate::faults::HealMode::Oracle) with
+    /// table-based routing). Never scheduled in
+    /// [`RouteMode::Distributed`], where reconvergence emerges from the
+    /// per-station distance-vector exchange instead.
     Reroute,
     /// A station advertises its distance vector to its direct link
     /// neighbours ([`RouteMode::Distributed`]): periodic rounds keep the
@@ -168,20 +170,6 @@ pub enum Event {
     },
 }
 
-/// The flap-damping penalty `h` has decayed to at `now`: each eviction
-/// adds one point, and the score halves every `half_life`. A zero or
-/// negative half-life disables decay bookkeeping entirely (score 0).
-fn decayed_penalty(h: &NeighborHealth, now: Time, half_life: Duration) -> f64 {
-    let Some(t0) = h.flap_updated else {
-        return 0.0;
-    };
-    let hl = half_life.as_secs_f64();
-    if hl <= 0.0 {
-        return 0.0;
-    }
-    h.flap_penalty * 0.5f64.powf(now.since(t0).as_secs_f64() / hl)
-}
-
 /// How a dark station comes back ([`Network::power_up`]).
 #[derive(Clone, Copy)]
 enum PowerUp {
@@ -191,33 +179,6 @@ enum PowerUp {
     Return,
     /// A departed station is readmitted at a new position.
     Join(Point),
-}
-
-/// Close an open outage or recovery mark at `at`, sampling its age (a
-/// time to detect or to heal) into `tally`.
-fn close_mark(mark: &mut Option<Time>, at: Time, tally: &mut Tally) {
-    if let Some(t0) = mark.take() {
-        tally.add(at.since(t0).as_secs_f64());
-    }
-}
-
-/// Runtime state of one armed budget-limited reactive jammer: it senses
-/// transmissions going on the air and burns jam air-time against them,
-/// bounded by a total budget and a duty-cycle cap.
-#[derive(Clone, Copy, Debug)]
-struct RJamState {
-    /// The adversary's anchor station (its sensor and transmitter sit at
-    /// this station's position).
-    station: StationId,
-    /// When the adversary armed (the duty cap's reference point).
-    since: Time,
-    /// Remaining jam air-time budget.
-    budget_left: Duration,
-    /// Duty-cycle cap: cumulative jam time never exceeds `duty` × time
-    /// since arming.
-    duty: f64,
-    /// Cumulative jam air-time spent.
-    spent: Duration,
 }
 
 /// The assembled simulation.
@@ -249,38 +210,17 @@ pub struct Network {
     pub metrics: Metrics,
     /// Fault-machinery RNG (reboot clocks, retry-backoff jitter).
     rng_faults: Rng,
-    /// Adversarial emissions on the air, keyed by fault-plan event
-    /// index: jam windows and Byzantine violators' rogue bursts.
-    emissions: BTreeMap<usize, TxId>,
-    /// Shadowing-cut overlay over the gain model — present only when the
-    /// construction-time fault plan contains a partition fault, and
-    /// transparent until a cut activates, so plans without partitions run
-    /// on the bare model bit-for-bit.
-    partition: Option<Arc<PartitionOverlay>>,
-    /// Open Byzantine misbehavior windows: fault-plan event index → mode.
-    byz_active: BTreeMap<usize, ByzMode>,
-    /// Armed reactive-jam adversaries, keyed by fault-plan event index.
-    rjam: BTreeMap<usize, RJamState>,
-    /// Reactive-jam bursts currently on the air: burst sequence →
-    /// (fault index, PHY handle).
-    rjam_active: BTreeMap<u64, (usize, TxId)>,
-    /// Next reactive-jam burst sequence number.
-    rjam_seq: u64,
-    /// How many live stations currently hold each station evicted
-    /// (`HealMode::Local`). A station with a nonzero count receives no
-    /// routed traffic.
-    evicted_by: Vec<u32>,
+    /// The attacks of the fault plan that are on.
+    adversary: Adversary,
+    /// Neighbour liveness, evictions and the outage marks.
+    heal: Heal,
     /// Per-station reboot counter; in-flight PHY activity is judged
     /// against the epoch captured at transmission start.
     boot_epoch: Vec<u64>,
-    /// When each currently-down station went dark (time-to-detect).
-    down_since: Vec<Option<Time>>,
-    /// When each rebooted station rejoined (time-to-heal).
-    recover_mark: Vec<Option<Time>>,
     /// Whether a `NextArrival` chain is live per station (recovery
     /// restarts a chain only if the old one has died out).
     arrivals_live: Vec<bool>,
-    tracer: parn_sim::trace::Tracer,
+    tracer: Tracer,
     queue_depth: parn_sim::stats::TimeWeighted,
     on_air: parn_sim::stats::TimeWeighted,
     /// Per-station distance-vector protocol state
@@ -338,20 +278,7 @@ impl Network {
                 Arc::new(GridGainModel::new(&positions, model))
             }
         };
-        // A fault plan containing a partition wraps the gain model in a
-        // shadowing-cut overlay (transparent until a cut activates); plans
-        // without one keep the bare model, so every pre-existing run is
-        // byte-identical.
-        let partition = cfg
-            .faults
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Partition { .. }))
-            .then(|| Arc::new(PartitionOverlay::new(Arc::clone(&gains))));
-        let gains: Arc<dyn GainModel> = match &partition {
-            Some(p) => Arc::clone(p) as Arc<dyn GainModel>,
-            None => gains,
-        };
+        let (adversary, gains) = Adversary::new(&cfg.faults, gains);
 
         // Usable-hop threshold from the reach factor (§6: ~2/√ρ).
         let region = cfg.placement.region();
@@ -431,6 +358,7 @@ impl Network {
         let airtime = cfg.packet_airtime();
         let mut metrics = Metrics::new(n);
         metrics.measured_span = cfg.run_for.saturating_sub(cfg.warmup);
+        let heal = Heal::new(&cfg, n);
 
         let mut net = Network {
             cfg,
@@ -452,18 +380,11 @@ impl Network {
             usable_gain,
             metrics,
             rng_faults,
-            emissions: BTreeMap::new(),
-            partition,
-            byz_active: BTreeMap::new(),
-            rjam: BTreeMap::new(),
-            rjam_active: BTreeMap::new(),
-            rjam_seq: 0,
-            evicted_by: vec![0; n],
+            adversary,
+            heal,
             boot_epoch: vec![0; n],
-            down_since: vec![None; n],
-            recover_mark: vec![None; n],
             arrivals_live: vec![false; n],
-            tracer: parn_sim::trace::Tracer::disabled(),
+            tracer: Tracer::disabled(),
             queue_depth: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             on_air: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             dv,
@@ -492,13 +413,13 @@ impl Network {
 
     /// Attach a tracer: MAC plans, transmissions and reception outcomes
     /// are recorded (categories `"mac"` and `"phy"`).
-    pub fn with_tracer(mut self, tracer: parn_sim::trace::Tracer) -> Network {
+    pub fn with_tracer(mut self, tracer: Tracer) -> Network {
         self.tracer = tracer;
         self
     }
 
     /// Access the trace collected so far.
-    pub fn tracer(&self) -> &parn_sim::trace::Tracer {
+    pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
@@ -587,7 +508,7 @@ impl Network {
         if let Err(e) = self.cfg.faults.validate(n) {
             panic!("invalid fault plan: {e}");
         }
-        let oracle = self.cfg.heal.mode == HealMode::Oracle && !self.distributed();
+        let oracle = !self.heal.active();
         let delay = self.cfg.heal.oracle_delay;
         for (index, ev) in self.cfg.faults.events.iter().enumerate() {
             let at = Time::ZERO + ev.at;
@@ -679,15 +600,7 @@ impl Network {
     /// construction-time plan: the shadowing-cut overlay is wired into
     /// the gain model (and the SINR tracker holding it) at build.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            self.partition.is_some()
-                || !plan
-                    .events
-                    .iter()
-                    .any(|e| matches!(e.kind, FaultKind::Partition { .. })),
-            "partition faults must be present in the plan at Network::new \
-             (the gain overlay is wired at build time)"
-        );
+        self.adversary.check_plan(&plan);
         self.cfg.faults = plan;
     }
 
@@ -737,13 +650,6 @@ impl Network {
     /// protocol.
     fn distributed(&self) -> bool {
         matches!(self.cfg.route_mode, RouteMode::Distributed)
-    }
-
-    /// Local liveness tracking is on: either local healing asked for it,
-    /// or the distance-vector protocol needs link-failure detection
-    /// regardless of the heal mode.
-    fn heal_active(&self) -> bool {
-        self.cfg.heal.mode == HealMode::Local || self.distributed()
     }
 
     /// Resolve the forwarding next hop for `packet` held at `at`:
@@ -860,8 +766,8 @@ impl Network {
                 parn_sim::trace_event!(
                     self.tracer,
                     now,
-                    parn_sim::trace::Level::Debug,
-                    parn_sim::trace::TraceEvent::MacPlanned {
+                    Level::Debug,
+                    TraceEvent::MacPlanned {
                         station: s,
                         packet: pid,
                         next_hop: nh,
@@ -991,15 +897,7 @@ impl Network {
                 if self.distributed() {
                     payload.route_vector = Some(self.advertisement_for(s, nh));
                 }
-                if self.heal_active() && !self.stations[s].last_heard.is_empty() {
-                    payload.last_heard = Some(
-                        self.stations[s]
-                            .last_heard
-                            .iter()
-                            .map(|(&x, &t)| (x, t))
-                            .collect(),
-                    );
-                }
+                payload.last_heard = self.heal.gossip(s);
             }
         }
         if payload.route_vector.is_some() {
@@ -1010,8 +908,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                parn_sim::trace::Level::Debug,
-                parn_sim::trace::TraceEvent::RouteUpdateSent {
+                Level::Debug,
+                TraceEvent::RouteUpdateSent {
                     station: s,
                     neighbor: nh,
                     packet: packet.id,
@@ -1030,11 +928,7 @@ impl Network {
     /// receiver-side sanity check in [`parn_route::DvState::integrate`]
     /// rejects exactly these claims.
     fn advertisement_for(&self, s: StationId, nh: StationId) -> Vec<(f64, u32)> {
-        let poisoning = self
-            .byz_active
-            .iter()
-            .any(|(&i, &m)| m == ByzMode::Poisoner && self.cfg.faults.events[i].station == s);
-        if poisoning {
+        if self.adversary.poisoning(&self.cfg.faults, s) {
             return vec![(0.0, 0); self.stations.len()];
         }
         self.dv[s].advertisement(nh)
@@ -1061,7 +955,22 @@ impl Network {
             None
         };
         // Reactive adversaries sense the transmission going on the air.
-        self.maybe_reactive_jam(s, p_tx, nh, now, queue);
+        let fired = self
+            .adversary
+            .react(&self.cfg, &*self.gains, s, p_tx, now, &mut self.metrics);
+        for anchor in fired {
+            let tx = self.tracker.start_jammer(anchor, self.cfg.max_power);
+            queue.schedule(now + self.airtime, Event::RJamOff { tx });
+            parn_sim::trace_event!(
+                self.tracer,
+                now,
+                Level::Warn,
+                TraceEvent::ReactiveJamBurst {
+                    station: anchor,
+                    target: nh,
+                }
+            );
+        }
 
         let measured = self.warm.measured(now);
         if measured {
@@ -1135,8 +1044,8 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            parn_sim::trace::Level::Info,
-            parn_sim::trace::TraceEvent::HopOutcome {
+            Level::Info,
+            TraceEvent::HopOutcome {
                 src: s,
                 dst: nh,
                 packet: packet.id,
@@ -1149,12 +1058,9 @@ impl Network {
             self.learn_from_reception(nh, s, now.saturating_sub(self.airtime));
             // The receiver heard the sender: readmit it if evicted.
             self.observe_alive(nh, s, now, queue);
-            if self.heal_active() {
-                // Liveness evidence on both ends (the ack carries it
-                // back), feeding the gossip hellos spread.
-                self.stations[nh].last_heard.insert(s, now);
-                self.stations[s].last_heard.insert(nh, now);
-            }
+            // Liveness evidence on both ends (the ack carries it back),
+            // feeding the gossip hellos spread.
+            self.heal.hop_acked(s, nh, now);
             if is_ctrl {
                 if measured && packet.kind == PacketKind::Hello {
                     self.metrics.hellos_received += 1;
@@ -1293,7 +1199,7 @@ impl Network {
         if self.warm.measured(packet.created) {
             self.metrics.retransmissions += 1;
         }
-        if self.heal_active() {
+        if self.heal.active() {
             // Capped binary-exponential backoff with ±50 % jitter:
             // gives a suspected neighbour room to come back (or be
             // evicted, or — Distributed — routed around) instead of
@@ -1477,7 +1383,9 @@ impl Network {
             return;
         };
         if let Some(gossip) = &payload.last_heard {
-            self.merge_gossip(rx, gossip, now, queue);
+            for x in self.heal.merge_gossip(rx, gossip) {
+                self.readmit_everywhere(x, now, queue);
+            }
         }
         if let Some(vector) = &payload.route_vector {
             if !self.distributed() || !self.alive[rx] {
@@ -1495,8 +1403,8 @@ impl Network {
                 parn_sim::trace_event!(
                     self.tracer,
                     now,
-                    parn_sim::trace::Level::Warn,
-                    parn_sim::trace::TraceEvent::ViolationDetected {
+                    Level::Warn,
+                    TraceEvent::ViolationDetected {
                         observer: rx,
                         source: sender,
                     }
@@ -1504,43 +1412,6 @@ impl Network {
             }
             if changed {
                 self.after_dv_change(rx, now, queue);
-            }
-        }
-    }
-
-    /// Fold a sender's last-heard gossip into `rx`'s own view. Adopting
-    /// a newer timestamp for a currently-suspected station counts as
-    /// hearing it — but only when the evidence postdates the suspicion,
-    /// so pre-crash gossip cannot resurrect a dead neighbour.
-    fn merge_gossip(
-        &mut self,
-        rx: StationId,
-        items: &[(StationId, Time)],
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if !self.heal_active() {
-            return;
-        }
-        for &(x, heard) in items {
-            if x == rx {
-                continue;
-            }
-            let newer = self.stations[rx]
-                .last_heard
-                .get(&x)
-                .is_none_or(|&cur| heard > cur);
-            if !newer {
-                continue;
-            }
-            self.stations[rx].last_heard.insert(x, heard);
-            let clears = self.stations[rx]
-                .liveness
-                .get(&x)
-                .and_then(|h| h.suspected_at)
-                .is_some_and(|t0| heard > t0);
-            if clears {
-                self.observe_alive(rx, x, now, queue);
             }
         }
     }
@@ -1675,21 +1546,13 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            parn_sim::trace::Level::Info,
-            parn_sim::trace::TraceEvent::RouteConverged {
+            Level::Info,
+            TraceEvent::RouteConverged {
                 episode: self.dv_episodes,
                 quiesced_at: last,
             }
         );
-        for s in 0..self.stations.len() {
-            if self.alive[s] && self.evicted_by[s] == 0 {
-                close_mark(
-                    &mut self.recover_mark[s],
-                    last,
-                    &mut self.metrics.time_to_heal,
-                );
-            }
-        }
+        self.heal.converged(&self.alive, last, &mut self.metrics);
     }
 
     /// An advertisement round: enqueue one `RouteUpdate` to each direct
@@ -1811,8 +1674,8 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            parn_sim::trace::Level::Warn,
-            parn_sim::trace::TraceEvent::FaultInjected {
+            Level::Warn,
+            TraceEvent::FaultInjected {
                 station: ev.station,
                 kind: ev.kind.tag(),
             }
@@ -1822,190 +1685,55 @@ impl Network {
                 self.power_down(ev.station, LossCause::StationFailed, now, queue)
             }
             FaultKind::ClockJump { ticks } => self.on_clock_jump(ev.station, ticks, now, queue),
-            FaultKind::Jam { power, .. } => {
-                let tx = self.tracker.start_jammer(ev.station, power);
-                self.emissions.insert(index, tx);
-            }
-            FaultKind::Partition {
-                axis,
-                offset,
-                atten_db,
-                ..
-            } => {
-                let overlay = self
-                    .partition
-                    .as_ref()
-                    .expect("partition fault without overlay (set_fault_plan checks this)");
-                overlay.activate(index, GeoCut { axis, offset }, 10f64.powf(-atten_db / 10.0));
-                // Gains changed under live receptions and far-field
-                // snapshots: re-derive everything gain-dependent.
-                self.tracker.gains_changed();
-            }
-            FaultKind::Byzantine { mode, .. } => {
-                self.byz_active.insert(index, mode);
-                if mode == ByzMode::Violator {
+            _ => {
+                if self.adversary.start(index, &ev, &mut self.tracker) {
                     self.on_byz_step(index, true, now, queue);
                 }
             }
-            FaultKind::ReactiveJam { budget, duty } => {
-                self.rjam.insert(
-                    index,
-                    RJamState {
-                        station: ev.station,
-                        since: now,
-                        budget_left: budget,
-                        duty,
-                        spent: Duration::ZERO,
-                    },
-                );
-            }
         }
     }
 
-    /// A timed fault ends: a crashed station reboots, a partition heals,
-    /// and a jam or Byzantine window closes, silencing whatever it still
-    /// has on the air (the station reverts to honest behaviour).
+    /// A timed fault ends: a crashed station reboots, or a jam,
+    /// Byzantine or partition window closes.
     fn on_fault_end(&mut self, index: usize, now: Time, queue: &mut EventQueue<Event>) {
         let ev = self.cfg.faults.events[index];
-        match ev.kind {
-            FaultKind::CrashRecover { .. } => {
-                self.power_up(ev.station, PowerUp::Reboot, now, queue)
-            }
-            FaultKind::Partition { .. } => self.on_partition_heal(index, now),
-            // A jam or Byzantine window: no other kind has a timed end.
-            _ => {
-                self.byz_active.remove(&index);
-                if let Some(tx) = self.emissions.remove(&index) {
-                    self.tracker.end_transmission(tx);
-                }
-            }
-        }
-    }
-
-    /// A partition transient ends: lift the shadowing cut, restore the
-    /// severed gains, and re-derive every gain-dependent PHY quantity.
-    /// Healing the *routes* is the protocols' job from here — the oracle
-    /// reroute was scheduled at prime, local/distributed healing readmits
-    /// by hearing across the restored links.
-    fn on_partition_heal(&mut self, index: usize, now: Time) {
-        let Some(overlay) = self.partition.as_ref() else {
-            return;
-        };
-        overlay.deactivate(index);
-        self.tracker.gains_changed();
-        self.metrics.partitions_healed += 1;
-        self.metrics
-            .partition_healed_at
-            .add(now.since(Time::ZERO).as_secs_f64());
-        parn_sim::counter_inc!("core.partitions_healed");
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Warn,
-            parn_sim::trace::TraceEvent::PartitionHealed { index }
-        );
-    }
-
-    /// One step of a Byzantine violator's rogue cadence: an `on` step
-    /// puts an out-of-window emission on the air for one packet airtime
-    /// and schedules its end; an off step silences it and schedules the
-    /// next burst. The cadence dies silently once the window closes.
-    fn on_byz_step(&mut self, index: usize, on: bool, now: Time, queue: &mut EventQueue<Event>) {
-        if !self.byz_active.contains_key(&index) {
-            // Window closed; its end already silenced any live burst.
-            return;
-        }
-        if on {
-            let s = self.cfg.faults.events[index].station;
-            if self.alive[s] {
-                // Emit at the station's own worst-case protocol power —
-                // indistinguishable in strength from honest traffic,
-                // wrong only in timing.
-                let p = self.stations[s]
-                    .routing_neighbors
-                    .iter()
-                    .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
-                    .fold(0.0f64, f64::max);
-                if p > 0.0 {
-                    let tx = self.tracker.start_violator(s, PowerW(p));
-                    self.emissions.insert(index, tx);
-                }
-            }
-            queue.schedule(now + self.airtime, Event::ByzStep { index, on: false });
-        } else {
-            if let Some(tx) = self.emissions.remove(&index) {
-                self.tracker.end_transmission(tx);
-            }
-            // Next rogue burst every fourth slot: frequent enough to
-            // collide with scheduled receptions, sparse enough not to
-            // degenerate into a plain continuous jammer.
-            let gap = Duration(self.cfg.sched.slot.ticks().max(1) * 4);
-            queue.schedule(now + gap, Event::ByzStep { index, on: true });
-        }
-    }
-
-    /// A reactive-jam burst ends: the adversary's transmitter goes quiet.
-    fn on_rjam_off(&mut self, seq: u64) {
-        if let Some((_, tx)) = self.rjam_active.remove(&seq) {
-            self.tracker.end_transmission(tx);
-        }
-    }
-
-    /// Reactive-jam sensing hook, called as each transmission goes on the
-    /// air: every armed adversary whose sensor can hear the sender above
-    /// the thermal floor fires one burst of jam air-time against the
-    /// reception — if its remaining budget covers the burst and its duty
-    /// cap permits.
-    fn maybe_reactive_jam(
-        &mut self,
-        tx_station: StationId,
-        p_tx: PowerW,
-        rx_station: StationId,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.rjam.is_empty() {
-            return;
-        }
-        let airtime = self.airtime;
-        let floor = self.cfg.thermal_noise.value();
-        let indices: Vec<usize> = self.rjam.keys().copied().collect();
-        for index in indices {
-            let st = self.rjam[&index];
-            if st.budget_left < airtime {
-                continue; // budget exhausted: the adversary is spent
-            }
-            let sensed = self.gains.gain(st.station, tx_station).apply(p_tx).value();
-            if st.station == tx_station || sensed <= floor {
-                continue; // can't hear the sender (or it IS the sender)
-            }
-            let elapsed = now.since(st.since) + airtime;
-            let spent_after = st.spent + airtime;
-            if spent_after.as_secs_f64() > st.duty * elapsed.as_secs_f64() {
-                continue; // duty cap: stay quiet until it amortizes
-            }
-            let seq = self.rjam_seq;
-            self.rjam_seq += 1;
-            let tx = self.tracker.start_jammer(st.station, self.cfg.max_power);
-            self.rjam_active.insert(seq, (index, tx));
-            queue.schedule(now + airtime, Event::RJamOff { seq });
-            {
-                let st = self.rjam.get_mut(&index).expect("armed jammer");
-                st.budget_left = st.budget_left.saturating_sub(airtime);
-                st.spent = spent_after;
-            }
-            self.metrics.reactive_jams += 1;
-            self.metrics.jam_budget_spent_s += airtime.as_secs_f64();
-            parn_sim::counter_inc!("core.reactive_jams");
+        if let FaultKind::CrashRecover { .. } = ev.kind {
+            self.power_up(ev.station, PowerUp::Reboot, now, queue);
+        } else if self
+            .adversary
+            .end(index, ev.kind, now, &mut self.tracker, &mut self.metrics)
+        {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                parn_sim::trace::Level::Warn,
-                parn_sim::trace::TraceEvent::ReactiveJamBurst {
-                    station: st.station,
-                    target: rx_station,
-                }
+                Level::Warn,
+                TraceEvent::PartitionHealed { index }
             );
+        }
+    }
+
+    /// One step of a Byzantine violator's rogue cadence, and the next
+    /// one scheduled while its window stays open.
+    fn on_byz_step(&mut self, index: usize, on: bool, now: Time, queue: &mut EventQueue<Event>) {
+        let s = self.cfg.faults.events[index].station;
+        // A live violator emits at its own worst-case protocol power:
+        // indistinguishable in strength from honest traffic, wrong only
+        // in timing.
+        let worst_case = || {
+            if !self.alive[s] {
+                return 0.0;
+            }
+            self.stations[s]
+                .routing_neighbors
+                .iter()
+                .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
+                .fold(0.0f64, f64::max)
+        };
+        let next =
+            self.adversary
+                .violator_step(&self.cfg, index, on, worst_case, &mut self.tracker);
+        if let Some(after) = next {
+            queue.schedule(now + after, Event::ByzStep { index, on: !on });
         }
     }
 
@@ -2028,13 +1756,12 @@ impl Network {
         let event = if cause == LossCause::Departed {
             self.metrics.leaves += 1;
             parn_sim::counter_inc!("core.leaves");
-            parn_sim::trace::TraceEvent::StationLeft { station: s }
+            TraceEvent::StationLeft { station: s }
         } else {
-            parn_sim::trace::TraceEvent::StationFailed { station: s }
+            TraceEvent::StationFailed { station: s }
         };
-        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
+        parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
         self.alive[s] = false;
-        self.down_since[s] = Some(now);
         let mut lost = self.take_queued(s, now);
         let st = &mut self.stations[s];
         lost.extend(
@@ -2045,30 +1772,11 @@ impl Network {
         st.reservations.clear();
         st.attempts.clear();
         st.retry_pending = false;
-        // The dead station's own eviction votes lapse with it.
-        let voted: Vec<StationId> = st
-            .liveness
-            .iter()
-            .filter(|(_, h)| h.evicted)
-            .map(|(&nb, _)| nb)
-            .collect();
-        st.liveness.clear();
         for p in lost {
             self.settle_drop(&p, cause);
         }
-        let mut any_lapsed = false;
-        for nb in voted {
-            self.evicted_by[nb] -= 1;
-            if self.evicted_by[nb] == 0 {
-                any_lapsed = true;
-                close_mark(
-                    &mut self.recover_mark[nb],
-                    now,
-                    &mut self.metrics.time_to_heal,
-                );
-            }
-        }
-        if any_lapsed && !self.distributed() {
+        // The dead station's own eviction votes lapse with it.
+        if self.heal.power_down(s, now, &mut self.metrics) && !self.distributed() {
             self.rebuild_routes(now, queue);
         }
     }
@@ -2093,16 +1801,15 @@ impl Network {
         }
         let event = if let PowerUp::Reboot = how {
             self.metrics.stations_recovered += 1;
-            parn_sim::trace::TraceEvent::StationRecovered { station: s }
+            TraceEvent::StationRecovered { station: s }
         } else {
             self.metrics.joins += 1;
             parn_sim::counter_inc!("core.joins");
-            parn_sim::trace::TraceEvent::StationJoined { station: s }
+            TraceEvent::StationJoined { station: s }
         };
-        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
+        parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
         self.alive[s] = true;
         self.boot_epoch[s] += 1;
-        self.down_since[s] = None;
         self.clocks[s] = StationClock::random(&mut self.rng_faults, self.cfg.clock.max_ppm);
         // Rejoin handshake, both ways: the rebooted station restarts its
         // models of everything it tracks, and every live station tracking
@@ -2121,17 +1828,11 @@ impl Network {
                 self.try_schedule(o, now, queue);
             }
         }
-        self.recover_mark[s] = if self.cfg.heal.mode == HealMode::Oracle && !self.distributed() {
-            Some(now)
-        } else {
-            // Local/distributed healing only "heals" what some station
-            // noticed was broken.
-            (self.evicted_by[s] > 0).then_some(now)
-        };
+        self.heal.power_up(s, now);
         if self.distributed() {
             // Volatile routing state is gone with the reboot.
             self.reset_dv_state(s, now, queue);
-        } else if self.cfg.heal.mode == HealMode::Local {
+        } else if self.heal.active() {
             self.rebuild_routes(now, queue);
         }
         // Restart the arrival process if the pre-crash chain died out.
@@ -2162,8 +1863,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                parn_sim::trace::Level::Debug,
-                parn_sim::trace::TraceEvent::StationMoved { station: s }
+                Level::Debug,
+                TraceEvent::StationMoved { station: s }
             );
         }
     }
@@ -2302,9 +2003,9 @@ impl Network {
     }
 
     /// Local-healing failure observation: another consecutive failed hop
-    /// towards `nh`. Crossing `suspect_after` starts suspicion; staying
-    /// suspected past `evict_timeout` evicts the neighbour from the
-    /// routing view and repairs routes around it.
+    /// from `s` towards `nh`. An eviction routes around the neighbour:
+    /// in the evictor's own distance-vector state, or (first evictor) by
+    /// rebuilding the shared table.
     fn observe_hop_failure(
         &mut self,
         s: StationId,
@@ -2312,90 +2013,42 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
-        if !self.heal_active() || !self.alive[s] {
+        if !self.alive[s] {
             return;
         }
-        let suspect_after = self.cfg.heal.suspect_after;
-        let evict_timeout = self.cfg.heal.evict_timeout;
-        let flap_damping = self.cfg.heal.flap_damping;
-        let flap_half_life = self.cfg.heal.flap_half_life;
-        let mut suspected = false;
-        let mut evicted = false;
+        match self
+            .heal
+            .hop_failed(s, nh, self.alive[nh], now, &mut self.metrics)
         {
-            let h = self.stations[s].liveness.entry(nh).or_default();
-            if h.evicted {
-                return;
-            }
-            h.consecutive_failures += 1;
-            if h.consecutive_failures >= suspect_after {
-                match h.suspected_at {
-                    None => {
-                        h.suspected_at = Some(now);
-                        suspected = true;
-                    }
-                    Some(t0) if now.since(t0) >= evict_timeout => {
-                        h.evicted = true;
-                        evicted = true;
-                        if flap_damping {
-                            // Each eviction adds a penalty point to the
-                            // decaying flap score; crossing the
-                            // suppression threshold keeps the neighbour
-                            // out until the score cools off.
-                            h.flap_penalty = decayed_penalty(h, now, flap_half_life) + 1.0;
-                            h.flap_updated = Some(now);
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        if suspected {
-            self.metrics.neighbors_suspected += 1;
-            parn_sim::trace_event!(
-                self.tracer,
-                now,
-                parn_sim::trace::Level::Info,
-                parn_sim::trace::TraceEvent::NeighborSuspected {
+            HopVerdict::Unchanged => {}
+            HopVerdict::Suspected => {
+                let event = TraceEvent::NeighborSuspected {
                     observer: s,
                     suspect: nh,
-                }
-            );
-        }
-        if evicted {
-            self.metrics.neighbors_evicted += 1;
-            parn_sim::counter_inc!("core.neighbors_evicted");
-            parn_sim::trace_event!(
-                self.tracer,
-                now,
-                parn_sim::trace::Level::Warn,
-                parn_sim::trace::TraceEvent::NeighborEvicted {
+                };
+                parn_sim::trace_event!(self.tracer, now, Level::Info, event);
+            }
+            HopVerdict::Evicted { first } => {
+                let event = TraceEvent::NeighborEvicted {
                     observer: s,
                     evicted: nh,
+                };
+                parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
+                if self.distributed() {
+                    // The evictor repairs only its own state; poisoned
+                    // reverse carries the withdrawal outward.
+                    self.on_link_failed(s, nh, now, queue);
+                } else if first {
+                    self.rebuild_routes(now, queue);
                 }
-            );
-            self.evicted_by[nh] += 1;
-            if self.evicted_by[nh] == 1 && !self.alive[nh] {
-                // First evictor: this is the network's detection moment.
-                close_mark(
-                    &mut self.down_since[nh],
-                    now,
-                    &mut self.metrics.time_to_detect,
-                );
-            }
-            if self.distributed() {
-                // The evictor repairs only its own state; poisoned
-                // reverse carries the withdrawal outward.
-                self.on_link_failed(s, nh, now, queue);
-            } else if self.evicted_by[nh] == 1 {
-                self.rebuild_routes(now, queue);
             }
         }
     }
 
     /// Local-healing liveness observation: `observer` heard `subject`
     /// (received from it, or got the implicit ack of a successful hop to
-    /// it). Good standing is restored; if the subject was evicted, the
-    /// reachability update floods and every eviction of it lifts.
+    /// it). If the observer held the subject evicted, it is readmitted
+    /// everywhere.
     fn observe_alive(
         &mut self,
         observer: StationId,
@@ -2403,86 +2056,42 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
-        if !self.heal_active() {
-            return;
-        }
-        let Some(h) = self.stations[observer].liveness.get_mut(&subject) else {
-            return;
-        };
-        h.consecutive_failures = 0;
-        h.suspected_at = None;
-        if h.evicted {
+        if self.heal.heard(observer, subject) {
             self.readmit_everywhere(subject, now, queue);
         }
     }
 
-    /// A station heard an evicted neighbour again: the reachability
-    /// update floods (modelled instantly, like the global route rebuild
-    /// it triggers), lifting every eviction of `subject` and restarting
-    /// its former evictors' (possibly reboot-stale) clock models of it.
+    /// A station heard an evicted neighbour again: every eviction of
+    /// `subject` that flap damping does not hold lifts, its former
+    /// evictors restart their (possibly reboot-stale) clock models of it,
+    /// and routes come back through it.
     fn readmit_everywhere(&mut self, subject: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        let flap_damping = self.cfg.heal.flap_damping;
-        let flap_suppress = self.cfg.heal.flap_suppress;
-        let flap_half_life = self.cfg.heal.flap_half_life;
-        let mut lifted: Vec<StationId> = Vec::new();
-        let mut suppressed: u64 = 0;
-        let mut remaining: u32 = 0;
-        for o in 0..self.stations.len() {
-            if o == subject || !self.alive[o] {
-                continue;
-            }
-            let Some(h) = self.stations[o].liveness.get_mut(&subject) else {
-                continue;
-            };
-            if !h.evicted {
-                continue;
-            }
-            if flap_damping && decayed_penalty(h, now, flap_half_life) >= flap_suppress {
-                // Flap damping: the neighbour was heard, but its
-                // suspect→evict→readmit churn has not cooled off yet —
-                // keep this observer's eviction standing until the
-                // penalty decays below the threshold.
-                suppressed += 1;
-                remaining += 1;
-                continue;
-            }
-            h.evicted = false;
-            h.consecutive_failures = 0;
-            h.suspected_at = None;
-            lifted.push(o);
+        let lifted = self
+            .heal
+            .readmit(subject, &self.alive, now, &mut self.metrics);
+        for &o in &lifted {
             self.rendezvous(o, subject, now, true);
         }
-        self.metrics.neighbors_readmitted += lifted.len() as u64;
-        self.metrics.readmissions_suppressed += suppressed;
-        self.evicted_by[subject] = remaining;
         if lifted.is_empty() {
             // Every standing eviction was flap-suppressed: nothing
             // changed, so there is nothing to rebuild or advertise.
             return;
         }
-        if self.distributed() {
-            // The link comes back in each former evictor's own state
-            // (first-hand knowledge, exempt from hold-down); the route
-            // change propagates by advertisement, and the subject counts
-            // as healed when the network next reconverges.
-            for o in lifted {
-                let Some(&(_, cost)) = self.dv_links[o].iter().find(|&&(nb, _)| nb == subject)
-                else {
-                    continue;
-                };
-                self.dv[o].restore_link(subject, cost);
-                self.after_dv_change(o, now, queue);
-            }
+        if !self.distributed() {
+            self.rebuild_routes(now, queue);
             return;
         }
-        if self.evicted_by[subject] == 0 {
-            close_mark(
-                &mut self.recover_mark[subject],
-                now,
-                &mut self.metrics.time_to_heal,
-            );
+        // The link comes back in each former evictor's own state
+        // (first-hand knowledge, exempt from hold-down); the route change
+        // propagates by advertisement, and the subject counts as healed
+        // when the network next reconverges.
+        for o in lifted {
+            let Some(&(_, cost)) = self.dv_links[o].iter().find(|&&(nb, _)| nb == subject) else {
+                continue;
+            };
+            self.dv[o].restore_link(subject, cost);
+            self.after_dv_change(o, now, queue);
         }
-        self.rebuild_routes(now, queue);
     }
 
     /// Rebuild the shared routing table over the currently usable
@@ -2543,7 +2152,7 @@ impl Network {
     /// routed traffic. Also returns that receive mask.
     fn usable_graph(&self) -> (EnergyGraph, Vec<bool>) {
         let rx_ok: Vec<bool> = (0..self.stations.len())
-            .map(|j| self.alive[j] && self.evicted_by[j] == 0)
+            .map(|j| self.alive[j] && !self.heal.evicted(j))
             .collect();
         let graph =
             EnergyGraph::from_model_masked(&*self.gains, self.usable_gain, &self.alive, &rx_ok);
@@ -2557,21 +2166,7 @@ impl Network {
         if self.distributed() {
             return;
         }
-        for s in 0..self.stations.len() {
-            if self.alive[s] {
-                close_mark(
-                    &mut self.recover_mark[s],
-                    now,
-                    &mut self.metrics.time_to_heal,
-                );
-            } else {
-                close_mark(
-                    &mut self.down_since[s],
-                    now,
-                    &mut self.metrics.time_to_detect,
-                );
-            }
-        }
+        self.heal.oracle_repair(&self.alive, now, &mut self.metrics);
         self.rebuild_routes(now, queue);
     }
 }
@@ -2603,7 +2198,9 @@ impl Model for Network {
             Event::Fault { index } => self.on_fault(index, now, queue),
             Event::FaultEnd { index } => self.on_fault_end(index, now, queue),
             Event::ByzStep { index, on } => self.on_byz_step(index, on, now, queue),
-            Event::RJamOff { seq } => self.on_rjam_off(seq),
+            // A reactive-jam burst ends: the adversary's transmitter goes
+            // quiet.
+            Event::RJamOff { tx } => self.tracker.end_transmission(tx),
             Event::RetryRelease {
                 station,
                 packet,
@@ -2625,6 +2222,7 @@ impl Model for Network {
 mod tests {
     use super::*;
     use crate::config::{DestPolicy, SourceModel};
+    use crate::faults::ByzMode;
 
     fn small_cfg(n: usize, seed: u64) -> NetConfig {
         let mut cfg = NetConfig::paper_default(n, seed);
@@ -3377,10 +2975,11 @@ mod tests {
                 .hearable_by(s, net.usable_gain)
                 .into_iter()
                 .collect();
-            net.stations[s]
-                .last_heard
-                .keys()
-                .any(|x| *x != s && !links.contains(x))
+            net.heal
+                .gossip(s)
+                .unwrap_or_default()
+                .iter()
+                .any(|&(x, _)| x != s && !links.contains(&x))
         });
         assert!(gossiped, "no second-hand liveness knowledge spread");
     }

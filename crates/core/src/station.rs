@@ -15,30 +15,6 @@ use parn_sched::{RemoteClockModel, Window};
 use parn_sim::Time;
 use std::collections::VecDeque;
 
-/// Local liveness estimate of one neighbour (`HealMode::Local`): built
-/// entirely from this station's own hop outcomes (implicit acks), never
-/// from global state.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NeighborHealth {
-    /// Consecutive failed hop attempts to this neighbour (reset on any
-    /// success).
-    pub consecutive_failures: u32,
-    /// When suspicion started (the failure that crossed the suspect
-    /// threshold). `None` while the neighbour is in good standing.
-    pub suspected_at: Option<Time>,
-    /// Whether this station has evicted the neighbour from its routing
-    /// view (cleared on re-admission).
-    pub evicted: bool,
-    /// Flap-damping penalty accrued by this neighbour: each eviction adds
-    /// one point, and the score decays exponentially with the configured
-    /// half-life. Readmission is suppressed while the decayed score stays
-    /// at or above `HealConfig::flap_suppress`. Meaningful only when
-    /// `HealConfig::flap_damping` is on (stays 0.0 otherwise).
-    pub flap_penalty: f64,
-    /// When `flap_penalty` was last updated (the decay reference point).
-    pub flap_updated: Option<Time>,
-}
-
 /// A transmission the MAC has committed to.
 #[derive(Clone, Debug)]
 pub struct PlannedTx {
@@ -85,15 +61,9 @@ pub struct Station {
     /// Per-packet transmit attempts for the head entries, keyed by packet
     /// id (cleared on success/drop).
     pub attempts: VecMap<u64, u32>,
-    /// Per-neighbour liveness tracking for local failure detection
-    /// (`HealMode::Local`).
-    pub liveness: VecMap<StationId, NeighborHealth>,
     /// Whether a triggered distance-vector update round is already
     /// scheduled (dedupes bursts of table changes into one round).
     pub update_pending: bool,
-    /// When this station last heard each other station — directly (any
-    /// reception or implicit ack) or through hello gossip.
-    pub last_heard: VecMap<StationId, Time>,
 }
 
 impl Station {
@@ -110,9 +80,7 @@ impl Station {
             protected: Vec::new(),
             retry_pending: false,
             attempts: VecMap::new(),
-            liveness: VecMap::new(),
             update_pending: false,
-            last_heard: VecMap::new(),
         }
     }
 
