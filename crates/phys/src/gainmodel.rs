@@ -59,13 +59,6 @@ pub trait GainModel: std::fmt::Debug + Send + Sync {
     /// in ascending id order.
     fn hearable_by(&self, rx: StationId, threshold: Gain) -> Vec<StationId>;
 
-    /// The strongest `k` paths into `rx`, best first; ties broken by
-    /// ascending id.
-    fn strongest_neighbors(&self, rx: StationId, k: usize) -> Vec<StationId>;
-
-    /// Sum of gains into `rx` from every other station.
-    fn total_exposure(&self, rx: StationId) -> f64;
-
     /// Downcast hook for backends built on a spatial grid; lets the SINR
     /// tracker's far-field mode reach the index. `None` for dense.
     fn as_grid(&self) -> Option<&GridGainModel> {
@@ -92,14 +85,6 @@ impl GainModel for GainMatrix {
 
     fn hearable_by(&self, rx: StationId, threshold: Gain) -> Vec<StationId> {
         GainMatrix::hearable_by(self, rx, threshold)
-    }
-
-    fn strongest_neighbors(&self, rx: StationId, k: usize) -> Vec<StationId> {
-        GainMatrix::strongest_neighbors(self, rx, k)
-    }
-
-    fn total_exposure(&self, rx: StationId) -> f64 {
-        GainMatrix::total_exposure(self, rx)
     }
 }
 
@@ -323,54 +308,6 @@ impl GainModel for GridGainModel {
         }
     }
 
-    fn strongest_neighbors(&self, rx: StationId, k: usize) -> Vec<StationId> {
-        let n = self.len();
-        if n == 0 || k == 0 {
-            return Vec::new();
-        }
-        let c = self.position(rx);
-        let grid = self.grid();
-        let mut r = grid.cell_size().max(f64::MIN_POSITIVE);
-        loop {
-            let covers = grid.square_covers_all(c, r);
-            let mut ids = grid.candidates_within(c, r);
-            ids.sort_unstable(); // ascending ids, so ties sort like dense
-            ids.retain(|&j| j != rx);
-            ids.sort_by(|&a, &b| {
-                self.gain(rx, b)
-                    .value()
-                    .total_cmp(&self.gain(rx, a).value())
-            });
-            if covers {
-                ids.truncate(k);
-                return ids;
-            }
-            if ids.len() >= k {
-                // Terminate once the ring provably holds every station at
-                // least as strong as the current k-th: any such station is
-                // within range_for_gain(kth), which the square already
-                // covers when that bound is ≤ r.
-                let kth = self.gain(rx, ids[k - 1]);
-                if let Some(bound) = self.model.range_for_gain(kth) {
-                    if bound <= r {
-                        ids.truncate(k);
-                        return ids;
-                    }
-                }
-            }
-            r *= 2.0;
-        }
-    }
-
-    fn total_exposure(&self, rx: StationId) -> f64 {
-        // Full scan in ascending order: identical summation order (and
-        // therefore identical float result) to the dense backend.
-        (0..self.len())
-            .filter(|&j| j != rx)
-            .map(|j| self.gain(rx, j).value())
-            .sum()
-    }
-
     fn as_grid(&self) -> Option<&GridGainModel> {
         Some(self)
     }
@@ -406,18 +343,6 @@ mod tests {
                     "hearable_by mismatch at rx={rx}, thr={thr}"
                 );
             }
-            for &k in &[0usize, 1, 3, 8, n] {
-                assert_eq!(
-                    GainModel::strongest_neighbors(&dense, rx, k),
-                    grid.strongest_neighbors(rx, k),
-                    "strongest mismatch at rx={rx}, k={k}"
-                );
-            }
-            assert_eq!(
-                GainModel::total_exposure(&dense, rx),
-                grid.total_exposure(rx),
-                "exposure mismatch at rx={rx}"
-            );
         }
     }
 
@@ -467,7 +392,10 @@ mod tests {
     fn grid_handles_colocated_stations() {
         let pts = vec![Point::ORIGIN, Point::ORIGIN, Point::new(5.0, 0.0)];
         let grid = GridGainModel::new(&pts, Box::new(FreeSpace::unit()));
-        assert_eq!(grid.strongest_neighbors(0, 3), vec![1, 2]);
+        // The colocated station is heard at any threshold; the one 5 m
+        // away only at a threshold its free-space gain reaches.
+        assert_eq!(grid.hearable_by(0, Gain(1.0)), vec![1]);
+        assert_eq!(grid.hearable_by(0, Gain(0.0)), vec![1, 2]);
         assert_eq!(grid.gain(0, 0), Gain::ZERO);
     }
 
@@ -581,10 +509,6 @@ mod tests {
                 assert_eq!(
                     grid.hearable_by(rx, Gain(1e-5)),
                     GainModel::hearable_by(&dense, rx, Gain(1e-5))
-                );
-                assert_eq!(
-                    grid.strongest_neighbors(rx, 6),
-                    GainModel::strongest_neighbors(&dense, rx, 6)
                 );
             }
         }

@@ -121,20 +121,6 @@ impl GainMatrix {
         }
     }
 
-    /// Build directly from an explicit gain table (row-major,
-    /// receiver-first). Positions default to the origin; useful in tests.
-    pub fn from_raw(n: usize, g: Vec<f64>) -> GainMatrix {
-        assert_eq!(g.len(), n * n, "gain table size mismatch");
-        GainMatrix {
-            n,
-            inner: RwLock::new(Inner {
-                g,
-                positions: vec![Point::ORIGIN; n],
-            }),
-            model: None,
-        }
-    }
-
     /// Number of stations.
     pub fn len(&self) -> usize {
         self.n
@@ -162,7 +148,7 @@ impl GainMatrix {
     /// positions would produce, bit for bit.
     ///
     /// Panics when the matrix was built without a shared model
-    /// ([`build`](Self::build) / [`from_raw`](Self::from_raw)).
+    /// ([`build`](Self::build)).
     pub fn relocate(&self, id: StationId, to: Point) {
         let model = self
             .model
@@ -190,25 +176,6 @@ impl GainMatrix {
         (0..self.n)
             .filter(|&tx| tx != rx && Gain(inner.g[rx * self.n + tx]) >= threshold)
             .collect()
-    }
-
-    /// The strongest `k` paths into `rx`, best first.
-    pub fn strongest_neighbors(&self, rx: StationId, k: usize) -> Vec<StationId> {
-        let inner = self.inner.read().unwrap();
-        let mut ids: Vec<StationId> = (0..self.n).filter(|&j| j != rx).collect();
-        ids.sort_by(|&a, &b| inner.g[rx * self.n + b].total_cmp(&inner.g[rx * self.n + a]));
-        ids.truncate(k);
-        ids
-    }
-
-    /// Sum of gains into `rx` from every other station — the receiver's
-    /// exposure if everyone transmitted at unit power simultaneously.
-    pub fn total_exposure(&self, rx: StationId) -> f64 {
-        let inner = self.inner.read().unwrap();
-        (0..self.n)
-            .filter(|&j| j != rx)
-            .map(|j| inner.g[rx * self.n + j])
-            .sum()
     }
 }
 
@@ -251,66 +218,6 @@ mod tests {
         assert_eq!(m.hearable_by(0, Gain(0.005)), vec![1]);
         assert_eq!(m.hearable_by(0, Gain(0.0005)), vec![1, 2]);
         assert!(m.hearable_by(0, Gain(0.5)).is_empty());
-    }
-
-    #[test]
-    fn strongest_neighbors_sorted() {
-        let m = GainMatrix::build(&line_positions(), &FreeSpace::unit());
-        assert_eq!(m.strongest_neighbors(2, 2), vec![1, 0]);
-        assert_eq!(m.strongest_neighbors(2, 1), vec![1]);
-        assert_eq!(m.strongest_neighbors(2, 10).len(), 2);
-    }
-
-    #[test]
-    fn total_exposure_sums() {
-        let m = GainMatrix::build(&line_positions(), &FreeSpace::unit());
-        let e = m.total_exposure(0);
-        assert!((e - (0.01 + 1.0 / 900.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn from_raw_round_trip() {
-        let m = GainMatrix::from_raw(2, vec![0.0, 0.5, 0.25, 0.0]);
-        assert_eq!(m.gain(0, 1).value(), 0.5);
-        assert_eq!(m.gain(1, 0).value(), 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn from_raw_checks_size() {
-        GainMatrix::from_raw(2, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn strongest_neighbors_handles_colocated_stations() {
-        // Two stations on top of each other (and of the receiver): the
-        // degenerate zero-distance placement must not panic and must keep
-        // a deterministic order.
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.0, 0.0),
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.0),
-        ];
-        let m = GainMatrix::build(&pts, &FreeSpace::unit());
-        let ids = m.strongest_neighbors(0, 4);
-        assert_eq!(ids.len(), 3);
-        // Co-located stations 1 and 2 tie at the r_min-clamped gain and
-        // beat the 5 m station; the stable sort keeps 1 before 2.
-        assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn strongest_neighbors_tolerates_nan_gains() {
-        let mut g = vec![0.0; 9];
-        g[1] = f64::NAN; // gain(rx=0, tx=1)
-        g[2] = 0.5; // gain(rx=0, tx=2)
-        let m = GainMatrix::from_raw(3, g);
-        // total_cmp orders NaN above every finite value in descending
-        // order, so the call completes instead of panicking.
-        let ids = m.strongest_neighbors(0, 2);
-        assert_eq!(ids.len(), 2);
-        assert!(ids.contains(&2));
     }
 
     #[test]

@@ -300,18 +300,6 @@ impl GridIndex {
         }
     }
 
-    /// True when a square of half-side `r` around `center` covers the
-    /// whole grid — i.e. expanding the query further cannot add stations.
-    pub fn square_covers_all(&self, center: Point, r: f64) -> bool {
-        if !r.is_finite() {
-            return true;
-        }
-        center.x - r <= self.min_x
-            && center.y - r <= self.min_y
-            && center.x + r >= self.min_x + self.nx as f64 * self.cell
-            && center.y + r >= self.min_y + self.ny as f64 * self.cell
-    }
-
     fn clamp_ix(&self, x: f64) -> usize {
         (((x - self.min_x) / self.cell).floor().max(0.0) as usize).min(self.nx - 1)
     }
@@ -376,7 +364,6 @@ mod tests {
             Point::new(-30.0, 70.0),
         ];
         let idx = GridIndex::build(&pts);
-        assert!(idx.square_covers_all(Point::ORIGIN, 1e9));
         let mut cand = idx.candidates_within(Point::ORIGIN, 1e9);
         cand.sort_unstable();
         assert_eq!(cand, vec![0, 1, 2]);

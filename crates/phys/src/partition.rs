@@ -168,33 +168,6 @@ impl GainModel for PartitionOverlay {
         ids
     }
 
-    fn strongest_neighbors(&self, rx: StationId, k: usize) -> Vec<StationId> {
-        if self.cuts.read().unwrap().is_empty() {
-            return self.inner.strongest_neighbors(rx, k);
-        }
-        // Attenuation reorders paths, so the inner ranking is unusable;
-        // full scan with the dense backend's tie-break (ascending id).
-        let n = self.len();
-        let mut ids: Vec<StationId> = (0..n).filter(|&j| j != rx).collect();
-        ids.sort_by(|&a, &b| {
-            self.gain(rx, b)
-                .value()
-                .total_cmp(&self.gain(rx, a).value())
-        });
-        ids.truncate(k);
-        ids
-    }
-
-    fn total_exposure(&self, rx: StationId) -> f64 {
-        if self.cuts.read().unwrap().is_empty() {
-            return self.inner.total_exposure(rx);
-        }
-        (0..self.len())
-            .filter(|&j| j != rx)
-            .map(|j| self.gain(rx, j).value())
-            .sum()
-    }
-
     fn as_grid(&self) -> Option<&GridGainModel> {
         // The far-field sweep uses the grid index for cell geometry and
         // the *propagation model* for wholly-far cell aggregates; those
@@ -250,11 +223,6 @@ mod tests {
                 ov.hearable_by(rx, Gain(1e-6)),
                 inner.hearable_by(rx, Gain(1e-6))
             );
-            assert_eq!(
-                ov.strongest_neighbors(rx, 2),
-                inner.strongest_neighbors(rx, 2)
-            );
-            assert_eq!(ov.total_exposure(rx), inner.total_exposure(rx));
         }
     }
 
