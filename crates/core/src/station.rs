@@ -106,11 +106,6 @@ impl Station {
         self.queues.values().map(VecDeque::len).sum()
     }
 
-    /// True when there is nothing to send and nothing planned.
-    pub fn idle(&self) -> bool {
-        self.pending_tx.is_empty() && self.queued() == 0
-    }
-
     /// Drop reservations that ended at or before `now`.
     pub fn prune_reservations(&mut self, now: Time) {
         self.reservations.retain(|w| w.end > now);
@@ -144,12 +139,11 @@ mod tests {
     #[test]
     fn enqueue_and_count() {
         let mut s = station();
-        assert!(s.idle());
+        assert_eq!(s.queued(), 0);
         s.enqueue(1, pkt(1), Time(5));
         s.enqueue(1, pkt(2), Time(6));
         s.enqueue(2, pkt(3), Time(7));
         assert_eq!(s.queued(), 3);
-        assert!(!s.idle());
         let q1 = s.queues.get(&1).expect("queue for next hop 1");
         assert_eq!(q1.len(), 2);
         assert_eq!(q1[0].enqueued, Time(5));
@@ -166,7 +160,7 @@ mod tests {
         assert_eq!(s.queues.keys().copied().collect::<Vec<_>>(), vec![1]);
         assert_eq!(s.dequeue(1).map(|p| p.id), Some(3));
         assert!(s.dequeue(1).is_none());
-        assert!(s.idle());
+        assert_eq!(s.queued(), 0);
         assert_eq!(s.queues.capacity(), 0);
     }
 

@@ -66,7 +66,6 @@ pub struct DvState {
     /// zero-hop or non-positive-energy route to a destination other than
     /// itself. Drained by [`take_poison_rejections`](DvState::take_poison_rejections).
     poison_rejections: u64,
-    dirty: bool,
 }
 
 impl DvState {
@@ -84,7 +83,6 @@ impl DvState {
             holddown_until: vec![Time::ZERO; n],
             holddown_by: vec![None; n],
             poison_rejections: 0,
-            dirty: true,
         };
         s.dist[me] = 0.0;
         s.hops[me] = 0;
@@ -122,12 +120,6 @@ impl DvState {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Read and clear the dirty flag (called when an update round is
-    /// scheduled for this station).
-    pub fn take_dirty(&mut self) -> bool {
-        std::mem::take(&mut self.dirty)
     }
 
     /// The vector to advertise to neighbour `to`, with split horizon and
@@ -217,7 +209,6 @@ impl DvState {
         // First-hand link knowledge is exempt from hold-down: a poisoned
         // route to a direct neighbour resurrects from the link itself.
         changed |= self.refresh_direct();
-        self.dirty |= changed;
         changed
     }
 
@@ -240,7 +231,6 @@ impl DvState {
             }
         }
         changed |= self.refresh_direct();
-        self.dirty = true;
         changed
     }
 
@@ -262,7 +252,6 @@ impl DvState {
             }
         }
         self.refresh_direct();
-        self.dirty = true;
     }
 
     /// The direct link to `peer` stays up but its cost changed — the peer
@@ -281,7 +270,6 @@ impl DvState {
             self.hops[peer] = 1;
         }
         self.refresh_direct();
-        self.dirty = true;
     }
 
     /// Re-assert every direct link: a link is always at least as good as
