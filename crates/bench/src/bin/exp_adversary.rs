@@ -17,7 +17,8 @@
 //!   or advertising poisoned routes — is detected (`Violation` losses,
 //!   rejected advertisements) rather than silently eroding the scheme.
 //!
-//! `--smoke` shrinks the sweep for CI.
+//! The sweep is deterministic: a run reproduces the `metrics` of every
+//! line of the committed `BENCH_adversary.json`, which CI checks.
 
 use parn_bench::report::{timed, Reporter, Run};
 use parn_core::{
@@ -98,12 +99,10 @@ fn run_with(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     println!("# E8: adversarial faults — jammer budget, partitions, Byzantine stations\n");
 
-    let n = if smoke { 40 } else { 80 };
-    let secs = if smoke { 12 } else { 20 };
-    let mut cfg = NetConfig::paper_default(n, 17);
+    let secs = 20;
+    let mut cfg = NetConfig::paper_default(80, 17);
     cfg.traffic.arrivals_per_station_per_sec = 2.0;
     cfg.run_for = Duration::from_secs(secs);
     cfg.warmup = Duration::from_secs(2);
@@ -120,11 +119,7 @@ fn main() {
     );
 
     // ---- Sweep 1: reactive-jammer energy budget vs delivery. ----------
-    let budgets: &[f64] = if smoke {
-        &[0.0, 0.5, 2.0]
-    } else {
-        &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-    };
+    let budgets = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
     let duty = 0.6;
     let jam_at = Duration::from_secs(secs / 4);
     println!("reactive jammer at relay {anchor} (duty cap {duty}):");
@@ -133,7 +128,7 @@ fn main() {
         "budget s", "oracle", "local", "distributed", "jams (local)"
     );
     let mut sweep: Vec<Vec<Metrics>> = vec![Vec::new(); ARMS.len()];
-    for &b in budgets {
+    for b in budgets {
         let plan = if b > 0.0 {
             FaultPlan::none().reactive_jam(jam_at, anchor, Duration::from_secs_f64(b), duty)
         } else {
