@@ -256,3 +256,72 @@ impl Adversary {
         fired
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parn_phys::propagation::FreeSpace;
+    use parn_phys::{GainMatrix, Point};
+
+    /// Three stations 5 m apart on a line, and a tracker over them.
+    fn air(cfg: &NetConfig) -> (Arc<dyn GainModel>, SinrTracker) {
+        let pts = [0.0, 5.0, 10.0].map(|x| Point::new(x, 0.0));
+        let gains: Arc<dyn GainModel> = Arc::new(GainMatrix::build(&pts, &FreeSpace::unit()));
+        let tracker = SinrTracker::new(Arc::clone(&gains), cfg.thermal_noise, cfg.self_gain);
+        (gains, tracker)
+    }
+
+    #[test]
+    fn a_reactive_jammer_fires_within_its_budget_and_duty_cap() {
+        let mut cfg = NetConfig::paper_default(3, 1);
+        let airtime = cfg.packet_airtime();
+        cfg.faults = FaultPlan::none().reactive_jam(Duration::ZERO, 0, airtime + airtime, 0.5);
+        let (gains, mut tracker) = air(&cfg);
+        let mut adversary = Adversary::default();
+        let mut m = Metrics::new(3);
+        assert!(!adversary.start(0, &cfg.faults.events[0], &mut tracker));
+        let p = PowerW(1e-3);
+        let react = |a: &mut Adversary, sender, now, m: &mut Metrics| {
+            a.react(&cfg, &*gains, sender, p, now, m)
+        };
+        let t = |k: u64| Time::ZERO + airtime * k;
+        // The anchor does not jam its own transmission.
+        assert!(react(&mut adversary, 0, t(0), &mut m).is_empty());
+        // Duty 0.5: one burst per two air times since arming.
+        assert_eq!(react(&mut adversary, 1, t(1), &mut m), vec![0]);
+        assert!(react(&mut adversary, 2, t(1), &mut m).is_empty());
+        assert_eq!(react(&mut adversary, 2, t(3), &mut m), vec![0]);
+        // The budget of two bursts is spent.
+        assert!(react(&mut adversary, 1, t(9), &mut m).is_empty());
+        assert_eq!(m.reactive_jams, 2);
+        assert_eq!(m.jam_budget_spent_s, 2.0 * airtime.as_secs_f64());
+    }
+
+    #[test]
+    fn a_violator_emits_only_while_its_window_is_open() {
+        let mut cfg = NetConfig::paper_default(3, 1);
+        let for_ = Duration::from_secs(1);
+        cfg.faults = FaultPlan::none().byzantine(Duration::ZERO, 1, ByzMode::Violator, for_);
+        let (_, mut tracker) = air(&cfg);
+        let mut adversary = Adversary::default();
+        let ev = cfg.faults.events[0];
+        assert!(
+            adversary.start(0, &ev, &mut tracker),
+            "a violator window opens"
+        );
+        assert!(!adversary.poisoning(&cfg.faults, 1));
+        let on = adversary.violator_step(&cfg, 0, true, || 1e-3, &mut tracker);
+        assert_eq!(on, Some(cfg.packet_airtime()));
+        assert_eq!(adversary.emissions.len(), 1);
+        let gap = adversary.violator_step(&cfg, 0, false, || unreachable!(), &mut tracker);
+        assert_eq!(gap, Some(cfg.sched.slot * 4));
+        assert!(adversary.emissions.is_empty());
+        let mut m = Metrics::new(3);
+        assert!(!adversary.end(0, ev.kind, Time::ZERO + for_, &mut tracker, &mut m));
+        assert_eq!(
+            adversary.violator_step(&cfg, 0, true, || 1e-3, &mut tracker),
+            None
+        );
+        assert!(adversary.emissions.is_empty());
+    }
+}

@@ -160,8 +160,8 @@ impl Heal {
     }
 
     /// The last-heard gossip a hello from `s` carries: everything `s` has
-    /// heard, or `None` when it has heard nothing (always, unless
-    /// liveness is tracked).
+    /// heard, or `None` when it has heard nothing, as always when liveness
+    /// is not tracked.
     pub(crate) fn gossip(&self, s: StationId) -> Option<Vec<(StationId, Time)>> {
         let heard = &self.last_heard[s];
         (!heard.is_empty()).then(|| heard.iter().map(|(&x, &t)| (x, t)).collect())
@@ -361,5 +361,145 @@ impl Heal {
                 close_mark(&mut self.recover_mark[s], at, &mut metrics.time_to_heal);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn heal(n: usize, cfg: HealConfig, route_mode: RouteMode) -> Heal {
+        let mut net = NetConfig::paper_default(n, 1);
+        net.heal = cfg;
+        net.route_mode = route_mode;
+        Heal::new(&net, n)
+    }
+
+    fn at(ms: u64) -> Time {
+        Time::ZERO + Duration::from_millis(ms)
+    }
+
+    /// `s` fails hops to `nh` at each of `times`; the last verdict.
+    fn fail(h: &mut Heal, s: usize, nh: usize, times: &[u64], m: &mut Metrics) -> HopVerdict {
+        let mut last = HopVerdict::Unchanged;
+        for &t in times {
+            last = h.hop_failed(s, nh, false, at(t), m);
+        }
+        last
+    }
+
+    #[test]
+    fn failures_suspect_then_evict_and_the_first_eviction_detects() {
+        // Local defaults: suspect after 3 failures, evict 150 ms later.
+        let mut h = heal(4, HealConfig::local(), RouteMode::Centralized);
+        let mut m = Metrics::new(4);
+        h.power_down(2, at(0), &mut m);
+        assert!(matches!(
+            fail(&mut h, 0, 2, &[10, 20], &mut m),
+            HopVerdict::Unchanged
+        ));
+        assert!(matches!(
+            fail(&mut h, 0, 2, &[30], &mut m),
+            HopVerdict::Suspected
+        ));
+        assert!(matches!(
+            fail(&mut h, 0, 2, &[170], &mut m),
+            HopVerdict::Unchanged
+        ));
+        let v = fail(&mut h, 0, 2, &[180], &mut m);
+        assert!(matches!(v, HopVerdict::Evicted { first: true }));
+        assert!(h.evicted(2));
+        assert_eq!(m.time_to_detect.count(), 1);
+        assert!((m.time_to_detect.mean() - 0.18).abs() < 1e-12);
+        let v = fail(&mut h, 1, 2, &[200, 210, 220, 400], &mut m);
+        assert!(matches!(v, HopVerdict::Evicted { first: false }));
+        assert_eq!(
+            m.time_to_detect.count(),
+            1,
+            "only the first eviction detects"
+        );
+        assert_eq!((m.neighbors_suspected, m.neighbors_evicted), (2, 2));
+    }
+
+    #[test]
+    fn hearing_an_evicted_station_readmits_it_everywhere() {
+        for route_mode in [RouteMode::Centralized, RouteMode::Distributed] {
+            let mut h = heal(3, HealConfig::local(), route_mode.clone());
+            let mut m = Metrics::new(3);
+            h.power_down(2, at(0), &mut m);
+            fail(&mut h, 0, 2, &[10, 20, 30, 200], &mut m);
+            fail(&mut h, 1, 2, &[10, 20, 30, 200], &mut m);
+            h.power_up(2, at(300));
+            assert!(h.heard(1, 2), "station 1 held 2 evicted");
+            assert_eq!(h.readmit(2, &[true; 3], at(400), &mut m), vec![0, 1]);
+            assert!(!h.evicted(2));
+            assert_eq!(m.neighbors_readmitted, 2);
+            // Local healing heals at the readmission; distributed routing
+            // when the exchange next goes quiet.
+            let local = matches!(route_mode, RouteMode::Centralized);
+            assert_eq!(m.time_to_heal.count(), u64::from(local));
+            h.converged(&[true; 3], at(900), &mut m);
+            assert_eq!(m.time_to_heal.count(), 1);
+            let heal_s = if local { 0.1 } else { 0.6 };
+            assert!((m.time_to_heal.mean() - heal_s).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn flap_damping_holds_a_quick_second_eviction() {
+        let mut cfg = HealConfig::local();
+        cfg.suspect_after = 1;
+        cfg.evict_timeout = Duration::ZERO;
+        cfg.flap_damping = true;
+        cfg.flap_suppress = 1.5;
+        cfg.flap_half_life = Duration::from_secs(4);
+        let mut h = heal(2, cfg, RouteMode::Centralized);
+        let mut m = Metrics::new(2);
+        fail(&mut h, 0, 1, &[0, 0], &mut m);
+        assert_eq!(h.readmit(1, &[true; 2], at(10), &mut m), vec![0]);
+        // A second eviction 10 ms later scores nearly 2 points.
+        fail(&mut h, 0, 1, &[20, 20], &mut m);
+        assert!(h.readmit(1, &[true; 2], at(30), &mut m).is_empty());
+        assert!(h.evicted(1));
+        assert_eq!((m.neighbors_readmitted, m.readmissions_suppressed), (1, 1));
+        // Two half-lives later the score is below 0.5 and the door opens.
+        assert_eq!(h.readmit(1, &[true; 2], at(8_030), &mut m), vec![0]);
+    }
+
+    #[test]
+    fn a_power_down_lapses_the_evictions_it_held() {
+        let mut h = heal(4, HealConfig::local(), RouteMode::Centralized);
+        let mut m = Metrics::new(4);
+        for s in [0, 3] {
+            fail(&mut h, s, 2, &[10, 20, 30, 200], &mut m);
+        }
+        fail(&mut h, 0, 1, &[10, 20, 30, 200], &mut m);
+        assert!(
+            h.power_down(0, at(300), &mut m),
+            "station 1's only eviction lapses"
+        );
+        assert!(!h.evicted(1));
+        assert!(h.evicted(2), "station 3 still holds 2 evicted");
+        assert!(h.power_down(3, at(400), &mut m));
+        assert!(!h.evicted(2));
+    }
+
+    #[test]
+    fn oracle_healing_tracks_no_liveness_but_marks_outages() {
+        let mut h = heal(2, HealConfig::oracle(), RouteMode::Centralized);
+        let mut m = Metrics::new(2);
+        assert!(!h.active());
+        assert!(matches!(
+            fail(&mut h, 0, 1, &[0, 0, 0, 500], &mut m),
+            HopVerdict::Unchanged
+        ));
+        h.hop_acked(0, 1, at(0));
+        assert!(h.gossip(0).is_none());
+        h.power_down(1, at(1_000), &mut m);
+        h.oracle_repair(&[true, false], at(1_500), &mut m);
+        h.power_up(1, at(2_000));
+        h.oracle_repair(&[true, true], at(2_250), &mut m);
+        assert!((m.time_to_detect.mean() - 0.5).abs() < 1e-12);
+        assert!((m.time_to_heal.mean() - 0.25).abs() < 1e-12);
     }
 }

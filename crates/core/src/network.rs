@@ -31,7 +31,6 @@ use parn_sched::{
     intersect_lists, subtract_lists, ClockSample, PredictedSchedule, QuarterSlot, RemoteClockModel,
     SlotKind, StationClock, StationSchedule, Window,
 };
-use parn_sim::trace::{Level, TraceEvent, Tracer};
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -220,7 +219,7 @@ pub struct Network {
     /// Whether a `NextArrival` chain is live per station (recovery
     /// restarts a chain only if the old one has died out).
     arrivals_live: Vec<bool>,
-    tracer: Tracer,
+    tracer: parn_sim::trace::Tracer,
     queue_depth: parn_sim::stats::TimeWeighted,
     on_air: parn_sim::stats::TimeWeighted,
     /// Per-station distance-vector protocol state
@@ -384,7 +383,7 @@ impl Network {
             heal,
             boot_epoch: vec![0; n],
             arrivals_live: vec![false; n],
-            tracer: Tracer::disabled(),
+            tracer: parn_sim::trace::Tracer::disabled(),
             queue_depth: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             on_air: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             dv,
@@ -413,13 +412,13 @@ impl Network {
 
     /// Attach a tracer: MAC plans, transmissions and reception outcomes
     /// are recorded (categories `"mac"` and `"phy"`).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Network {
+    pub fn with_tracer(mut self, tracer: parn_sim::trace::Tracer) -> Network {
         self.tracer = tracer;
         self
     }
 
     /// Access the trace collected so far.
-    pub fn tracer(&self) -> &Tracer {
+    pub fn tracer(&self) -> &parn_sim::trace::Tracer {
         &self.tracer
     }
 
@@ -766,8 +765,8 @@ impl Network {
                 parn_sim::trace_event!(
                     self.tracer,
                     now,
-                    Level::Debug,
-                    TraceEvent::MacPlanned {
+                    parn_sim::trace::Level::Debug,
+                    parn_sim::trace::TraceEvent::MacPlanned {
                         station: s,
                         packet: pid,
                         next_hop: nh,
@@ -908,8 +907,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                Level::Debug,
-                TraceEvent::RouteUpdateSent {
+                parn_sim::trace::Level::Debug,
+                parn_sim::trace::TraceEvent::RouteUpdateSent {
                     station: s,
                     neighbor: nh,
                     packet: packet.id,
@@ -964,8 +963,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                Level::Warn,
-                TraceEvent::ReactiveJamBurst {
+                parn_sim::trace::Level::Warn,
+                parn_sim::trace::TraceEvent::ReactiveJamBurst {
                     station: anchor,
                     target: nh,
                 }
@@ -1044,8 +1043,8 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            Level::Info,
-            TraceEvent::HopOutcome {
+            parn_sim::trace::Level::Info,
+            parn_sim::trace::TraceEvent::HopOutcome {
                 src: s,
                 dst: nh,
                 packet: packet.id,
@@ -1061,17 +1060,15 @@ impl Network {
             // Liveness evidence on both ends (the ack carries it back),
             // feeding the gossip hellos spread.
             self.heal.hop_acked(s, nh, now);
+            // Control frames are link-layer acked, data implicitly: the
+            // sender learns its addressee is alive.
+            self.observe_alive(s, nh, now, queue);
             if is_ctrl {
                 if measured && packet.kind == PacketKind::Hello {
                     self.metrics.hellos_received += 1;
                 }
-                // Control frames are link-layer acked like data: the
-                // sender learns its addressee is alive.
-                self.observe_alive(s, nh, now, queue);
                 self.consume_payload(nh, s, &packet, now, queue);
             } else {
-                // Implicit ack: the sender learns its next hop is alive.
-                self.observe_alive(s, nh, now, queue);
                 if measured {
                     self.metrics.hop_successes += 1;
                     let rep = report.as_ref().expect("successful reception had a report");
@@ -1403,8 +1400,8 @@ impl Network {
                 parn_sim::trace_event!(
                     self.tracer,
                     now,
-                    Level::Warn,
-                    TraceEvent::ViolationDetected {
+                    parn_sim::trace::Level::Warn,
+                    parn_sim::trace::TraceEvent::ViolationDetected {
                         observer: rx,
                         source: sender,
                     }
@@ -1546,8 +1543,8 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            Level::Info,
-            TraceEvent::RouteConverged {
+            parn_sim::trace::Level::Info,
+            parn_sim::trace::TraceEvent::RouteConverged {
                 episode: self.dv_episodes,
                 quiesced_at: last,
             }
@@ -1674,8 +1671,8 @@ impl Network {
         parn_sim::trace_event!(
             self.tracer,
             now,
-            Level::Warn,
-            TraceEvent::FaultInjected {
+            parn_sim::trace::Level::Warn,
+            parn_sim::trace::TraceEvent::FaultInjected {
                 station: ev.station,
                 kind: ev.kind.tag(),
             }
@@ -1706,8 +1703,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                Level::Warn,
-                TraceEvent::PartitionHealed { index }
+                parn_sim::trace::Level::Warn,
+                parn_sim::trace::TraceEvent::PartitionHealed { index }
             );
         }
     }
@@ -1756,11 +1753,11 @@ impl Network {
         let event = if cause == LossCause::Departed {
             self.metrics.leaves += 1;
             parn_sim::counter_inc!("core.leaves");
-            TraceEvent::StationLeft { station: s }
+            parn_sim::trace::TraceEvent::StationLeft { station: s }
         } else {
-            TraceEvent::StationFailed { station: s }
+            parn_sim::trace::TraceEvent::StationFailed { station: s }
         };
-        parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
+        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = false;
         let mut lost = self.take_queued(s, now);
         let st = &mut self.stations[s];
@@ -1801,13 +1798,13 @@ impl Network {
         }
         let event = if let PowerUp::Reboot = how {
             self.metrics.stations_recovered += 1;
-            TraceEvent::StationRecovered { station: s }
+            parn_sim::trace::TraceEvent::StationRecovered { station: s }
         } else {
             self.metrics.joins += 1;
             parn_sim::counter_inc!("core.joins");
-            TraceEvent::StationJoined { station: s }
+            parn_sim::trace::TraceEvent::StationJoined { station: s }
         };
-        parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
+        parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = true;
         self.boot_epoch[s] += 1;
         self.clocks[s] = StationClock::random(&mut self.rng_faults, self.cfg.clock.max_ppm);
@@ -1863,8 +1860,8 @@ impl Network {
             parn_sim::trace_event!(
                 self.tracer,
                 now,
-                Level::Debug,
-                TraceEvent::StationMoved { station: s }
+                parn_sim::trace::Level::Debug,
+                parn_sim::trace::TraceEvent::StationMoved { station: s }
             );
         }
     }
@@ -2022,18 +2019,18 @@ impl Network {
         {
             HopVerdict::Unchanged => {}
             HopVerdict::Suspected => {
-                let event = TraceEvent::NeighborSuspected {
+                let event = parn_sim::trace::TraceEvent::NeighborSuspected {
                     observer: s,
                     suspect: nh,
                 };
-                parn_sim::trace_event!(self.tracer, now, Level::Info, event);
+                parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Info, event);
             }
             HopVerdict::Evicted { first } => {
-                let event = TraceEvent::NeighborEvicted {
+                let event = parn_sim::trace::TraceEvent::NeighborEvicted {
                     observer: s,
                     evicted: nh,
                 };
-                parn_sim::trace_event!(self.tracer, now, Level::Warn, event);
+                parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
                 if self.distributed() {
                     // The evictor repairs only its own state; poisoned
                     // reverse carries the withdrawal outward.
