@@ -233,7 +233,7 @@ impl Adversary {
         for (&index, spent) in &mut self.reactive {
             let ev = cfg.faults.events[index];
             let FaultKind::ReactiveJam { budget, duty } = ev.kind else {
-                continue;
+                unreachable!("armed jammer {index} is not a reactive jam in the plan");
             };
             if budget.saturating_sub(*spent) < airtime {
                 continue; // budget exhausted: the adversary is spent
