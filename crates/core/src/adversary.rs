@@ -212,9 +212,9 @@ impl Adversary {
     /// Every armed reactive jammer whose sensor hears it above the
     /// thermal floor fires one burst of jam air time against it, if its
     /// budget left covers the burst and its duty cap (jam time at most
-    /// `duty` × time since arming) permits. Returns the anchor of each
-    /// jammer that fires, in plan order, for the caller to put its burst
-    /// on the air.
+    /// `duty` × time since arming) permits. Each burst is counted, with
+    /// its air time, in `metrics`. Returns the anchor of each jammer that
+    /// fires, in plan order, for the caller to put its burst on the air.
     pub(crate) fn react(
         &mut self,
         cfg: &NetConfig,
