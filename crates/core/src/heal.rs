@@ -453,17 +453,23 @@ mod tests {
         cfg.flap_damping = true;
         cfg.flap_suppress = 1.5;
         cfg.flap_half_life = Duration::from_secs(4);
-        let mut h = heal(2, cfg, RouteMode::Centralized);
-        let mut m = Metrics::new(2);
+        let mut h = heal(3, cfg, RouteMode::Centralized);
+        let mut m = Metrics::new(3);
         fail(&mut h, 0, 1, &[0, 0], &mut m);
-        assert_eq!(h.readmit(1, &[true; 2], at(10), &mut m), vec![0]);
-        // A second eviction 10 ms later scores nearly 2 points.
+        assert_eq!(h.readmit(1, &[true; 3], at(10), &mut m), vec![0]);
+        // Station 0's second eviction 10 ms later scores nearly 2 points,
+        // station 2's first scores 1. Station 1 reboots while evicted.
         fail(&mut h, 0, 1, &[20, 20], &mut m);
-        assert!(h.readmit(1, &[true; 2], at(30), &mut m).is_empty());
-        assert!(h.evicted(1));
-        assert_eq!((m.neighbors_readmitted, m.readmissions_suppressed), (1, 1));
+        fail(&mut h, 2, 1, &[20, 20], &mut m);
+        h.power_down(1, at(25), &mut m);
+        h.power_up(1, at(28));
+        assert_eq!(h.readmit(1, &[true; 3], at(30), &mut m), vec![2]);
+        assert!(h.evicted(1), "station 0's eviction stands");
+        assert_eq!((m.neighbors_readmitted, m.readmissions_suppressed), (2, 1));
+        assert_eq!(m.time_to_heal.count(), 0, "not healed while held evicted");
         // Two half-lives later the score is below 0.5 and the door opens.
-        assert_eq!(h.readmit(1, &[true; 2], at(8_030), &mut m), vec![0]);
+        assert_eq!(h.readmit(1, &[true; 3], at(8_030), &mut m), vec![0]);
+        assert!((m.time_to_heal.mean() - 8.002).abs() < 1e-9);
     }
 
     #[test]
