@@ -41,6 +41,7 @@ pub mod mobility;
 pub mod network;
 pub mod packet;
 pub mod power;
+mod routing;
 pub mod station;
 pub mod traffic;
 pub mod vecmap;

@@ -13,26 +13,26 @@
 
 use crate::adversary::Adversary;
 use crate::collision::classify;
-use crate::config::{NetConfig, PhyBackend, RouteMode, SyncMode};
+use crate::config::{NetConfig, PhyBackend, SyncMode};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::heal::{Heal, HopVerdict};
 use crate::metrics::{Metrics, WarmupGate};
 use crate::mobility::{ChurnKind, Motion};
 use crate::packet::{ControlPayload, LossCause, Packet, PacketKind};
 use crate::power::PowerPolicy;
+use crate::routing::{Probe, Relink, Routing};
 use crate::station::{PlannedTx, Station};
 use crate::traffic::Traffic;
 use parn_phys::placement::density;
 use parn_phys::propagation::{FreeSpace, Propagation, Shadowed};
 use parn_phys::sinr::{RxId, SinrTracker, TxId};
 use parn_phys::{GainMatrix, GainModel, GridGainModel, Point, PowerW, StationId};
-use parn_route::{DvCluster, DvState, EnergyGraph, RouteTable};
+use parn_route::RouteTable;
 use parn_sched::{
     intersect_lists, subtract_lists, ClockSample, PredictedSchedule, QuarterSlot, RemoteClockModel,
     SlotKind, StationClock, StationSchedule, Window,
 };
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The MAC's first look-ahead span, in slots. At p = 0.3 a sender's
@@ -133,12 +133,12 @@ pub enum Event {
     },
     /// Oracle-mode routing repair after a failure or recovery
     /// ([`HealMode::Oracle`](crate::faults::HealMode::Oracle) with
-    /// table-based routing). Never scheduled in
-    /// [`RouteMode::Distributed`], where reconvergence emerges from the
-    /// per-station distance-vector exchange instead.
+    /// table-based routing). Never scheduled under distributed routing,
+    /// where reconvergence emerges from the per-station distance-vector
+    /// exchange instead.
     Reroute,
     /// A station advertises its distance vector to its direct link
-    /// neighbours ([`RouteMode::Distributed`]): periodic rounds keep the
+    /// neighbours (distributed routing): periodic rounds keep the
     /// exchange alive, triggered rounds propagate table changes.
     RouteUpdateRound {
         /// The advertising station.
@@ -185,7 +185,8 @@ pub struct Network {
     cfg: NetConfig,
     gains: Arc<dyn GainModel>,
     tracker: SinrTracker,
-    routes: RouteTable,
+    /// The shared table, or each station's own under distributed routing.
+    routing: Routing,
     stations: Vec<Station>,
     clocks: Vec<StationClock>,
     power: PowerPolicy,
@@ -203,8 +204,6 @@ pub struct Network {
     interference_budget: PowerW,
     /// Liveness per station (failure injection).
     alive: Vec<bool>,
-    /// Gain threshold for usable hops, kept for route repairs.
-    usable_gain: parn_phys::Gain,
     /// Results.
     pub metrics: Metrics,
     /// Fault-machinery RNG (reboot clocks, retry-backoff jitter).
@@ -222,23 +221,6 @@ pub struct Network {
     tracer: parn_sim::trace::Tracer,
     queue_depth: parn_sim::stats::TimeWeighted,
     on_air: parn_sim::stats::TimeWeighted,
-    /// Per-station distance-vector protocol state
-    /// ([`RouteMode::Distributed`]; empty otherwise). `dv[s]` is private
-    /// to station `s`: the only way information enters it is a received
-    /// advertisement.
-    dv: Vec<DvState>,
-    /// The physical link set each station booted with: `(neighbour,
-    /// hop energy)` per usable link. Reboots and readmissions restore
-    /// links from here (the rejoin handshake re-measures them).
-    dv_links: Vec<Vec<(StationId, f64)>>,
-    /// First table change of the currently open convergence episode.
-    dv_episode_start: Option<Time>,
-    /// Most recent table change of the open episode.
-    dv_last_change: Option<Time>,
-    /// Whether a `ConvergenceCheck` is already scheduled.
-    dv_check_pending: bool,
-    /// Closed convergence episodes so far (trace numbering).
-    dv_episodes: u64,
 }
 
 impl Network {
@@ -284,29 +266,7 @@ impl Network {
         let rho = density(&positions, &region);
         let reach = cfg.reach_factor / rho.sqrt();
         let usable_gain = parn_phys::Gain(1.0 / (reach * reach));
-        let graph = EnergyGraph::from_model(&*gains, usable_gain);
-        let (routes, dv) = match cfg.route_mode {
-            RouteMode::Centralized => (RouteTable::centralized(&graph), Vec::new()),
-            RouteMode::OneHop => (RouteTable::one_hop(&graph), Vec::new()),
-            RouteMode::Greedy => (RouteTable::greedy(&graph, &positions), Vec::new()),
-            RouteMode::Distributed => {
-                // Real per-station protocol state. The initial tables come
-                // from a cold-start exchange (every station trades vectors
-                // with its link neighbours until quiescent) — the same
-                // fixpoint the runtime asynchronous exchange maintains.
-                let mut cluster = DvCluster::new(&graph);
-                cluster
-                    .converge_sync(2 * n + 16)
-                    .expect("cold-start distance-vector exchange did not converge");
-                let table = cluster.to_table();
-                (table, cluster.into_states())
-            }
-        };
-        let dv_links: Vec<Vec<(StationId, f64)>> = if dv.is_empty() {
-            Vec::new()
-        } else {
-            (0..n).map(|s| graph.neighbors(s).to_vec()).collect()
-        };
+        let routing = Routing::new(&cfg, Arc::clone(&gains), usable_gain);
         let mut tracker = SinrTracker::new(
             Arc::clone(&gains),
             cfg.thermal_noise + cfg.external_din,
@@ -341,7 +301,7 @@ impl Network {
         let traffic = Traffic::new(
             &cfg.traffic,
             root.substream("traffic"),
-            &routes,
+            routing.table(),
             &positions,
             reach,
             region.radius,
@@ -363,7 +323,7 @@ impl Network {
             cfg,
             gains,
             tracker,
-            routes,
+            routing,
             stations,
             clocks,
             power,
@@ -376,7 +336,6 @@ impl Network {
             end,
             interference_budget,
             alive: vec![true; n],
-            usable_gain,
             metrics,
             rng_faults,
             adversary,
@@ -386,26 +345,16 @@ impl Network {
             tracer: parn_sim::trace::Tracer::disabled(),
             queue_depth: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             on_air: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
-            dv,
-            dv_links,
-            dv_episode_start: None,
-            dv_last_change: None,
-            dv_check_pending: false,
-            dv_episodes: 0,
         };
-        // Distributed mode exchanges vectors over every usable link, not
-        // just current next hops, so link neighbours need clock models
-        // from boot.
-        if net.distributed() {
-            for s in 0..n {
-                for &(nb, _) in graph.neighbors(s) {
-                    net.rendezvous(s, nb, Time::ZERO, false);
-                }
+        // Each station's routing view. Under distributed routing a station
+        // exchanges vectors over every usable link, not just its current
+        // next hops, so its link neighbours need clock models from boot.
+        for s in 0..n {
+            for (nb, _) in net.routing.links(s).to_vec() {
+                net.rendezvous(s, nb, Time::ZERO, false);
             }
-        }
-        for id in 0..n {
-            let rn = net.routes.routing_neighbors(id);
-            net.set_routing_view(id, rn, Time::ZERO);
+            let rn = net.routing.neighbors(s);
+            net.set_routing_view(s, rn, Time::ZERO);
         }
         net
     }
@@ -422,19 +371,19 @@ impl Network {
         &self.tracer
     }
 
-    /// The routing table in use. In [`RouteMode::Distributed`] this is
-    /// the cold-start snapshot; the live per-station tables are in
+    /// The routing table in use. Under distributed routing this is the
+    /// cold-start snapshot; the live per-station tables are in
     /// [`Network::dv_table`].
     pub fn routes(&self) -> &RouteTable {
-        &self.routes
+        self.routing.table()
     }
 
     /// Snapshot the per-station distance-vector tables as one dense
-    /// [`RouteTable`] (`None` outside [`RouteMode::Distributed`]) — the
+    /// [`RouteTable`] (`None` outside distributed routing) — the
     /// convergence harness compares this against the centralized
     /// optimum after quiescence.
     pub fn dv_table(&self) -> Option<RouteTable> {
-        (!self.dv.is_empty()).then(|| DvCluster::from_states(self.dv.clone()).to_table())
+        self.routing.dv_table()
     }
 
     /// The gain model in use.
@@ -484,21 +433,13 @@ impl Network {
                 }
             }
         }
-        // Distributed routing: periodic advertisement rounds per station,
-        // staggered like hellos (a different prime keeps the two cadences
-        // from aligning systematically).
-        if self.distributed() {
-            let iv = self.cfg.dv.update_interval.ticks().max(1);
-            for s in 0..n {
-                let stagger = Duration((s as u64).wrapping_mul(6007) % iv);
-                queue.schedule(
-                    Time::ZERO + stagger,
-                    Event::RouteUpdateRound {
-                        station: s,
-                        periodic: true,
-                    },
-                );
-            }
+        // Distributed routing: periodic advertisement rounds per station.
+        for (s, at) in self.routing.first_rounds() {
+            let round = Event::RouteUpdateRound {
+                station: s,
+                periodic: true,
+            };
+            queue.schedule(at, round);
         }
         // Translate the fault plan into injection events, the ends of
         // timed faults, and — under oracle healing with table-based
@@ -607,7 +548,7 @@ impl Network {
     /// routes pass through each station (delegates to the route table) —
     /// a cheap "who is a load-bearing relay" probe.
     pub fn routing_dependent_counts(&self) -> Vec<usize> {
-        self.routes.routing_dependent_counts()
+        self.routing.table().routing_dependent_counts()
     }
 
     /// Finalize accounting and surrender metrics.
@@ -645,32 +586,6 @@ impl Network {
         self.track_queue(now, 1.0);
     }
 
-    /// True when routing runs as the per-station distance-vector
-    /// protocol.
-    fn distributed(&self) -> bool {
-        matches!(self.cfg.route_mode, RouteMode::Distributed)
-    }
-
-    /// Resolve the forwarding next hop for `packet` held at `at`:
-    /// through the station's own distance-vector state (Distributed) or
-    /// the shared table. `Err` carries the drop cause — unroutable, or a
-    /// forward that would hand the packet back to a station that already
-    /// held it (a transient routing loop, refused per packet).
-    fn resolve_next_hop(&self, at: StationId, packet: &Packet) -> Result<StationId, LossCause> {
-        let next = if self.distributed() {
-            self.dv[at].next_hop(packet.dst)
-        } else {
-            self.routes.next_hop(at, packet.dst)
-        };
-        match next {
-            None => Err(LossCause::Unroutable),
-            Some(nh) if self.distributed() && packet.visited.contains(&nh) => {
-                Err(LossCause::RoutingLoop)
-            }
-            Some(nh) => Ok(nh),
-        }
-    }
-
     /// Resolve and enqueue `packet` at `at`, or settle it as dropped.
     fn route_or_drop(
         &mut self,
@@ -679,7 +594,7 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
-        match self.resolve_next_hop(at, &packet) {
+        match self.routing.next_hop(at, &packet) {
             Ok(next) => {
                 self.enqueue_tracked(at, next, packet, now);
                 self.try_schedule(at, now, queue);
@@ -886,19 +801,15 @@ impl Network {
     /// (Distributed) and the sender's last-heard gossip (any local
     /// liveness mode), so idle neighbourhoods still exchange evidence.
     fn attach_payload(&mut self, s: StationId, nh: StationId, packet: &mut Packet, now: Time) {
-        let mut payload = ControlPayload::default();
-        match packet.kind {
-            PacketKind::Data => return,
-            PacketKind::RouteUpdate => {
-                payload.route_vector = Some(self.advertisement_for(s, nh));
-            }
-            PacketKind::Hello => {
-                if self.distributed() {
-                    payload.route_vector = Some(self.advertisement_for(s, nh));
-                }
-                payload.last_heard = self.heal.gossip(s);
-            }
+        if packet.kind == PacketKind::Data {
+            return;
         }
+        let poisoning = self.adversary.poisoning(&self.cfg.faults, s);
+        let hello = packet.kind == PacketKind::Hello;
+        let payload = ControlPayload {
+            route_vector: self.routing.vector(s, nh, poisoning),
+            last_heard: hello.then(|| self.heal.gossip(s)).flatten(),
+        };
         if payload.route_vector.is_some() {
             if self.warm.measured(now) {
                 self.metrics.route_updates_sent += 1;
@@ -918,19 +829,6 @@ impl Network {
         if payload.route_vector.is_some() || payload.last_heard.is_some() {
             packet.payload = Some(Arc::new(payload));
         }
-    }
-
-    /// The distance vector `s` puts on the air for `nh`: its honest
-    /// advertisement — unless `s` is inside an active Byzantine poisoner
-    /// window, in which case it underbids every destination (zero energy,
-    /// zero hops), trying to black-hole traffic through itself. The
-    /// receiver-side sanity check in [`parn_route::DvState::integrate`]
-    /// rejects exactly these claims.
-    fn advertisement_for(&self, s: StationId, nh: StationId) -> Vec<(f64, u32)> {
-        if self.adversary.poisoning(&self.cfg.faults, s) {
-            return vec![(0.0, 0); self.stations.len()];
-        }
-        self.dv[s].advertisement(nh)
     }
 
     fn on_tx_start(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
@@ -1125,16 +1023,7 @@ impl Network {
         queue: &mut EventQueue<Event>,
     ) {
         packet.hops += 1;
-        if self.distributed() {
-            // The per-packet loop-freedom invariant: refusing to forward
-            // into the visited set (resolve_next_hop) must keep this
-            // from ever firing, whatever transient the exchange is in.
-            assert!(
-                !packet.visited.contains(&at),
-                "loop-freedom violated: packet {} revisited station {at}",
-                packet.id
-            );
-        }
+        self.routing.assert_loop_free(at, &packet);
         packet.visited.push(at);
         let measured = self.warm.measured(packet.created);
         if packet.dst == at {
@@ -1261,23 +1150,13 @@ impl Network {
             self.metrics.generated += 1;
             self.metrics.per_station_generated[s] += 1;
         }
-        if self.distributed() || self.traffic.spatial() {
-            // The reachable list can be stale while the exchange
-            // reconverges — and the spatial policies sample destinations
-            // without a reachability scan (greedy forwarding can dead-end
-            // en route anyway): either way the packet settles as
-            // unroutable, staying on the conservation ledger.
-            self.route_or_drop(s, packet, now, queue);
-        } else {
-            // Table-based reachable lists are kept exact; a miss here is
-            // a bug, not a protocol transient.
-            let next_hop = self
-                .routes
-                .next_hop(s, dst)
-                .expect("picked an unroutable destination");
-            self.enqueue_tracked(s, next_hop, packet, now);
-            self.try_schedule(s, now, queue);
-        }
+        // A picked destination can be unroutable: the reachable list goes
+        // stale while the distance-vector exchange reconverges, a `Flows`
+        // pair may have no route, and the spatial policies sample
+        // destinations without a reachability scan (greedy forwarding can
+        // dead-end en route anyway). The packet then settles as
+        // unroutable, staying on the conservation ledger.
+        self.route_or_drop(s, packet, now, queue);
     }
 
     /// Draw station `s`'s next arrival after `now` and schedule it if it
@@ -1385,15 +1264,15 @@ impl Network {
             }
         }
         if let Some(vector) = &payload.route_vector {
-            if !self.distributed() || !self.alive[rx] {
+            if !self.alive[rx] {
                 return;
             }
             if self.warm.measured(now) {
                 self.metrics.route_updates_received += 1;
             }
             parn_sim::counter_inc!("route.updates_received");
-            let changed = self.dv[rx].integrate(sender, vector, now, self.cfg.dv.holddown);
-            let rejected = self.dv[rx].take_poison_rejections();
+            let integrated = self.routing.integrate(rx, sender, vector, now);
+            let (changed, rejected) = integrated.unwrap_or_default();
             if rejected > 0 {
                 self.metrics.violations_detected += rejected;
                 parn_sim::counter_inc!("core.violations_detected");
@@ -1413,27 +1292,19 @@ impl Network {
         }
     }
 
-    /// A station's distance-vector table changed: refresh the MAC state
-    /// derived from it (routing neighbours, §7.3 protection, clock
-    /// models), arrange a triggered advertisement, and (re)arm the
-    /// network-wide quiescence probe.
+    /// A station's distance-vector table changed: re-derive its routing
+    /// view where its routing neighbours changed (what `rebuild_routes`
+    /// does globally, scoped to the station whose private state moved),
+    /// arrange a triggered advertisement, and make sure a quiescence
+    /// probe is armed for the network-wide convergence episode.
     fn after_dv_change(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        self.refresh_station_routing(s, now, false);
-        self.schedule_triggered_update(s, now, queue);
-        self.note_dv_change(now, queue);
-    }
-
-    /// Re-derive one station's routing neighbours, protected set and
-    /// clock models from its own table — what `rebuild_routes` does
-    /// globally, scoped to the station whose private state moved.
-    ///
-    /// `force` skips the unchanged-neighbour early exit: motion re-costs
-    /// gains without necessarily changing next hops, and §7.3 protection
-    /// and worst-case power must re-budget from the moved geometry.
-    fn refresh_station_routing(&mut self, s: StationId, now: Time, force: bool) {
-        let rn = self.dv[s].routing_neighbors();
-        if force || rn != self.stations[s].routing_neighbors {
+        let rn = self.routing.neighbors(s);
+        if rn != self.stations[s].routing_neighbors {
             self.set_routing_view(s, rn, now);
+        }
+        self.trigger_round(s, now, queue);
+        if let Some(at) = self.routing.note_change(now) {
+            queue.schedule(at, Event::ConvergenceCheck);
         }
     }
 
@@ -1448,10 +1319,9 @@ impl Network {
         // Under distributed routing the worst case includes the physical
         // link set: the station addresses advertisements over every
         // usable link, not just its current next hops.
-        let links = self.dv_links.get(s).map_or(&[][..], Vec::as_slice);
         let max_power_used = rn
             .iter()
-            .chain(links.iter().map(|(nb, _)| nb))
+            .chain(self.routing.links(s).iter().map(|(nb, _)| nb))
             .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
             .fold(0.0f64, f64::max);
         let mut protected = Vec::new();
@@ -1483,73 +1353,41 @@ impl Network {
         st.protected = protected;
     }
 
-    /// Arrange a triggered advertisement round for `s`, deduping bursts
-    /// of table changes into one round per `triggered_delay`.
-    fn schedule_triggered_update(
-        &mut self,
-        s: StationId,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if !self.alive[s] || self.stations[s].update_pending {
-            return;
-        }
-        self.stations[s].update_pending = true;
-        queue.schedule(
-            now + self.cfg.dv.triggered_delay,
-            Event::RouteUpdateRound {
+    /// Arrange a triggered advertisement round for `s`, one per burst of
+    /// table changes. Only a live station's own table changes.
+    fn trigger_round(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
+        if let Some(at) = self.routing.arm_round(s, now) {
+            let round = Event::RouteUpdateRound {
                 station: s,
                 periodic: false,
-            },
-        );
-    }
-
-    /// Record a table change for convergence-episode tracking and make
-    /// sure a quiescence probe is armed.
-    fn note_dv_change(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        if self.dv_episode_start.is_none() {
-            self.dv_episode_start = Some(now);
-        }
-        self.dv_last_change = Some(now);
-        if !self.dv_check_pending {
-            self.dv_check_pending = true;
-            queue.schedule(now + self.cfg.dv.convergence_quiet, Event::ConvergenceCheck);
+            };
+            queue.schedule(at, round);
         }
     }
 
-    /// Quiescence probe: if no table changed for a full quiet window the
-    /// episode closes — its duration is sampled, and any station whose
+    /// Quiescence probe: re-armed while tables still change, else the
+    /// episode closes. Its duration is sampled, and any station whose
     /// readmission the episode propagated counts as healed.
     fn on_convergence_check(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        self.dv_check_pending = false;
-        let (Some(start), Some(last)) = (self.dv_episode_start, self.dv_last_change) else {
-            return;
-        };
-        let quiet = self.cfg.dv.convergence_quiet;
-        if now.since(last) < quiet {
-            // Changed again since this probe was armed; re-arm from the
-            // latest change.
-            self.dv_check_pending = true;
-            queue.schedule(last + quiet, Event::ConvergenceCheck);
-            return;
-        }
-        self.dv_episode_start = None;
-        self.dv_last_change = None;
-        self.dv_episodes += 1;
-        self.metrics
-            .converged_at
-            .add(last.since(start).as_secs_f64());
-        parn_sim::counter_inc!("route.convergence_rounds");
-        parn_sim::trace_event!(
-            self.tracer,
-            now,
-            parn_sim::trace::Level::Info,
-            parn_sim::trace::TraceEvent::RouteConverged {
-                episode: self.dv_episodes,
-                quiesced_at: last,
+        match self.routing.probe(now) {
+            None => {}
+            Some(Probe::Rearm(at)) => queue.schedule(at, Event::ConvergenceCheck),
+            Some(Probe::Converged(start, last)) => {
+                let took = last.since(start).as_secs_f64();
+                self.metrics.converged_at.add(took);
+                parn_sim::counter_inc!("route.convergence_rounds");
+                parn_sim::trace_event!(
+                    self.tracer,
+                    now,
+                    parn_sim::trace::Level::Info,
+                    parn_sim::trace::TraceEvent::RouteConverged {
+                        episode: self.metrics.converged_at.count(),
+                        quiesced_at: last,
+                    }
+                );
+                self.heal.converged(&self.alive, last, &mut self.metrics);
             }
-        );
-        self.heal.converged(&self.alive, last, &mut self.metrics);
+        }
     }
 
     /// An advertisement round: enqueue one `RouteUpdate` to each direct
@@ -1562,28 +1400,18 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
-        if !self.distributed() {
-            return;
+        let next = now + self.cfg.dv.update_interval;
+        if periodic && next <= self.end {
+            let round = Event::RouteUpdateRound {
+                station: s,
+                periodic: true,
+            };
+            queue.schedule(next, round);
         }
-        if periodic {
-            let next = now + self.cfg.dv.update_interval;
-            if next <= self.end {
-                queue.schedule(
-                    next,
-                    Event::RouteUpdateRound {
-                        station: s,
-                        periodic: true,
-                    },
-                );
-            }
-        } else {
-            self.stations[s].update_pending = false;
+        let links = self.routing.round(s, periodic).unwrap_or_default();
+        if self.alive[s] {
+            self.queue_control(s, links, PacketKind::RouteUpdate, now, queue);
         }
-        if !self.alive[s] {
-            return;
-        }
-        let links: Vec<StationId> = self.dv[s].links().keys().copied().collect();
-        self.queue_control(s, links, PacketKind::RouteUpdate, now, queue);
     }
 
     /// Queue one `kind` control frame from `s` to each station in `to`
@@ -1616,7 +1444,9 @@ impl Network {
     /// Distributed link-failure handling: the observer tears the link
     /// down in its own state (poisoning routes through it), re-points or
     /// drops the traffic it had queued for the lost neighbour, and lets
-    /// advertisements carry the change — no global recompute.
+    /// advertisements carry the change — no global recompute. Nothing
+    /// happens under table routing, where stations keep no state of
+    /// their own.
     fn on_link_failed(
         &mut self,
         s: StationId,
@@ -1624,19 +1454,14 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
-        let changed = self.dv[s].fail_link(nh, now, self.cfg.dv.holddown);
-        let orphaned: Vec<Packet> = self.stations[s]
-            .queues
-            .remove(&nh)
-            .map(|q| q.into_iter().collect())
-            .unwrap_or_default();
+        let Some(changed) = self.routing.fail_link(s, nh, now) else {
+            return;
+        };
+        let orphaned = self.stations[s].queues.remove(&nh).unwrap_or_default();
         self.track_queue(now, -(orphaned.len() as f64));
-        for p in orphaned {
-            if p.kind != PacketKind::Data {
-                // Control frames are pinned to the lost addressee; the
-                // next round regenerates them if the link comes back.
-                continue;
-            }
+        // Control frames are pinned to the lost addressee; the next round
+        // regenerates them if the link comes back.
+        for p in orphaned.into_iter().filter(|p| p.kind == PacketKind::Data) {
             self.route_or_drop(s, p, now, queue);
         }
         if changed {
@@ -1644,23 +1469,8 @@ impl Network {
         } else {
             // Even a routing no-op must be advertised: the peers'
             // vectors through us may still reference the dead link.
-            self.schedule_triggered_update(s, now, queue);
+            self.trigger_round(s, now, queue);
         }
-    }
-
-    /// A rebooted station's distance-vector state restarts from its
-    /// physical links to live stations (the rejoin handshake re-measures
-    /// them); everything beyond one hop is re-learned from
-    /// advertisements.
-    fn reset_dv_state(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        let n = self.stations.len();
-        let links: BTreeMap<StationId, f64> = self.dv_links[s]
-            .iter()
-            .filter(|&&(nb, _)| self.alive[nb])
-            .copied()
-            .collect();
-        self.dv[s] = DvState::new(s, n, links);
-        self.after_dv_change(s, now, queue);
     }
 
     /// Injection point of one scheduled fault from the plan.
@@ -1772,8 +1582,9 @@ impl Network {
         for p in lost {
             self.settle_drop(&p, cause);
         }
-        // The dead station's own eviction votes lapse with it.
-        if self.heal.power_down(s, now, &mut self.metrics) && !self.distributed() {
+        // The dead station's own eviction votes lapse with it, and a
+        // shared table routes to the stations they held out again.
+        if self.heal.power_down(s, now, &mut self.metrics) {
             self.rebuild_routes(now, queue);
         }
     }
@@ -1826,10 +1637,13 @@ impl Network {
             }
         }
         self.heal.power_up(s, now);
-        if self.distributed() {
-            // Volatile routing state is gone with the reboot.
-            self.reset_dv_state(s, now, queue);
-        } else if self.heal.active() {
+        // Volatile routing state is gone with the reboot: the station's
+        // own distance-vector state restarts, or local healing rebuilds a
+        // shared table.
+        if self.routing.restart(s, &self.alive).is_some() {
+            self.after_dv_change(s, now, queue);
+        }
+        if self.heal.active() {
             self.rebuild_routes(now, queue);
         }
         // Restart the arrival process if the pre-crash chain died out.
@@ -1837,9 +1651,7 @@ impl Network {
             self.chain_arrival(s, now, queue);
         }
         if let PowerUp::Join(_) = how {
-            if self.distributed() {
-                self.refresh_dv_after_motion(now, queue);
-            }
+            self.relink(now, queue);
             self.traffic.stations_moved(&*self.gains);
         }
     }
@@ -1866,54 +1678,34 @@ impl Network {
         }
     }
 
-    /// Distributed routing under motion: re-derive the physical link set
-    /// from the moved geometry and feed each station's private state the
-    /// diff — lost links fail (poisoning routes through them), new links
-    /// restore first-hand (hold-down exempt), surviving links re-cost in
-    /// place without triggering hold-down.
-    fn refresh_dv_after_motion(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        let (graph, _) = self.usable_graph();
-        for s in 0..self.stations.len() {
-            // Keep the readmission baseline at the current geometry, for
-            // dead stations too: a later reboot must re-measure today's
-            // links, not the boot-time ones.
-            self.dv_links[s] = graph.neighbors(s).to_vec();
-            if !self.alive[s] {
-                continue;
-            }
-            let fresh: BTreeMap<StationId, f64> = graph.neighbors(s).iter().copied().collect();
-            let old: Vec<(StationId, f64)> =
-                self.dv[s].links().iter().map(|(&nb, &c)| (nb, c)).collect();
-            let mut changed = false;
-            for &(nb, c) in &old {
-                match fresh.get(&nb) {
-                    None => {
-                        self.on_link_failed(s, nb, now, queue);
-                        changed = true;
+    /// Distributed routing after stations moved: each live station
+    /// measures its usable links again and feeds its own state the
+    /// difference. Lost links fail (poisoning the routes through them),
+    /// new links restore first-hand (hold-down exempt), and surviving
+    /// links re-cost in place without hold-down. Nothing happens under
+    /// table routing.
+    fn relink(&mut self, now: Time, queue: &mut EventQueue<Event>) {
+        for (s, changes) in self.routing.relink(&self.alive, &self.heal) {
+            let changed = !changes.is_empty();
+            for change in changes {
+                match change {
+                    Relink::Lost(nb) => self.on_link_failed(s, nb, now, queue),
+                    Relink::Recost(..) => self.routing.apply(s, &change),
+                    Relink::Found(nb, _) => {
+                        self.routing.apply(s, &change);
+                        // A brand-new link neighbour needs a clock model
+                        // before any advertisement can be planned to it.
+                        self.rendezvous(s, nb, now, false);
                     }
-                    Some(&nc) if nc != c => {
-                        self.dv[s].update_link_cost(nb, nc);
-                        changed = true;
-                    }
-                    Some(_) => {}
                 }
-            }
-            for (&nb, &c) in &fresh {
-                if old.iter().any(|&(o, _)| o == nb) {
-                    continue;
-                }
-                self.dv[s].restore_link(nb, c);
-                // A brand-new link neighbour needs a clock model before
-                // any advertisement can be planned to it.
-                self.rendezvous(s, nb, now, false);
-                changed = true;
             }
             if changed {
                 self.after_dv_change(s, now, queue);
             }
             // Even with the link set unchanged, moved geometry re-costs
             // gains: §7.3 protection and worst-case power re-budget.
-            self.refresh_station_routing(s, now, true);
+            let rn = self.routing.neighbors(s);
+            self.set_routing_view(s, rn, now);
         }
     }
 
@@ -1929,11 +1721,10 @@ impl Network {
         let (movers, dests) = motion.step(&*self.gains, &self.alive);
         if !movers.is_empty() {
             self.apply_moves(&movers, &dests, now);
-            if self.distributed() {
-                self.refresh_dv_after_motion(now, queue);
-            } else {
-                self.rebuild_routes(now, queue);
-            }
+            // Stations re-measure their own links, or the shared table is
+            // rebuilt over the moved geometry.
+            self.relink(now, queue);
+            self.rebuild_routes(now, queue);
             self.traffic.stations_moved(&*self.gains);
         }
         self.metrics.motion_epochs += 1;
@@ -2031,11 +1822,11 @@ impl Network {
                     evicted: nh,
                 };
                 parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
-                if self.distributed() {
-                    // The evictor repairs only its own state; poisoned
-                    // reverse carries the withdrawal outward.
-                    self.on_link_failed(s, nh, now, queue);
-                } else if first {
+                // The evictor repairs only its own distance-vector state,
+                // and poisoned reverse carries the withdrawal outward; a
+                // shared table is rebuilt at the first eviction.
+                self.on_link_failed(s, nh, now, queue);
+                if first {
                     self.rebuild_routes(now, queue);
                 }
             }
@@ -2061,108 +1852,71 @@ impl Network {
     /// A station heard an evicted neighbour again: every eviction of
     /// `subject` that flap damping does not hold lifts, its former
     /// evictors restart their (possibly reboot-stale) clock models of it,
-    /// and routes come back through it.
+    /// and routes come back through it. Under distributed routing the
+    /// link comes back in each former evictor's own state, the route
+    /// change propagates by advertisement, and the subject counts as
+    /// healed when the network next reconverges; a shared table is
+    /// rebuilt.
     fn readmit_everywhere(&mut self, subject: StationId, now: Time, queue: &mut EventQueue<Event>) {
         let lifted = self
             .heal
             .readmit(subject, &self.alive, now, &mut self.metrics);
         for &o in &lifted {
             self.rendezvous(o, subject, now, true);
+            if self.routing.readmit(o, subject).is_some() {
+                self.after_dv_change(o, now, queue);
+            }
         }
-        if lifted.is_empty() {
-            // Every standing eviction was flap-suppressed: nothing
-            // changed, so there is nothing to rebuild or advertise.
-            return;
-        }
-        if !self.distributed() {
+        // With every standing eviction flap-suppressed nothing changed,
+        // so there is nothing to rebuild.
+        if !lifted.is_empty() {
             self.rebuild_routes(now, queue);
-            return;
-        }
-        // The link comes back in each former evictor's own state
-        // (first-hand knowledge, exempt from hold-down); the route change
-        // propagates by advertisement, and the subject counts as healed
-        // when the network next reconverges.
-        for o in lifted {
-            let Some(&(_, cost)) = self.dv_links[o].iter().find(|&&(nb, _)| nb == subject) else {
-                continue;
-            };
-            self.dv[o].restore_link(subject, cost);
-            self.after_dv_change(o, now, queue);
         }
     }
 
     /// Rebuild the shared routing table over the currently usable
     /// topology: dead stations drop out entirely; evicted stations
     /// (local healing) stop receiving routed traffic but keep
-    /// transmitting their own. A centralized table is kept when that
-    /// graph has not changed since its last solve, and is otherwise
-    /// re-solved in its own buffers; the rest runs either way. Queued
-    /// packets are re-pointed through the table; packets whose
-    /// destinations became unreachable are dropped (accounted). This is
-    /// the *table-based* repair path only — in [`RouteMode::Distributed`]
-    /// it is never called after a fault; reconvergence there is genuine,
-    /// carried hop by hop through the advertisement exchange.
+    /// transmitting their own. Queued packets are re-pointed through the
+    /// table; packets whose destinations became unreachable are dropped
+    /// (accounted). Nothing happens under distributed routing, which has
+    /// no shared table: reconvergence there is genuine, carried hop by
+    /// hop through the advertisement exchange.
     fn rebuild_routes(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        debug_assert!(
-            !self.distributed(),
-            "rebuild_routes is the oracle repair; Distributed heals by exchange"
-        );
+        let Some(rx_ok) = self.routing.rebuild(&self.alive, &self.heal) else {
+            return;
+        };
         self.metrics.route_repairs += 1;
         parn_sim::counter_inc!("core.route_repairs");
-        let (graph, rx_ok) = self.usable_graph();
-        match self.cfg.route_mode {
-            RouteMode::OneHop => self.routes = RouteTable::one_hop(&graph),
-            RouteMode::Greedy => {
-                self.routes = RouteTable::greedy(&graph, &self.gains.positions());
-            }
-            _ => self.routes.rebuild_centralized(graph),
-        }
-        self.traffic
-            .routes_changed(&self.routes, &self.alive, &rx_ok);
+        let table = self.routing.table();
+        self.traffic.routes_changed(table, &self.alive, &rx_ok);
         for s in 0..self.stations.len() {
             if !self.alive[s] {
                 continue;
             }
-            let rn = self.routes.routing_neighbors(s);
+            let rn = self.routing.neighbors(s);
             self.set_routing_view(s, rn, now);
             for p in self.take_queued(s, now) {
-                if p.kind == PacketKind::Hello {
-                    // Hellos are pinned to their addressee; keep one only
-                    // if the addressee is still a direct neighbour, else
-                    // let the next hello round regenerate it.
-                    if self.routes.next_hop(s, p.dst) == Some(p.dst) {
-                        self.enqueue_tracked(s, p.dst, p, now);
+                // Hellos are pinned to their addressee: one stays only
+                // while the addressee is still a direct neighbour, else
+                // the next hello round regenerates it (a control frame
+                // settles as nothing).
+                match self.routing.table().next_hop(s, p.dst) {
+                    Some(nh) if p.kind == PacketKind::Data || nh == p.dst => {
+                        self.enqueue_tracked(s, nh, p, now)
                     }
-                    continue;
-                }
-                match self.routes.next_hop(s, p.dst) {
-                    Some(next) => self.enqueue_tracked(s, next, p, now),
-                    None => self.settle_drop(&p, LossCause::Unroutable),
+                    _ => self.settle_drop(&p, LossCause::Unroutable),
                 }
             }
             self.try_schedule(s, now, queue);
         }
     }
 
-    /// The usable-link graph over the live topology: dead stations drop
-    /// out, and evicted ones (local healing) still send but receive no
-    /// routed traffic. Also returns that receive mask.
-    fn usable_graph(&self) -> (EnergyGraph, Vec<bool>) {
-        let rx_ok: Vec<bool> = (0..self.stations.len())
-            .map(|j| self.alive[j] && !self.heal.evicted(j))
-            .collect();
-        let graph =
-            EnergyGraph::from_model_masked(&*self.gains, self.usable_gain, &self.alive, &rx_ok);
-        (graph, rx_ok)
-    }
-
     /// Oracle-mode route repair event: sample detect/heal latencies for
-    /// the outages this repair notices, then rebuild. Inert under
-    /// distributed routing (and never scheduled there).
+    /// the outages this repair notices, then rebuild. Never scheduled
+    /// under distributed routing, where stations detect failures
+    /// themselves.
     fn on_reroute(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        if self.distributed() {
-            return;
-        }
         self.heal.oracle_repair(&self.alive, now, &mut self.metrics);
         self.rebuild_routes(now, queue);
     }
@@ -2218,8 +1972,17 @@ impl Model for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DestPolicy, SourceModel};
+    use crate::config::{DestPolicy, RouteMode, SourceModel};
     use crate::faults::ByzMode;
+    use parn_route::EnergyGraph;
+
+    /// The usable-hop gain threshold `Network::new` derives from the
+    /// reach factor (§6: about 2/√ρ).
+    fn usable_gain(net: &Network) -> parn_phys::Gain {
+        let rho = net.len() as f64 / net.cfg.placement.region().area();
+        let reach = net.cfg.reach_factor / rho.sqrt();
+        parn_phys::Gain(1.0 / (reach * reach))
+    }
 
     fn small_cfg(n: usize, seed: u64) -> NetConfig {
         let mut cfg = NetConfig::paper_default(n, seed);
@@ -2969,7 +2732,7 @@ mod tests {
         let gossiped = (0..net.len()).any(|s| {
             let links: std::collections::BTreeSet<StationId> = net
                 .gains
-                .hearable_by(s, net.usable_gain)
+                .hearable_by(s, usable_gain(&net))
                 .into_iter()
                 .collect();
             net.heal
@@ -3134,13 +2897,13 @@ mod tests {
         // Greedy forwarding must be computed over the *post-move*
         // geometry: the live table has to agree with one rebuilt from
         // scratch over the current positions.
-        let graph = EnergyGraph::from_model(&*net.gains, net.usable_gain);
+        let graph = EnergyGraph::from_model(&*net.gains, usable_gain(&net));
         let fresh = RouteTable::greedy(&graph, &net.gains.positions());
         let n = net.len();
         for s in 0..n {
             for d in 0..n {
                 assert_eq!(
-                    net.routes.next_hop(s, d),
+                    net.routes().next_hop(s, d),
                     fresh.next_hop(s, d),
                     "stale greedy hop at {s}->{d}"
                 );

@@ -61,9 +61,6 @@ pub struct Station {
     /// Per-packet transmit attempts for the head entries, keyed by packet
     /// id (cleared on success/drop).
     pub attempts: VecMap<u64, u32>,
-    /// Whether a triggered distance-vector update round is already
-    /// scheduled (dedupes bursts of table changes into one round).
-    pub update_pending: bool,
 }
 
 impl Station {
@@ -80,7 +77,6 @@ impl Station {
             protected: Vec::new(),
             retry_pending: false,
             attempts: VecMap::new(),
-            update_pending: false,
         }
     }
 

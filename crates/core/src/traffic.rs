@@ -320,12 +320,6 @@ impl Traffic {
         }
     }
 
-    /// True for the spatial policies (gravity, hotspot), which draw
-    /// destinations without a reachability scan.
-    pub(crate) fn spatial(&self) -> bool {
-        matches!(self.dest, Dest::Gravity { .. } | Dest::Hotspot(_))
-    }
-
     /// Time from `now` until station `s` generates its next packet.
     /// Poisson sources draw one exponential per call. On-off sources walk
     /// the station's two-state phase machine: exponential interarrivals
