@@ -365,3 +365,143 @@ impl Routing {
         Some(rx_ok)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parn_phys::propagation::FreeSpace;
+    use parn_phys::{GainMatrix, Point};
+    use std::sync::Arc;
+
+    fn at(ms: u64) -> Time {
+        Time::ZERO + Duration::from_millis(ms)
+    }
+
+    /// Four stations 10 m apart on a line, with only the 10 m hops
+    /// usable: every route runs along the line.
+    fn line(mode: RouteMode) -> (Routing, Arc<GainMatrix>, NetConfig) {
+        let positions: Vec<Point> = (0..4).map(|i| Point::new(10.0 * i as f64, 0.0)).collect();
+        let gains = Arc::new(GainMatrix::build_shared(
+            &positions,
+            Arc::new(FreeSpace::unit()),
+        ));
+        let mut cfg = NetConfig::paper_default(4, 1);
+        cfg.route_mode = mode;
+        let routing = Routing::new(&cfg, gains.clone(), Gain(0.005));
+        (routing, gains, cfg)
+    }
+
+    #[test]
+    fn one_probe_per_episode_rearms_from_the_latest_change() {
+        let (mut r, ..) = line(RouteMode::Distributed);
+        // The first change opens an episode and arms its one probe a
+        // quiet window (200 ms) later; later changes only extend it.
+        assert_eq!(r.note_change(at(0)), Some(at(200)));
+        assert_eq!(r.note_change(at(50)), None);
+        assert_eq!(r.note_change(at(120)), None);
+        assert_eq!(r.probe(at(200)), Some(Probe::Rearm(at(320))));
+        assert_eq!(r.note_change(at(300)), None, "a probe is still armed");
+        assert_eq!(r.probe(at(320)), Some(Probe::Rearm(at(500))));
+        assert_eq!(r.probe(at(500)), Some(Probe::Converged(at(0), at(300))));
+        // Closed: the next change opens a new episode with its own probe.
+        assert_eq!(r.note_change(at(700)), Some(at(900)));
+        let (mut table, ..) = line(RouteMode::Centralized);
+        assert_eq!(table.note_change(at(0)), None);
+        assert_eq!(table.probe(at(200)), None);
+    }
+
+    #[test]
+    fn triggered_rounds_are_deduped_per_station() {
+        let (mut r, ..) = line(RouteMode::Distributed);
+        assert_eq!(r.arm_round(1, at(0)), Some(at(10)));
+        assert_eq!(r.arm_round(1, at(5)), None, "station 1 has one armed");
+        assert_eq!(r.arm_round(2, at(5)), Some(at(15)));
+        // A periodic round leaves the armed triggered one in place.
+        r.round(1, true);
+        assert_eq!(r.arm_round(1, at(6)), None);
+        r.round(1, false);
+        assert_eq!(r.arm_round(1, at(20)), Some(at(30)));
+        assert_eq!(r.arm_round(2, at(20)), None);
+        let (mut table, ..) = line(RouteMode::Centralized);
+        assert_eq!(table.arm_round(1, at(0)), None);
+    }
+
+    #[test]
+    fn the_loop_refusal_applies_only_under_distributed_routing() {
+        // A packet from 1 to 3 that went back to 0: 0's next hop towards
+        // 3 is 1 again.
+        let mut bounced = Packet::new(0, 1, 3, Time::ZERO);
+        bounced.visited.push(0);
+        let fresh = Packet::new(1, 0, 3, Time::ZERO);
+        let (dv, ..) = line(RouteMode::Distributed);
+        assert_eq!(dv.next_hop(0, &bounced), Err(LossCause::RoutingLoop));
+        assert_eq!(dv.next_hop(0, &fresh), Ok(1));
+        for mode in [RouteMode::Centralized, RouteMode::OneHop, RouteMode::Greedy] {
+            let (table, ..) = line(mode.clone());
+            let want = if matches!(mode, RouteMode::OneHop) {
+                Err(LossCause::Unroutable)
+            } else {
+                Ok(1)
+            };
+            assert_eq!(table.next_hop(0, &bounced), want, "{mode:?}");
+            table.assert_loop_free(1, &bounced);
+        }
+        let revisit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dv.assert_loop_free(1, &bounced)
+        }));
+        assert!(
+            revisit.is_err(),
+            "a revisit must panic under distributed routing"
+        );
+    }
+
+    #[test]
+    fn relink_reports_each_live_station_s_changes_in_order() {
+        let (mut r, gains, cfg) = line(RouteMode::Distributed);
+        let heal = Heal::new(&cfg, 4);
+        // Station 0 is dark; station 3 moves between 1 and 2, 5 m from
+        // each.
+        gains.relocate(3, Point::new(15.0, 0.0));
+        let cost = |a: usize, b: usize| gains.gain(b, a).energy_cost();
+        let alive = [false, true, true, true];
+        let moved = r.relink(&alive, &heal);
+        assert_eq!(
+            moved,
+            vec![
+                (1, vec![Relink::Lost(0), Relink::Found(3, cost(1, 3))]),
+                (2, vec![Relink::Recost(3, cost(2, 3))]),
+                (
+                    3,
+                    vec![Relink::Recost(2, cost(3, 2)), Relink::Found(1, cost(3, 1))]
+                ),
+            ]
+        );
+        // A dark station's row of the masked graph is empty.
+        assert!(r.links(0).is_empty());
+        assert_eq!(r.links(1), &[(2, cost(1, 2)), (3, cost(1, 3))]);
+        for (s, changes) in &moved {
+            for change in changes {
+                match change {
+                    Relink::Lost(nb) => {
+                        r.fail_link(*s, *nb, at(0));
+                    }
+                    _ => r.apply(*s, change),
+                }
+            }
+        }
+        assert_eq!(r.round(1, true), Some(vec![2, 3]));
+        assert_eq!(r.neighbors(3), vec![1, 2]);
+        // A readmission restores a measured link, and only a measured one.
+        assert_eq!(r.fail_link(1, 2, at(50)), Some(true));
+        assert_eq!(r.round(1, true), Some(vec![3]));
+        assert!(r.readmit(1, 2).is_some());
+        assert_eq!(r.round(1, true), Some(vec![2, 3]));
+        assert!(r.readmit(1, 0).is_none(), "1 measured no link to dark 0");
+        // A restart keeps only the measured links to live stations.
+        assert!(r.restart(3, &[true, true, false, true]).is_some());
+        assert_eq!(r.round(3, true), Some(vec![1]));
+        let (mut table, ..) = line(RouteMode::Centralized);
+        assert!(table.relink(&alive, &heal).is_empty());
+        assert!(table.restart(3, &alive).is_none());
+    }
+}
