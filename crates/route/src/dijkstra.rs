@@ -69,11 +69,6 @@ impl ShortestPaths {
         Some(path)
     }
 
-    /// Number of hops on the path to `dst` (0 for the source itself).
-    pub fn hops_to(&self, dst: StationId) -> Option<usize> {
-        self.path_to(dst).map(|p| p.len() - 1)
-    }
-
     /// The *first hop* on the path to `dst` (None when `dst` is the source
     /// or unreachable).
     pub fn first_hop_to(&self, dst: StationId) -> Option<StationId> {
@@ -258,7 +253,6 @@ mod tests {
         let sp = dijkstra(&diamond(), 0);
         assert_eq!(sp.dist[2], 2.0);
         assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));
-        assert_eq!(sp.hops_to(2), Some(2));
         assert_eq!(sp.first_hop_to(2), Some(1));
     }
 
@@ -275,7 +269,6 @@ mod tests {
         let sp = dijkstra(&g, 0);
         assert!(!sp.reachable(2));
         assert_eq!(sp.path_to(2), None);
-        assert_eq!(sp.hops_to(2), None);
         assert_eq!(sp.first_hop_to(2), None);
     }
 

@@ -92,11 +92,6 @@ impl DvState {
         s
     }
 
-    /// The station this state belongs to.
-    pub fn station(&self) -> StationId {
-        self.me
-    }
-
     /// Direct links currently believed usable.
     pub fn links(&self) -> &BTreeMap<StationId, f64> {
         &self.links
@@ -308,16 +303,6 @@ impl DvCluster {
         DvCluster { states }
     }
 
-    /// Number of stations.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when the cluster has no stations.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
     /// One station's state.
     pub fn state(&self, s: StationId) -> &DvState {
         &self.states[s]
@@ -326,19 +311,6 @@ impl DvCluster {
     /// One station's state, mutably.
     pub fn state_mut(&mut self, s: StationId) -> &mut DvState {
         &mut self.states[s]
-    }
-
-    /// Take ownership of the per-station states (handed to the network
-    /// simulator, which owns them per-station from then on).
-    pub fn into_states(self) -> Vec<DvState> {
-        self.states
-    }
-
-    /// Rewrap per-station states (the inverse of
-    /// [`into_states`](DvCluster::into_states)) — used to snapshot a
-    /// running simulation's private tables as one dense view.
-    pub fn from_states(states: Vec<DvState>) -> DvCluster {
-        DvCluster { states }
     }
 
     /// Deliver `sender`'s current vector to `receiver` (lossless,

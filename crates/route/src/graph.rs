@@ -25,22 +25,12 @@ impl EnergyGraph {
     /// [`GainModel::hearable_by`] query is range-bounded, so construction
     /// is O(M·deg) instead of O(M²); every backend yields the same edges
     /// in the same order (ascending receiver within each adjacency list)
-    /// with the same float costs.
+    /// with the same float costs. It is
+    /// [`from_model_masked`](EnergyGraph::from_model_masked) with nothing
+    /// masked.
     pub fn from_model(gains: &dyn GainModel, usable_gain: Gain) -> EnergyGraph {
-        let n = gains.len();
-        let mut adj = vec![Vec::new(); n];
-        // Iterating receivers in ascending order and appending to each
-        // transmitter's list keeps every adjacency list sorted by
-        // receiver.
-        for j in 0..n {
-            for i in gains.hearable_by(j, usable_gain) {
-                let g = gains.gain(j, i);
-                if g.value() > 0.0 {
-                    adj[i].push((j, g.energy_cost()));
-                }
-            }
-        }
-        EnergyGraph { n, adj }
+        let all = vec![true; gains.len()];
+        EnergyGraph::from_model_masked(gains, usable_gain, &all, &all)
     }
 
     /// Like [`from_model`](EnergyGraph::from_model), with *independent*
@@ -60,6 +50,9 @@ impl EnergyGraph {
         assert_eq!(tx_ok.len(), n, "tx mask size mismatch");
         assert_eq!(rx_ok.len(), n, "rx mask size mismatch");
         let mut adj = vec![Vec::new(); n];
+        // Iterating receivers in ascending order and appending to each
+        // transmitter's list keeps every adjacency list sorted by
+        // receiver.
         for (j, _) in rx_ok.iter().enumerate().filter(|&(_, &ok)| ok) {
             for i in gains.hearable_by(j, usable_gain) {
                 if !tx_ok[i] {
@@ -100,19 +93,9 @@ impl EnergyGraph {
         &self.adj[s]
     }
 
-    /// Out-degree of `s` (number of usable hops).
-    pub fn degree(&self, s: StationId) -> usize {
-        self.adj[s].len()
-    }
-
     /// Cost of the direct hop `a → b`, if usable.
     pub fn edge_cost(&self, a: StationId, b: StationId) -> Option<f64> {
         self.adj[a].iter().find(|&&(t, _)| t == b).map(|&(_, c)| c)
-    }
-
-    /// Total number of directed usable hops.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
     }
 
     /// Whether `other` has the same stations and the same links, in the
@@ -186,6 +169,11 @@ mod tests {
     use parn_phys::{GainMatrix, GridGainModel, Point};
     use parn_sim::Rng;
 
+    /// Total number of directed usable hops.
+    fn edges(g: &EnergyGraph) -> usize {
+        (0..g.len()).map(|s| g.neighbors(s).len()).sum()
+    }
+
     fn line_gains() -> GainMatrix {
         // 0 --10m-- 1 --10m-- 2 : gains 0.01 adjacent, 0.0025 end-to-end.
         let pos = vec![
@@ -208,9 +196,9 @@ mod tests {
         let g = EnergyGraph::from_model(&line_gains(), Gain(0.005));
         assert!(g.edge_cost(0, 1).is_some());
         assert!(g.edge_cost(0, 2).is_none(), "end-to-end link pruned");
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.degree(0), 1);
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.neighbors(1).len(), 2);
+        assert_eq!(g.neighbors(0).len(), 1);
+        assert_eq!(edges(&g), 4);
     }
 
     #[test]
@@ -241,7 +229,7 @@ mod tests {
         assert!(g.edge_cost(0, 1).is_none(), "dead target kept");
         assert!(g.edge_cost(1, 0).is_none(), "dead source kept");
         assert!(g.edge_cost(0, 2).is_some(), "live link dropped");
-        assert_eq!(g.degree(1), 0);
+        assert!(g.neighbors(1).is_empty());
     }
 
     #[test]
@@ -319,10 +307,10 @@ mod tests {
         let g = EnergyGraph::from_model(&line_gains(), Gain(1e-6)).undominated();
         assert_eq!(g.edge_cost(0, 2), None);
         assert_eq!(g.edge_cost(2, 0), None);
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(edges(&g), 4);
         // A detour that only ties the direct link keeps it.
         let tie = EnergyGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)]);
-        assert_eq!(tie.undominated().edge_count(), 3);
+        assert_eq!(edges(&tie.undominated()), 3);
     }
 
     #[test]
@@ -351,7 +339,7 @@ mod tests {
         let l = characteristic_length(rho);
         let mean_degree = |reach: f64| {
             let g = EnergyGraph::from_model(&gm, Gain(1.0 / (reach * reach)));
-            g.edge_count() as f64 / n as f64
+            edges(&g) as f64 / n as f64
         };
         let (near, far) = (mean_degree(l), mean_degree(2.0 * l));
         // Edge stations see fewer, so means sit slightly below π and 4π.

@@ -9,7 +9,6 @@
 use crate::table::RouteTable;
 use parn_phys::geom::Disk;
 use parn_phys::Point;
-use parn_sim::Rng;
 
 /// Check the diameter-circle property for every hop of every route in the
 /// table: returns the first violation `(src, dst, hop_from, hop_to,
@@ -140,22 +139,17 @@ pub fn route_geometry(table: &RouteTable, positions: &[Point]) -> RouteGeometry 
     }
 }
 
-/// Convenience for tests and experiments: a random uniform-disk scenario's
-/// positions.
-pub fn random_positions(n: usize, radius: f64, rng: &mut Rng) -> Vec<Point> {
-    parn_phys::placement::Placement::UniformDisk { n, radius }.generate(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::EnergyGraph;
+    use parn_phys::placement::Placement;
     use parn_phys::propagation::FreeSpace;
     use parn_phys::{Gain, GainMatrix};
+    use parn_sim::Rng;
 
     fn scenario(n: usize, radius: f64, seed: u64) -> (Vec<Point>, RouteTable) {
-        let mut rng = Rng::new(seed);
-        let pos = random_positions(n, radius, &mut rng);
+        let pos = Placement::UniformDisk { n, radius }.generate(&mut Rng::new(seed));
         let gm = GainMatrix::build(&pos, &FreeSpace::unit());
         // Usable-link threshold: everything (dense graph) so min-energy
         // routing is free to choose any relay.
