@@ -95,10 +95,12 @@ pub(crate) enum HopVerdict {
 pub(crate) struct Heal {
     cfg: HealConfig,
     repair: Repair,
-    /// Per observer: its estimate of each neighbour it has judged.
+    /// Per observer: its estimate of each neighbour it has judged. Empty,
+    /// with no entry per station, when liveness is not tracked.
     health: Vec<VecMap<StationId, NeighborHealth>>,
     /// Per observer: when it last heard each other station, directly
-    /// (any reception or implicit ack) or through hello gossip.
+    /// (any reception or implicit ack) or through hello gossip. Empty like
+    /// `health` when liveness is not tracked.
     last_heard: Vec<VecMap<StationId, Time>>,
     /// How many live stations hold each station evicted. A station with
     /// a nonzero count receives no routed traffic.
@@ -127,11 +129,14 @@ impl Heal {
         } else {
             Repair::Oracle
         };
+        // Under oracle healing no station judges its neighbours, so the
+        // per-observer maps are never filled.
+        let observers = if repair == Repair::Oracle { 0 } else { n };
         Heal {
             cfg: cfg.heal,
             repair,
-            health: vec![VecMap::new(); n],
-            last_heard: vec![VecMap::new(); n],
+            health: vec![VecMap::new(); observers],
+            last_heard: vec![VecMap::new(); observers],
             evicted_by: vec![0; n],
             down_since: vec![None; n],
             recover_mark: vec![None; n],
@@ -163,7 +168,7 @@ impl Heal {
     /// heard, or `None` when it has heard nothing, as always when liveness
     /// is not tracked.
     pub(crate) fn gossip(&self, s: StationId) -> Option<Vec<(StationId, Time)>> {
-        let heard = &self.last_heard[s];
+        let heard = self.last_heard.get(s)?;
         (!heard.is_empty()).then(|| heard.iter().map(|(&x, &t)| (x, t)).collect())
     }
 
@@ -171,7 +176,8 @@ impl Heal {
     /// hop to it. Good standing is restored. Returns whether `observer`
     /// held `subject` evicted, in which case it must be readmitted.
     pub(crate) fn heard(&mut self, observer: StationId, subject: StationId) -> bool {
-        let Some(h) = self.health[observer].get_mut(&subject) else {
+        let health = self.health.get_mut(observer);
+        let Some(h) = health.and_then(|m| m.get_mut(&subject)) else {
             return false;
         };
         h.consecutive_failures = 0;
@@ -317,7 +323,8 @@ impl Heal {
     pub(crate) fn power_down(&mut self, s: StationId, now: Time, metrics: &mut Metrics) -> bool {
         self.down_since[s] = Some(now);
         let mut lapsed = false;
-        for (nb, h) in std::mem::take(&mut self.health[s]) {
+        let held = self.health.get_mut(s).map(std::mem::take);
+        for (nb, h) in held.into_iter().flatten() {
             if !h.evicted {
                 continue;
             }
@@ -495,6 +502,7 @@ mod tests {
         let mut h = heal(2, HealConfig::oracle(), RouteMode::Centralized);
         let mut m = Metrics::new(2);
         assert!(!h.active());
+        assert!(h.health.is_empty() && h.last_heard.is_empty());
         assert!(matches!(
             fail(&mut h, 0, 1, &[0, 0, 0, 500], &mut m),
             HopVerdict::Unchanged
