@@ -1596,7 +1596,8 @@ impl Network {
     /// its arrival process restarts. A joiner relocates *before* it
     /// re-enters the air (any reception still draining at or from it is
     /// recomputed against the new geometry), and its links come from the
-    /// new geometry.
+    /// new geometry; under motion, so do a rebooting or returning
+    /// station's.
     fn power_up(&mut self, s: StationId, how: PowerUp, now: Time, queue: &mut EventQueue<Event>) {
         if self.alive[s] {
             return;
@@ -1650,8 +1651,14 @@ impl Network {
         if !self.arrivals_live[s] && self.cfg.traffic.arrivals_per_station_per_sec > 0.0 {
             self.chain_arrival(s, now, queue);
         }
-        if let PowerUp::Join(_) = how {
+        // A joiner moved. Under motion, so did everyone else while this
+        // station was dark, and the epochs in between measured no links to
+        // or from it: either way its links come from today's geometry.
+        let joined = matches!(how, PowerUp::Join(_));
+        if joined || self.motion.is_some() {
             self.relink(now, queue);
+        }
+        if joined {
             self.traffic.stations_moved(&*self.gains);
         }
     }
@@ -2909,5 +2916,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_station_rebooting_after_a_motion_epoch_comes_back_with_its_links() {
+        // Under distributed routing with motion, station 5 is dark from
+        // 2.05 s to 3.05 s. The epochs at 2.2 … 3.0 s re-measure links over
+        // the live topology, which has no row for a dark station, so every
+        // live station drops its link to 5 and 5's own measured links are
+        // empty. On reboot 5 must measure its links again, both ways, not
+        // wait for the 3.2 s epoch.
+        use crate::mobility::MobilityConfig;
+        let mut cfg = NetConfig::paper_default(30, 21);
+        cfg.route_mode = RouteMode::Distributed;
+        cfg.heal = crate::faults::HealConfig::local();
+        cfg.mobility = Some(MobilityConfig::paper_default());
+        cfg.faults =
+            FaultPlan::none().crash_recover(Duration::from_millis(2050), 5, Duration::from_secs(1));
+        let direct = |net: &Network| {
+            let t = net.dv_table().expect("distributed routing");
+            let from = (0..net.len()).filter(|&x| t.next_hop(5, x) == Some(x));
+            let to = (0..net.len()).filter(|&o| t.next_hop(o, 5) == Some(5));
+            (from.count(), to.count())
+        };
+        let mut net = Network::new(cfg);
+        let booted = direct(&net);
+        assert!(booted.0 > 0 && booted.1 > 0, "no links at boot: {booted:?}");
+        let mut q = EventQueue::new();
+        net.prime(&mut q);
+        parn_sim::run(&mut net, &mut q, Time::ZERO + Duration::from_millis(3060));
+        assert!(net.alive[5], "station 5 rebooted at 3.05 s");
+        let (from, to) = direct(&net);
+        assert!(from > 0, "station 5 came back with no links");
+        assert!(to > 0, "no station links to station 5 after its reboot");
     }
 }

@@ -265,7 +265,8 @@ impl Routing {
     /// over the live topology. Returns each live station's changes
     /// against the links its own state holds, in ascending station order
     /// (nothing under table routing). A dark station's row of the masked
-    /// graph is empty, so its measured links are too until it powers up.
+    /// graph is empty, so its measured links are too until it is measured
+    /// again at its power-up.
     pub(crate) fn relink(&mut self, alive: &[bool], heal: &Heal) -> Vec<(StationId, Vec<Relink>)> {
         if self.exchange.is_none() {
             return Vec::new();
