@@ -13,8 +13,9 @@
 //! * [`station`] — per-station protocol state;
 //! * [`vecmap`] — the sorted-vector map that holds it;
 //! * [`network`] — the full event-driven simulator (event loop, MAC,
-//!   PHY bookkeeping, routing glue, faults), with local failure detection
-//!   and the adversary runtime in two crate-private modules;
+//!   PHY bookkeeping, faults), with routing (the shared table or the
+//!   per-station distance-vector exchange), local failure detection and
+//!   the adversary runtime in three crate-private modules;
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
 //!   sources × uniform / neighbour / gravity / hotspot destinations), and
 //!   the generator that runs them;

@@ -63,7 +63,7 @@ pub struct Packet {
     pub enqueued: Time,
     /// Stations this packet has been held by, source first. Forwarding
     /// back into this set is refused (the per-packet loop-freedom
-    /// invariant for distributed routing); shared cheaply across clones.
+    /// invariant for distributed routing). A clone copies it.
     pub visited: Vec<StationId>,
     /// Control payload (hello gossip / distance-vector advertisement),
     /// snapshotted at transmission start. `None` for data packets and for
