@@ -10,8 +10,9 @@
 //! private [`DvState`], the links each station last measured, the
 //! per-station triggered-update dedupe and the open convergence episode.
 //! The simulator asks it for next hops and routing neighbours and acts on
-//! what its hooks return: the links a station lost after a move, whether
-//! a station's table changed, when to run a round or a convergence probe.
+//! what its hooks return: the link changes a station sees after a move,
+//! whether a station keeps state of its own and its table changed, when
+//! to run a round or a convergence probe.
 //! Queues, routing views, clock models, events, metrics and traces stay
 //! with the simulator.
 
@@ -49,6 +50,8 @@ pub(crate) enum Probe {
 /// The distance-vector exchange of a run under
 /// [`RouteMode::Distributed`].
 struct Exchange {
+    /// Hold-down, the triggered-round delay, the periodic interval and
+    /// the quiet window that closes an episode.
     cfg: DvConfig,
     /// Per-station protocol state. Station `s`'s state is private to it:
     /// the only way information enters it is a received advertisement.
@@ -67,7 +70,9 @@ struct Exchange {
 
 /// The routes of one run.
 pub(crate) struct Routing {
+    /// How the shared table is solved, and rebuilt.
     mode: RouteMode,
+    /// The gain backend links are measured from.
     gains: Arc<dyn GainModel>,
     /// Gain threshold for usable hops.
     usable_gain: Gain,
