@@ -33,7 +33,10 @@ fn main() {
     let mut group = h.group("route_table_centralized");
     for &n in &[100usize, 300, 500, 1000] {
         let g = graph(n);
-        group.bench(n, || RouteTable::centralized(&g));
+        group.bench(n, || {
+            let t = RouteTable::centralized(&g);
+            (0..n).map(|s| t.cost(s, 0)).sum::<f64>()
+        });
     }
 
     // The same cold start `Network::new` runs in distributed mode.

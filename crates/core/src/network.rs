@@ -301,7 +301,6 @@ impl Network {
         let traffic = Traffic::new(
             &cfg.traffic,
             root.substream("traffic"),
-            routing.table(),
             &positions,
             reach,
             region.radius,
@@ -1137,10 +1136,11 @@ impl Network {
         // Schedule the next arrival first (keeps the process going even if
         // this packet is unroutable).
         self.chain_arrival(s, now, queue);
-        let Some(dst) = self
-            .traffic
-            .pick_destination(s, &self.stations[s].routing_neighbors)
-        else {
+        let Some(dst) = self.traffic.pick_destination(
+            s,
+            &self.stations[s].routing_neighbors,
+            self.routing.table(),
+        ) else {
             return;
         };
         let id = self.next_packet_id;
@@ -1150,8 +1150,9 @@ impl Network {
             self.metrics.generated += 1;
             self.metrics.per_station_generated[s] += 1;
         }
-        // A picked destination can be unroutable: the reachable list goes
-        // stale while the distance-vector exchange reconverges, a `Flows`
+        // A picked destination can be unroutable: under distributed
+        // routing it is drawn from the cold-start table, which goes stale
+        // while the distance-vector exchange reconverges, a `Flows`
         // pair may have no route, and the spatial policies sample
         // destinations without a reachability scan (greedy forwarding can
         // dead-end en route anyway). The packet then settles as
@@ -1895,8 +1896,7 @@ impl Network {
         };
         self.metrics.route_repairs += 1;
         parn_sim::counter_inc!("core.route_repairs");
-        let table = self.routing.table();
-        self.traffic.routes_changed(table, &self.alive, &rx_ok);
+        self.traffic.routes_changed(&rx_ok);
         for s in 0..self.stations.len() {
             if !self.alive[s] {
                 continue;

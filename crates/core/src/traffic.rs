@@ -21,8 +21,8 @@
 //!
 //! The simulator runs the configured pair through a crate-private
 //! generator that owns the RNG stream and every piece of per-policy
-//! state: the destination lists, the gravity sampler, the hotspot weights
-//! and the on-off phases.
+//! state: the receive mask, the flow lists, the gravity sampler, the
+//! hotspot weights and the on-off phases.
 
 use parn_phys::{GainModel, GravitySampler, Point, StationId};
 use parn_route::RouteTable;
@@ -198,13 +198,12 @@ pub(crate) struct Traffic {
 
 /// A destination policy's runtime state.
 enum Dest {
-    /// Uniform over a per-source list: the reachable set under
-    /// `UniformAll` (refreshed by every route rebuild) or the fixed
-    /// destinations under `Flows`.
-    List {
-        lists: Vec<Vec<StationId>>,
-        reachable: bool,
-    },
+    /// Uniform over the stations the source's route row reaches that may
+    /// receive routed traffic: the last route rebuild's receive mask,
+    /// everyone's before the first.
+    Reachable { receivers: Vec<bool> },
+    /// Uniform over the source's fixed destinations.
+    Flows(Vec<Vec<StationId>>),
     /// Uniform over the source's routing neighbours.
     Neighbors,
     /// Distance-weighted, rebuilt over the moved positions after motion
@@ -220,23 +219,21 @@ enum Dest {
 }
 
 impl Traffic {
-    /// The generator for `cfg` over stations at `positions`, with the
-    /// build-time routes, nominal hop length `reach` and deployment-disk
-    /// radius. A policy's state is built only when it is selected, so
-    /// default runs draw exactly as before.
+    /// The generator for `cfg` over stations at `positions`, with
+    /// nominal hop length `reach` and deployment-disk radius. A policy's
+    /// state is built only when it is selected, so default runs draw
+    /// exactly as before.
     pub(crate) fn new(
         cfg: &TrafficConfig,
         rng: Rng,
-        routes: &RouteTable,
         positions: &[Point],
         reach: f64,
         region_radius: f64,
     ) -> Traffic {
         let n = positions.len();
         let dest = match &cfg.dest {
-            DestPolicy::UniformAll => Dest::List {
-                lists: (0..n).map(|s| routes.reachable_from(s)).collect(),
-                reachable: true,
+            DestPolicy::UniformAll => Dest::Reachable {
+                receivers: vec![true; n],
             },
             DestPolicy::Flows(flows) => {
                 let mut lists = vec![Vec::new(); n];
@@ -244,10 +241,7 @@ impl Traffic {
                     assert!(s < n && d < n, "flow endpoint out of range");
                     lists[s].push(d);
                 }
-                Dest::List {
-                    lists,
-                    reachable: false,
-                }
+                Dest::Flows(lists)
             }
             DestPolicy::Neighbors => Dest::Neighbors,
             DestPolicy::Gravity { exponent } => {
@@ -305,14 +299,15 @@ impl Traffic {
     }
 
     /// Whether station `s` generates traffic at all, given its routing
-    /// neighbours.
+    /// neighbours. A station routes to somebody exactly when it has a
+    /// routing neighbour, the first hop of every route it has.
     pub(crate) fn has_traffic(&self, s: StationId, routing_neighbors: &[StationId]) -> bool {
         if self.rate <= 0.0 {
             return false;
         }
         match &self.dest {
-            Dest::List { lists, .. } => !lists[s].is_empty(),
-            Dest::Neighbors => !routing_neighbors.is_empty(),
+            Dest::Flows(lists) => !lists[s].is_empty(),
+            Dest::Reachable { .. } | Dest::Neighbors => !routing_neighbors.is_empty(),
             Dest::Gravity { .. } => true,
             // Every station sends to the sinks, except a lone sink with
             // nobody else to address.
@@ -360,14 +355,21 @@ impl Traffic {
     }
 
     /// Draw the destination of station `s`'s next packet, given its
-    /// routing neighbours; `None` when it has nobody to address.
+    /// routing neighbours and the routes; `None` when it has nobody to
+    /// address.
     pub(crate) fn pick_destination(
         &mut self,
         s: StationId,
         routing_neighbors: &[StationId],
+        routes: &RouteTable,
     ) -> Option<StationId> {
+        let reachable: Vec<StationId>;
         let opts = match &self.dest {
-            Dest::List { lists, .. } => &lists[s],
+            Dest::Reachable { receivers } => {
+                reachable = routes.reachable_from(s).filter(|&d| receivers[d]).collect();
+                &reachable
+            }
+            Dest::Flows(lists) => &lists[s],
             Dest::Neighbors => routing_neighbors,
             Dest::Gravity { sampler, .. } => return sampler.sample(s, &mut self.rng),
             Dest::Hotspot(cum) => {
@@ -390,24 +392,14 @@ impl Traffic {
         (!opts.is_empty()).then(|| *self.rng.choose(opts))
     }
 
-    /// The routes were rebuilt: under `UniformAll`, each live source now
-    /// addresses the stations it reaches that may receive (`rx_ok`).
-    pub(crate) fn routes_changed(&mut self, routes: &RouteTable, alive: &[bool], rx_ok: &[bool]) {
-        let Dest::List {
-            lists,
-            reachable: true,
-        } = &mut self.dest
-        else {
-            return;
-        };
-        for (s, list) in lists.iter_mut().enumerate() {
-            *list = if alive[s] {
-                let mut dsts = routes.reachable_from(s);
-                dsts.retain(|&d| rx_ok[d]);
-                dsts
-            } else {
-                Vec::new()
-            };
+    /// The routes were rebuilt over a graph whose links reach only the
+    /// stations in `rx_ok` and leave only live ones: under `UniformAll`, a
+    /// source addresses the stations it reaches that may receive. A
+    /// table over that graph reaches no others, except a greedy one,
+    /// which steers toward any position.
+    pub(crate) fn routes_changed(&mut self, rx_ok: &[bool]) {
+        if let Dest::Reachable { receivers } = &mut self.dest {
+            receivers.copy_from_slice(rx_ok);
         }
     }
 
@@ -429,6 +421,65 @@ impl Traffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parn_route::{DvCluster, EnergyGraph};
+
+    /// A `UniformAll` draw is `rng.choose` over the source's materialised
+    /// reachable list, from the same stream, whatever the table; a source
+    /// that reaches nobody draws nothing. A greedy table steers toward a
+    /// station the receive mask excludes, which is never drawn.
+    #[test]
+    fn uniform_draws_choose_over_the_reachable_row() {
+        // A 0-1-2-3 line with an expensive 0-2 shortcut; 4 has no link.
+        let g = EnergyGraph::from_edges(
+            5,
+            &[
+                (0, 1, 1.0),
+                (1, 0, 1.0),
+                (1, 2, 1.0),
+                (2, 1, 1.0),
+                (2, 3, 1.0),
+                (3, 2, 1.0),
+                (0, 2, 3.0),
+                (2, 0, 3.0),
+            ],
+        );
+        let positions: Vec<Point> = [0.0, 10.0, 20.0, 30.0, 500.0]
+            .iter()
+            .map(|&x| Point::new(x, 0.0))
+            .collect();
+        let mut dv = DvCluster::new(&g);
+        dv.converge_sync(32).expect("converges");
+        let cfg = TrafficConfig {
+            arrivals_per_station_per_sec: 1.0,
+            dest: DestPolicy::UniformAll,
+            source: SourceModel::Poisson,
+        };
+        let tables = [
+            (RouteTable::centralized(&g), [true; 5]),
+            (RouteTable::one_hop(&g), [true; 5]),
+            (dv.to_table(), [true; 5]),
+            (
+                RouteTable::greedy(&g, &positions),
+                [true, true, true, false, true],
+            ),
+        ];
+        for (k, (table, receivers)) in tables.iter().enumerate() {
+            let mut traffic = Traffic::new(&cfg, Rng::new(9), &positions, 10.0, 500.0);
+            traffic.routes_changed(receivers);
+            let mut reference = Rng::new(9);
+            for s in (0..5).cycle().take(200) {
+                let list: Vec<StationId> =
+                    table.reachable_from(s).filter(|&d| receivers[d]).collect();
+                let want = (!list.is_empty()).then(|| *reference.choose(&list));
+                assert_eq!(
+                    traffic.pick_destination(s, &[], table),
+                    want,
+                    "table {k}, {s}"
+                );
+            }
+            assert_eq!(traffic.pick_destination(4, &[], table), None);
+        }
+    }
 
     #[test]
     fn peak_rate_preserves_mean() {

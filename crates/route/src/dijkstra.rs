@@ -5,13 +5,14 @@
 //! Costs are non-negative energies, so Dijkstra applies directly.
 //!
 //! One crate-internal solver does all the work: [`dijkstra`] runs it
-//! once, and [`RouteTable::centralized`](crate::RouteTable::centralized)
-//! reuses one solver for every source, copying its distance and first-hop
-//! buffers straight into the table rows.
+//! once, and a [`RouteTable::centralized`](crate::RouteTable::centralized)
+//! table reuses one solver for every row it solves, copying its distance
+//! and first-hop buffers straight into the row, and for every routing
+//! neighbour set, which needs only the settles up to the source's last
+//! link target.
 
 use crate::graph::EnergyGraph;
 use parn_phys::StationId;
-use std::cmp::Ordering;
 
 /// Next-hop code for "no hop" (the source itself, or unreachable) in the
 /// compact `u32` hop arrays.
@@ -80,27 +81,45 @@ impl ShortestPaths {
 ///
 /// The frontier is an indexed binary min-heap keyed on `(dist, id)`, so a
 /// station sits in it at most once and a cheaper route is a decrease-key.
-/// Relaxation is strict (`<`) and equal distances settle the lower id
-/// first, so the settle order — and with it every tie between equal-cost
-/// routes — is fixed by the graph alone. The first hop toward each
-/// station is carried along when an edge is relaxed, so it is known the
-/// moment a station settles, without walking predecessors back.
+/// The key is one integer, the distance's bits above the id: costs are
+/// non-negative, and the bits of non-negative floats order like the
+/// floats. Relaxation is strict (`<`) and equal distances settle the
+/// lower id first, so the settle order — and with it every tie between
+/// equal-cost routes — is fixed by the graph alone. The first hop toward
+/// each station is carried along when an edge is relaxed, so it is known
+/// the moment a station settles, without walking predecessors back.
 ///
 /// The buffers are sized on the first run and reused by later ones.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Solver {
     dist: Vec<f64>,
     first: Vec<u32>,
     prev: Vec<u32>,
-    /// Binary heap of `(dist, id)` entries.
-    heap: Vec<(f64, u32)>,
+    /// Binary heap of [`key`](Solver::key)s.
+    heap: Vec<u128>,
     /// Index of each queued station in `heap` (stale for the others).
     pos: Vec<u32>,
+    /// The source's link targets a [`run_to_links`](Solver::run_to_links)
+    /// still waits on.
+    waiting: Vec<bool>,
 }
 
 impl Solver {
     /// Solve from `source`; the results stay readable until the next run.
     pub(crate) fn run(&mut self, graph: &EnergyGraph, source: StationId) {
+        self.solve(graph, source, false);
+    }
+
+    /// Solve from `source` only until every target of its links has
+    /// settled. A settled station's distance and first hop are final, so
+    /// this is enough to tell which link targets are the source's
+    /// children in its shortest-path tree (`first[v] == v`). The other
+    /// results are partial.
+    pub(crate) fn run_to_links(&mut self, graph: &EnergyGraph, source: StationId) {
+        self.solve(graph, source, true);
+    }
+
+    fn solve(&mut self, graph: &EnergyGraph, source: StationId, to_links: bool) {
         let n = graph.len();
         assert!(n < NO_HOP as usize, "station ids must fit a u32 hop");
         self.dist.clear();
@@ -110,11 +129,24 @@ impl Solver {
         self.prev.clear();
         self.prev.resize(n, NO_HOP);
         self.pos.resize(n, 0);
+        self.waiting.resize(n, false);
         self.heap.clear();
+        let mut waits = 0usize;
+        if to_links {
+            for &(v, _) in graph.neighbors(source) {
+                waits += usize::from(!std::mem::replace(&mut self.waiting[v], true));
+            }
+        }
         self.dist[source] = 0.0;
         self.push(0.0, source as u32);
         while let Some(node) = self.pop() {
             let node = node as usize;
+            if to_links && std::mem::take(&mut self.waiting[node]) {
+                waits -= 1;
+                if waits == 0 {
+                    break;
+                }
+            }
             let d = self.dist[node];
             let via = if node == source {
                 None
@@ -134,10 +166,16 @@ impl Solver {
                         self.push(nd, next as u32);
                     } else {
                         let i = self.pos[next] as usize;
-                        self.heap[i].0 = nd;
+                        self.heap[i] = Self::key(nd, next as u32);
                         self.sift_up(i);
                     }
                 }
+            }
+        }
+        if to_links {
+            // A link of infinite cost never reaches its target.
+            for &(v, _) in graph.neighbors(source) {
+                self.waiting[v] = false;
             }
         }
     }
@@ -152,27 +190,26 @@ impl Solver {
         &self.first
     }
 
-    /// Heap order: smaller distance first, lower id on ties.
-    fn before(a: (f64, u32), b: (f64, u32)) -> bool {
-        match a.0.partial_cmp(&b.0).expect("NaN cost") {
-            Ordering::Less => true,
-            Ordering::Equal => a.1 < b.1,
-            Ordering::Greater => false,
-        }
+    /// The heap key of `node` at distance `dist`: smaller distance first,
+    /// lower id on ties. Distances are sums of non-negative costs from
+    /// `+0.0`, so never negative, NaN or `-0.0`.
+    fn key(dist: f64, node: u32) -> u128 {
+        debug_assert!(dist.is_sign_positive(), "negative distance {dist}");
+        (u128::from(dist.to_bits()) << 32) | u128::from(node)
     }
 
-    fn place(&mut self, i: usize, entry: (f64, u32)) {
-        self.heap[i] = entry;
-        self.pos[entry.1 as usize] = i as u32;
+    fn place(&mut self, i: usize, key: u128) {
+        self.heap[i] = key;
+        self.pos[key as u32 as usize] = i as u32;
     }
 
     fn push(&mut self, dist: f64, node: u32) {
-        self.heap.push((dist, node));
+        self.heap.push(Self::key(dist, node));
         self.sift_up(self.heap.len() - 1);
     }
 
     fn pop(&mut self) -> Option<u32> {
-        let (_, top) = *self.heap.first()?;
+        let top = *self.heap.first()? as u32;
         let last = self.heap.pop().expect("heap is non-empty");
         if !self.heap.is_empty() {
             self.place(0, last);
@@ -182,38 +219,38 @@ impl Solver {
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
+        let key = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
             let p = self.heap[parent];
-            if !Self::before(entry, p) {
+            if key >= p {
                 break;
             }
             self.place(i, p);
             i = parent;
         }
-        self.place(i, entry);
+        self.place(i, key);
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let entry = self.heap[i];
+        let key = self.heap[i];
         let len = self.heap.len();
         loop {
             let mut child = 2 * i + 1;
             if child >= len {
                 break;
             }
-            if child + 1 < len && Self::before(self.heap[child + 1], self.heap[child]) {
+            if child + 1 < len && self.heap[child + 1] < self.heap[child] {
                 child += 1;
             }
             let c = self.heap[child];
-            if !Self::before(c, entry) {
+            if c >= key {
                 break;
             }
             self.place(i, c);
             i = child;
         }
-        self.place(i, entry);
+        self.place(i, key);
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::dijkstra::{decode_hop, Solver};
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
+use std::cell::{OnceCell, RefCell};
 
 /// All-pairs next-hop table.
 ///
@@ -30,10 +31,12 @@ pub struct RouteTable {
     repr: Repr,
 }
 
-/// Internal storage. `Dense` is the classic O(M²) all-pairs table: 12 B
-/// per pair, a `u32` next hop ([`NO_HOP`](crate::dijkstra::NO_HOP) for
-/// none) and an `f64` cost, plus, for a centralized table, the usable
-/// graph it was solved from;
+/// Internal storage. `Centralized` is the minimum-energy table of the
+/// usable graph it keeps, with a source's row solved the first time
+/// anything reads it: 12 B per destination, a `u32` next hop
+/// ([`NO_HOP`](crate::dijkstra::NO_HOP) for none) and an `f64` cost.
+/// `Dense` holds every row at once in the same layout, O(M²): the
+/// distance-vector snapshot.
 /// `OneHop` stores only the direct usable edges (O(E)) for workloads
 /// whose destinations are always one hop away (`DestPolicy::Neighbors`
 /// traffic at metro scale), where an all-pairs table would dwarf the
@@ -43,11 +46,10 @@ pub struct RouteTable {
 /// station positions.
 #[derive(Clone, Debug)]
 enum Repr {
+    Centralized(Box<Centralized>),
     Dense {
         next_hop: Vec<u32>, // row-major [src][dst]
         cost: Vec<f64>,
-        /// `None` for a distance-vector snapshot.
-        solved_from: Option<EnergyGraph>,
     },
     OneHop {
         adj: Vec<Vec<(StationId, f64)>>,
@@ -58,61 +60,115 @@ enum Repr {
     },
 }
 
+/// One source's next hops ([`NO_HOP`](crate::dijkstra::NO_HOP) for none)
+/// and route costs, indexed by destination.
+type Row = (Box<[u32]>, Box<[f64]>);
+
+/// A centralized table: a function of the usable graph it keeps, solved
+/// one source at a time over that graph's
+/// [undominated](EnergyGraph::undominated) links, so it costs only the
+/// rows and routing-neighbour sets read.
+#[derive(Clone, Debug)]
+struct Centralized {
+    /// The usable graph, which a rebuild compares against.
+    graph: EnergyGraph,
+    /// Its undominated links, which every solve runs over.
+    pruned: EnergyGraph,
+    /// The solver every solve reuses.
+    solver: RefCell<Solver>,
+    /// Each source's row, solved when first read.
+    rows: Vec<OnceCell<Row>>,
+    /// Each source's routing neighbours, found when first asked.
+    neighbors: Vec<OnceCell<Box<[StationId]>>>,
+}
+
+impl Centralized {
+    /// Prepare `graph`'s table, counted as `route.table_solves`; the
+    /// pruning is timed as `route.table_solve`.
+    fn new(graph: EnergyGraph) -> Centralized {
+        parn_sim::counter_inc!("route.table_solves");
+        let pruned = {
+            parn_sim::time_scope!("route.table_solve");
+            graph.undominated()
+        };
+        let n = graph.len();
+        Centralized {
+            graph,
+            pruned,
+            solver: RefCell::default(),
+            rows: (0..n).map(|_| OnceCell::new()).collect(),
+            neighbors: (0..n).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// `src`'s next hops and costs. The first read solves them, counted
+    /// as `route.table_rows` and timed as `route.table_solve`.
+    fn row(&self, src: StationId) -> (&[u32], &[f64]) {
+        let (hops, cost) = self.rows[src].get_or_init(|| {
+            parn_sim::counter_inc!("route.table_rows");
+            parn_sim::time_scope!("route.table_solve");
+            let mut solver = self.solver.borrow_mut();
+            solver.run(&self.pruned, src);
+            (solver.first().into(), solver.dist().into())
+        });
+        (hops, cost)
+    }
+
+    /// The distinct first hops of `src`'s routes, sorted: its children in
+    /// the shortest-path tree, the link targets `v` with `first[v] == v`.
+    /// The first ask finds them with a solve that stops once every link
+    /// target has settled, timed as `route.table_solve`.
+    fn routing_neighbors(&self, src: StationId) -> &[StationId] {
+        self.neighbors[src].get_or_init(|| {
+            parn_sim::time_scope!("route.table_solve");
+            let mut solver = self.solver.borrow_mut();
+            solver.run_to_links(&self.pruned, src);
+            let first = solver.first();
+            let mut children: Vec<StationId> = self
+                .pruned
+                .neighbors(src)
+                .iter()
+                .map(|&(v, _)| v)
+                .filter(|&v| decode_hop(first[v]) == Some(v))
+                .collect();
+            children.sort_unstable();
+            children.dedup();
+            children.into()
+        })
+    }
+}
+
 impl RouteTable {
-    /// Build centrally by running Dijkstra from every source, counted as
-    /// `route.table_solves` and timed as `route.table_solve`.
+    /// Build centrally: the minimum-energy table of `graph`, counted as
+    /// `route.table_solves`. Each source's row is solved by Dijkstra the
+    /// first time anything reads it, so a run pays only for the rows it
+    /// reads.
     pub fn centralized(graph: &EnergyGraph) -> RouteTable {
-        RouteTable::solve(graph.clone(), Vec::new(), Vec::new())
+        RouteTable::prepare(graph.clone())
     }
 
     /// Make this table the centralized table of `graph`, as
     /// [`centralized`](RouteTable::centralized) would build it. When
     /// `graph` equals the usable graph this table was solved from (same
-    /// links, same cost bits) the table is kept, counted as
-    /// `route.table_reuses`: it is a pure function of that graph.
-    /// Otherwise the solve writes into this table's own n² buffers, so a
-    /// rebuild never holds two tables.
+    /// links, same cost bits) the table is kept with every row solved so
+    /// far, counted as `route.table_reuses`: it is a pure function of that
+    /// graph. Otherwise every solved row is dropped, so a rebuild never
+    /// holds two tables.
     pub fn rebuild_centralized(&mut self, graph: EnergyGraph) {
-        let (next_hop, cost) = match &mut self.repr {
-            Repr::Dense {
-                solved_from: Some(old),
-                ..
-            } if old.same_links(&graph) => {
+        if let Repr::Centralized(t) = &self.repr {
+            if t.graph.same_links(&graph) {
                 parn_sim::counter_inc!("route.table_reuses");
                 return;
             }
-            Repr::Dense { next_hop, cost, .. } => (std::mem::take(next_hop), std::mem::take(cost)),
-            _ => (Vec::new(), Vec::new()),
-        };
-        *self = RouteTable::solve(graph, next_hop, cost);
+        }
+        *self = RouteTable::prepare(graph);
     }
 
-    /// Solve `graph` into `next_hop` and `cost` (cleared first, their
-    /// capacity reused): one solver, reused for all n sources over the
-    /// graph's [undominated](EnergyGraph::undominated) links, whose
-    /// distance and first-hop buffers are copied straight into each row.
-    fn solve(graph: EnergyGraph, mut next_hop: Vec<u32>, mut cost: Vec<f64>) -> RouteTable {
-        parn_sim::counter_inc!("route.table_solves");
-        parn_sim::time_scope!("route.table_solve");
-        let n = graph.len();
-        next_hop.clear();
-        next_hop.reserve_exact(n * n);
-        cost.clear();
-        cost.reserve_exact(n * n);
-        let pruned = graph.undominated();
-        let mut solver = Solver::default();
-        for src in 0..n {
-            solver.run(&pruned, src);
-            next_hop.extend_from_slice(solver.first());
-            cost.extend_from_slice(solver.dist());
-        }
+    /// The centralized table of `graph`, with no row solved yet.
+    fn prepare(graph: EnergyGraph) -> RouteTable {
         RouteTable {
-            n,
-            repr: Repr::Dense {
-                next_hop,
-                cost,
-                solved_from: Some(graph),
-            },
+            n: graph.len(),
+            repr: Repr::Centralized(Box::new(Centralized::new(graph))),
         }
     }
 
@@ -125,11 +181,7 @@ impl RouteTable {
         assert_eq!(cost.len(), n * n);
         RouteTable {
             n,
-            repr: Repr::Dense {
-                next_hop,
-                cost,
-                solved_from: None,
-            },
+            repr: Repr::Dense { next_hop, cost },
         }
     }
 
@@ -190,6 +242,7 @@ impl RouteTable {
     /// [`next_hop`](RouteTable::next_hop) without the lookup counter.
     fn hop(&self, src: StationId, dst: StationId) -> Option<StationId> {
         match &self.repr {
+            Repr::Centralized(t) => decode_hop(t.row(src).0[dst]),
             Repr::Dense { next_hop, .. } => decode_hop(next_hop[src * self.n + dst]),
             Repr::OneHop { adj } => {
                 if src == dst {
@@ -230,6 +283,7 @@ impl RouteTable {
     /// Total route energy from `src` to `dst`.
     pub fn cost(&self, src: StationId, dst: StationId) -> f64 {
         match &self.repr {
+            Repr::Centralized(t) => t.row(src).1[dst],
             Repr::Dense { cost, .. } => cost[src * self.n + dst],
             Repr::OneHop { adj } => {
                 if src == dst {
@@ -276,11 +330,10 @@ impl RouteTable {
     }
 
     /// Every destination `src` can route to, itself excluded, ascending
-    /// (on a dense table, one uncounted scan of `src`'s row).
-    pub fn reachable_from(&self, src: StationId) -> Vec<StationId> {
-        (0..self.n)
-            .filter(|&d| d != src && self.hop(src, d).is_some())
-            .collect()
+    /// (on a dense or centralized table, one uncounted scan of `src`'s
+    /// row).
+    pub fn reachable_from(&self, src: StationId) -> impl Iterator<Item = StationId> + '_ {
+        (0..self.n).filter(move |&d| d != src && self.hop(src, d).is_some())
     }
 
     /// Whether every station can reach every other.
@@ -309,9 +362,10 @@ impl RouteTable {
 
     /// The distinct next-hop neighbours `src` actually uses — the paper's
     /// "routing neighbors", observed in its simulations never to exceed
-    /// eight.
+    /// eight. A centralized table finds them without solving `src`'s row.
     pub fn routing_neighbors(&self, src: StationId) -> Vec<StationId> {
         match &self.repr {
+            Repr::Centralized(t) => t.routing_neighbors(src).to_vec(),
             Repr::Dense { next_hop, .. } => {
                 let mut v: Vec<StationId> = next_hop[src * self.n..(src + 1) * self.n]
                     .iter()
@@ -336,37 +390,14 @@ impl RouteTable {
     /// as a routing neighbour (their next hop toward at least one
     /// destination) — the dependents a failure of `h` would strand.
     ///
-    /// One pass over the stored table (O(M²) on the dense repr, O(E) on
-    /// one-hop), so experiment harnesses ranking relays by blast radius
-    /// don't need a per-candidate [`routing_neighbors`]
-    /// (O(M³)) scan — or a second `Network` build — to get the counts.
-    ///
-    /// [`routing_neighbors`]: RouteTable::routing_neighbors
+    /// One [`routing_neighbors`](RouteTable::routing_neighbors) pass over
+    /// every source, so experiment harnesses ranking relays by blast
+    /// radius don't need a second `Network` build to get the counts.
     pub fn routing_dependent_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n];
-        match &self.repr {
-            Repr::Dense { next_hop, .. } => {
-                let mut seen = vec![usize::MAX; self.n]; // last src using h
-                for src in 0..self.n {
-                    let row = &next_hop[src * self.n..(src + 1) * self.n];
-                    for h in row.iter().filter_map(|&h| decode_hop(h)) {
-                        if seen[h] != src {
-                            seen[h] = src;
-                            counts[h] += 1;
-                        }
-                    }
-                }
-            }
-            Repr::OneHop { adj } | Repr::Greedy { adj, .. } => {
-                let mut seen = vec![usize::MAX; self.n];
-                for (src, out) in adj.iter().enumerate() {
-                    for &(h, _) in out {
-                        if seen[h] != src {
-                            seen[h] = src;
-                            counts[h] += 1;
-                        }
-                    }
-                }
+        for src in 0..self.n {
+            for h in self.routing_neighbors(src) {
+                counts[h] += 1;
             }
         }
         counts
@@ -442,34 +473,37 @@ mod tests {
         assert!(t.check_consistency(&chain()).is_ok());
     }
 
-    /// The dense buffers, for checking where a rebuild wrote.
-    fn dense(t: &mut RouteTable) -> (&mut Vec<u32>, &mut Vec<f64>) {
-        match &mut t.repr {
-            Repr::Dense { next_hop, cost, .. } => (next_hop, cost),
-            _ => panic!("not a dense table"),
+    /// The sources whose rows a centralized table has solved.
+    fn solved(t: &RouteTable) -> Vec<StationId> {
+        match &t.repr {
+            Repr::Centralized(c) => (0..t.n).filter(|&s| c.rows[s].get().is_some()).collect(),
+            _ => panic!("not a centralized table"),
         }
     }
 
     #[test]
-    fn rebuild_keeps_a_table_solved_from_an_equal_graph() {
-        let mut t = RouteTable::centralized(&chain());
-        // A marker no solve would write survives only if nothing re-solves.
-        dense(&mut t).1[1] = -1.0;
-        t.rebuild_centralized(chain());
-        assert_eq!(t.cost(0, 1), -1.0);
-        // A distance-vector snapshot records no graph, so it re-solves.
-        let mut dv = crate::DvCluster::new(&chain());
-        dv.converge_sync(16).expect("converges");
-        let mut snapshot = dv.to_table();
-        dense(&mut snapshot).1[1] = -1.0;
-        snapshot.rebuild_centralized(chain());
-        assert_eq!(snapshot.cost(0, 1), 1.0);
+    fn a_row_is_solved_when_first_read() {
+        let t = RouteTable::centralized(&chain());
+        assert!(solved(&t).is_empty(), "the build solves no row");
+        assert_eq!(t.routing_neighbors(1), vec![0, 2]);
+        assert!(solved(&t).is_empty(), "routing neighbours solve no row");
+        assert_eq!(t.cost(3, 0), 3.0);
+        // The path reads the rows of every station on it.
+        assert_eq!(t.path(0, 2), Some(vec![0, 1, 2]));
+        assert_eq!(solved(&t), vec![0, 1, 3]);
     }
 
     #[test]
-    fn rebuild_resolves_a_changed_graph_into_the_same_buffers() {
+    fn rebuild_keeps_the_rows_of_an_equal_graph_and_drops_the_rest() {
         let mut t = RouteTable::centralized(&chain());
-        let before = (dense(&mut t).0.as_ptr(), dense(&mut t).1.as_ptr());
+        assert_eq!(t.cost(0, 1), 1.0);
+        // A marker no solve would write survives only if nothing re-solves.
+        let Repr::Centralized(c) = &mut t.repr else {
+            unreachable!()
+        };
+        c.rows[0].get_mut().expect("row 0 is solved").1[1] = -1.0;
+        t.rebuild_centralized(chain());
+        assert_eq!(t.cost(0, 1), -1.0);
         // Dropping the 1–2 links forces 0 → 3 over the expensive 0–2 hop.
         let cut = EnergyGraph::from_edges(
             4,
@@ -483,7 +517,7 @@ mod tests {
             ],
         );
         t.rebuild_centralized(cut.clone());
-        assert_eq!((dense(&mut t).0.as_ptr(), dense(&mut t).1.as_ptr()), before);
+        assert!(solved(&t).is_empty(), "a re-solve drops every row");
         let fresh = RouteTable::centralized(&cut);
         for s in 0..4 {
             for d in 0..4 {
@@ -492,6 +526,12 @@ mod tests {
             }
         }
         assert_eq!(t.path(0, 3), Some(vec![0, 2, 3]));
+        // A distance-vector snapshot records no graph, so it re-solves.
+        let mut dv = crate::DvCluster::new(&chain());
+        dv.converge_sync(16).expect("converges");
+        let mut snapshot = dv.to_table();
+        snapshot.rebuild_centralized(chain());
+        assert!(solved(&snapshot).is_empty());
     }
 
     #[test]

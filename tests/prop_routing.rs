@@ -2,9 +2,12 @@
 //! exchange always lands on Dijkstra's route costs, whatever the delivery
 //! order, and heals to the survivor optimum when a station dies; route
 //! costs obey metric sanity, tables are internally consistent, and the
-//! centralized table, which solves over the undominated links only,
-//! matches an independent reference Dijkstra over every link bit for bit:
-//! on masked, unsorted, tied and float-boundary graphs too.
+//! centralized table, which solves each row over the undominated links
+//! only when it is first read, matches an independent reference Dijkstra
+//! over every link bit for bit, in any read order, after a rebuild
+//! re-solves it and after one reuses it: on masked, unsorted, tied and
+//! float-boundary graphs too. Its routing neighbours, found without
+//! solving a row, are the reference's distinct first hops.
 
 use parn::phys::placement::Placement;
 use parn::phys::propagation::FreeSpace;
@@ -272,26 +275,86 @@ fn reference_routes(g: &EnergyGraph, src: usize) -> (Vec<f64>, Vec<Option<usize>
     (dist, first)
 }
 
-fn assert_matches_reference(g: &EnergyGraph, label: &str) {
-    let t = RouteTable::centralized(g);
-    for src in 0..g.len() {
-        let (dist, first) = reference_routes(g, src);
+/// The sorted distinct hops of a reference first-hop row: the routing
+/// neighbours.
+fn distinct_hops(first: &[Option<usize>]) -> Vec<usize> {
+    let mut hops: Vec<usize> = first.iter().flatten().copied().collect();
+    hops.sort();
+    hops.dedup();
+    hops
+}
+
+/// A centralized table of `g` matches the reference in every row and
+/// every routing-neighbour set. The table starts from `g`'s stations with
+/// no links, every row and neighbour set read, then a rebuild over `g`
+/// re-solves it and a second one reuses it; after each, rows and then
+/// neighbour sets are read in `rng`-shuffled orders. `dijkstra` matches
+/// the reference too.
+fn assert_matches_reference(g: &EnergyGraph, label: &str, rng: &mut Rng) {
+    let n = g.len();
+    let reference: Vec<_> = (0..n).map(|src| reference_routes(g, src)).collect();
+    let mut t = RouteTable::centralized(&EnergyGraph::from_edges(n, &[]));
+    for src in 0..n {
+        assert_eq!(t.reachable_from(src).count(), 0);
+        assert!(t.routing_neighbors(src).is_empty());
+    }
+    for step in ["re-solved", "reused"] {
+        t.rebuild_centralized(g.clone());
+        let mut order: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut order);
+        for &src in &order {
+            let (dist, first) = &reference[src];
+            for dst in 0..n {
+                assert_eq!(
+                    t.cost(src, dst).to_bits(),
+                    dist[dst].to_bits(),
+                    "{label}, {step}: cost {src}->{dst}"
+                );
+                assert_eq!(
+                    t.next_hop(src, dst),
+                    first[dst],
+                    "{label}, {step}: hop {src}->{dst}"
+                );
+            }
+        }
+        rng.shuffle(&mut order);
+        for &src in &order {
+            assert_eq!(
+                t.routing_neighbors(src),
+                distinct_hops(&reference[src].1),
+                "{label}, {step}: routing neighbours of {src}"
+            );
+        }
+    }
+    for (src, (dist, first)) in reference.iter().enumerate() {
         let sp = dijkstra(g, src);
-        for dst in 0..g.len() {
-            assert_eq!(
-                t.cost(src, dst).to_bits(),
-                dist[dst].to_bits(),
-                "{label}: cost {src}->{dst}"
-            );
-            assert_eq!(
-                t.next_hop(src, dst),
-                first[dst],
-                "{label}: hop {src}->{dst}"
-            );
+        for dst in 0..n {
             assert_eq!(sp.dist[dst].to_bits(), dist[dst].to_bits());
             assert_eq!(sp.first_hop_to(dst), first[dst]);
         }
     }
+}
+
+/// On a fresh table too, whose routing neighbours are asked before any
+/// row is read, on geometric graphs of up to 300 stations.
+#[test]
+fn routing_neighbors_are_the_reference_first_hops() {
+    cases(6, "reference_neighbors", |case, rng| {
+        let n = if case == 0 {
+            300
+        } else {
+            20 + rng.below(100) as usize
+        };
+        let (g, _) = geometric_graph(rng.below(10_000), n);
+        let t = RouteTable::centralized(&g);
+        for src in 0..n {
+            assert_eq!(
+                t.routing_neighbors(src),
+                distinct_hops(&reference_routes(&g, src).1),
+                "geometric n={n}: routing neighbours of {src}"
+            );
+        }
+    });
 }
 
 #[test]
@@ -301,7 +364,7 @@ fn centralized_matches_reference_dijkstra_with_ties() {
         let parts = 1 + rng.below(3) as usize;
         let p_edge = rng.range_f64(0.05, 0.5);
         let g = tie_graph(rng, n, parts, p_edge);
-        assert_matches_reference(&g, &format!("n={n} parts={parts}"));
+        assert_matches_reference(&g, &format!("n={n} parts={parts}"), rng);
     });
 }
 
@@ -310,7 +373,7 @@ fn centralized_matches_reference_dijkstra_on_geometric_graphs() {
     cases(12, "reference_geometric", |_, rng| {
         let n = 20 + rng.below(100) as usize;
         let (g, _) = geometric_graph(rng.below(10_000), n);
-        assert_matches_reference(&g, &format!("geometric n={n}"));
+        assert_matches_reference(&g, &format!("geometric n={n}"), rng);
     });
 }
 
@@ -324,7 +387,7 @@ fn centralized_matches_reference_dijkstra_on_masked_graphs() {
         let tx_ok: Vec<bool> = (0..n).map(|_| rng.chance(0.9)).collect();
         let rx_ok: Vec<bool> = tx_ok.iter().map(|&tx| tx && rng.chance(0.7)).collect();
         let g = EnergyGraph::from_model_masked(&gm, USABLE, &tx_ok, &rx_ok);
-        assert_matches_reference(&g, &format!("masked n={n}"));
+        assert_matches_reference(&g, &format!("masked n={n}"), rng);
     });
 }
 
@@ -352,7 +415,7 @@ fn centralized_matches_reference_dijkstra_on_unsorted_adjacency() {
         }
         rng.shuffle(&mut edges);
         let g = EnergyGraph::from_edges(n, &edges);
-        assert_matches_reference(&g, &format!("unsorted n={n}"));
+        assert_matches_reference(&g, &format!("unsorted n={n}"), rng);
     });
 }
 
@@ -380,7 +443,7 @@ fn centralized_matches_reference_dijkstra_when_detours_tie() {
         }
         rng.shuffle(&mut edges);
         let g = EnergyGraph::from_edges(n, &edges);
-        assert_matches_reference(&g, &format!("ties n={n} unit={unit:e}"));
+        assert_matches_reference(&g, &format!("ties n={n} unit={unit:e}"), rng);
     });
 }
 
@@ -396,7 +459,7 @@ fn centralized_keeps_a_direct_link_its_detour_beats_only_in_exact_arithmetic() {
         4,
         &[(0, 1, big + 2.0), (1, 2, 1.0), (2, 3, 1.5), (1, 3, 2.6)],
     );
-    assert_matches_reference(&g, "float boundary");
+    assert_matches_reference(&g, "float boundary", &mut Rng::new(1));
     let t = RouteTable::centralized(&g);
     assert_eq!(t.cost(0, 3), big + 4.0);
     assert_eq!(t.path(1, 3), Some(vec![1, 2, 3]));
@@ -424,7 +487,7 @@ fn centralized_matches_reference_dijkstra_behind_a_large_link() {
             edges.extend([(u, w, a), (w, v, b), (u, v, a + b + slack)]);
         }
         let g = EnergyGraph::from_edges(n, &edges);
-        assert_matches_reference(&g, &format!("large link n={n}"));
+        assert_matches_reference(&g, &format!("large link n={n}"), rng);
     });
 }
 
