@@ -25,8 +25,9 @@
 //! Scale arms use the single-hop regime ([`DestPolicy::Neighbors`] +
 //! [`RouteMode::OneHop`]) like E6; the n=10³ arms run the full
 //! centralized table so per-epoch reroutes (`route_repairs`) are part of
-//! what's measured, and assert that every reroute either solved or reused
-//! the table (`route.table_solves` + `route.table_reuses`).
+//! what's measured, and assert that every reroute either re-solved or
+//! reused the table (`route.table_solves` + `route.table_reuses`); the
+//! summary line prints the rows solved (`route.table_rows`).
 
 use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
 use parn_core::{
@@ -121,12 +122,14 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
         "motion triggered {full} global cache rebuilds at n={n}: \
          scoped invalidation regressed to gains_changed"
     );
-    // The centralized arms solve the all-pairs table at build and then
-    // solve or reuse it once per oracle reroute. Under churn, a reroute
-    // 500 ms after its event usually lands after a motion epoch rebuilt
-    // over the same usable graph, so some rebuilds must be reuses.
+    // The centralized arms prepare the table at build and then re-solve
+    // or reuse it once per oracle reroute, solving a row only when it is
+    // read. Under churn, a reroute 500 ms after its event usually lands
+    // after a motion epoch rebuilt over the same usable graph, so some
+    // rebuilds must be reuses.
     let solves = counter("route.table_solves");
     let reuses = counter("route.table_reuses");
+    let rows = counter("route.table_rows");
     if n < 10_000 {
         assert_eq!(
             solves + reuses,
@@ -143,7 +146,7 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
         "n={n} speed={speed} churn={churn_events}{threads_suffix} wall_s={wall:.2} \
          peak_rss_mb={rss_mb:.1} delivered={} moves={} leaves={} joins={} \
          relocations={} scoped_inval={scoped} full_inval={full} table_solves={solves} \
-         table_reuses={reuses} collisions={}",
+         table_reuses={reuses} table_rows={rows} collisions={}",
         m.delivered,
         m.station_moves,
         m.leaves,
