@@ -1597,8 +1597,8 @@ impl Network {
     /// its arrival process restarts. A joiner relocates *before* it
     /// re-enters the air (any reception still draining at or from it is
     /// recomputed against the new geometry), and its links come from the
-    /// new geometry; under motion, so do a rebooting or returning
-    /// station's.
+    /// new geometry; so do a rebooting or returning station's under
+    /// motion, or when links were measured while it was dark.
     fn power_up(&mut self, s: StationId, how: PowerUp, now: Time, queue: &mut EventQueue<Event>) {
         if self.alive[s] {
             return;
@@ -1653,10 +1653,11 @@ impl Network {
             self.chain_arrival(s, now, queue);
         }
         // A joiner moved. Under motion, so did everyone else while this
-        // station was dark, and the epochs in between measured no links to
-        // or from it: either way its links come from today's geometry.
+        // station was dark. And a relink while it was dark (a motion epoch
+        // or another station's join) measured no links to or from it.
+        // Either way its links come from today's geometry.
         let joined = matches!(how, PowerUp::Join(_));
-        if joined || self.motion.is_some() {
+        if joined || self.motion.is_some() || self.routing.missed_relink(s) {
             self.relink(now, queue);
         }
         if joined {
@@ -1871,7 +1872,13 @@ impl Network {
             .readmit(subject, &self.alive, now, &mut self.metrics);
         for &o in &lifted {
             self.rendezvous(o, subject, now, true);
-            if self.routing.readmit(o, subject).is_some() {
+            if let Some(measured) = self.routing.readmit(o, subject) {
+                // A link measured now may need more power than any `o`
+                // budgeted for: its view covers it before it advertises.
+                if measured {
+                    let rn = self.routing.neighbors(o);
+                    self.set_routing_view(o, rn, now);
+                }
                 self.after_dv_change(o, now, queue);
             }
         }
@@ -2918,6 +2925,15 @@ mod tests {
         }
     }
 
+    /// How many stations `s` routes to directly, and how many route to it
+    /// directly, in the distributed-routing tables.
+    fn direct_links(net: &Network, s: StationId) -> (usize, usize) {
+        let t = net.dv_table().expect("distributed routing");
+        let from = (0..net.len()).filter(|&x| t.next_hop(s, x) == Some(x));
+        let to = (0..net.len()).filter(|&o| t.next_hop(o, s) == Some(s));
+        (from.count(), to.count())
+    }
+
     #[test]
     fn a_station_rebooting_after_a_motion_epoch_comes_back_with_its_links() {
         // Under distributed routing with motion, station 5 is dark from
@@ -2933,21 +2949,41 @@ mod tests {
         cfg.mobility = Some(MobilityConfig::paper_default());
         cfg.faults =
             FaultPlan::none().crash_recover(Duration::from_millis(2050), 5, Duration::from_secs(1));
-        let direct = |net: &Network| {
-            let t = net.dv_table().expect("distributed routing");
-            let from = (0..net.len()).filter(|&x| t.next_hop(5, x) == Some(x));
-            let to = (0..net.len()).filter(|&o| t.next_hop(o, 5) == Some(5));
-            (from.count(), to.count())
-        };
         let mut net = Network::new(cfg);
-        let booted = direct(&net);
+        let booted = direct_links(&net, 5);
         assert!(booted.0 > 0 && booted.1 > 0, "no links at boot: {booted:?}");
         let mut q = EventQueue::new();
         net.prime(&mut q);
         parn_sim::run(&mut net, &mut q, Time::ZERO + Duration::from_millis(3060));
         assert!(net.alive[5], "station 5 rebooted at 3.05 s");
-        let (from, to) = direct(&net);
+        let (from, to) = direct_links(&net, 5);
         assert!(from > 0, "station 5 came back with no links");
         assert!(to > 0, "no station links to station 5 after its reboot");
+    }
+
+    #[test]
+    fn a_station_away_during_a_join_comes_back_with_its_links() {
+        // Under distributed routing without motion, station 9 joins at
+        // (3, -4) at 2.5 s while station 5 is away from 2 s to 3 s. The
+        // join re-measures links over the live topology, which has no row
+        // for a dark station, so every live station drops its link to 5
+        // and 5's own measured links are empty. No motion epoch measures
+        // again, so 5 must measure its links again when it returns.
+        let mut cfg = NetConfig::paper_default(30, 21);
+        cfg.route_mode = RouteMode::Distributed;
+        cfg.heal = crate::faults::HealConfig::local();
+        cfg.churn = crate::mobility::ChurnPlan::none()
+            .leave(Duration::from_secs(1), 9)
+            .leave_for(Duration::from_secs(2), 5, Duration::from_secs(1))
+            .join(Duration::from_millis(2500), 9, Point::new(3.0, -4.0));
+        let mut net = Network::new(cfg);
+        assert_eq!(direct_links(&net, 5), (2, 2), "station 5's links at boot");
+        let mut q = EventQueue::new();
+        net.prime(&mut q);
+        parn_sim::run(&mut net, &mut q, Time::ZERO + Duration::from_secs(6));
+        assert!(net.alive[5] && net.alive[9]);
+        let (from, to) = direct_links(&net, 5);
+        assert!(from > 0, "station 5 came back with no links");
+        assert!(to > 0, "no station links to station 5 after its return");
     }
 }

@@ -57,10 +57,15 @@ struct Exchange {
     /// the only way information enters it is a received advertisement.
     cluster: DvCluster,
     /// The usable links each station last measured: `(neighbour, hop
-    /// energy)`. A power-up restores links to live stations from here
-    /// (the rejoin handshake re-measures them), and so does a
-    /// readmission.
+    /// energy)`, ascending. A power-up restores links to live stations
+    /// from here (the rejoin handshake re-measures them), and so does a
+    /// readmission, which measures a link missing here: a relink leaves
+    /// out links to dark and evicted stations.
     links: Vec<Vec<(StationId, f64)>>,
+    /// Whether the last relink found the station dark, per station: it
+    /// measured no links of it then, and every live station failed its
+    /// link to it.
+    missed: Vec<bool>,
     /// Whether a triggered round is already armed, per station.
     round_armed: Vec<bool>,
     /// The open convergence episode: its first and its latest table
@@ -107,6 +112,7 @@ impl Routing {
                     cfg: cfg.dv,
                     cluster,
                     links: (0..n).map(|s| graph.neighbors(s).to_vec()).collect(),
+                    missed: vec![false; n],
                     round_armed: vec![false; n],
                     episode: None,
                 });
@@ -245,14 +251,26 @@ impl Routing {
         Some(x.cluster.state_mut(s).fail_link(nb, now, x.cfg.holddown))
     }
 
-    /// `s` readmits `nb`: the link it measured comes back in its own
-    /// state, first-hand and exempt from hold-down. `None` when it did
-    /// not (table routing, or no measured link).
-    pub(crate) fn readmit(&mut self, s: StationId, nb: StationId) -> Option<()> {
+    /// `s` readmits `nb`, which it has just heard: the link comes back in
+    /// its own state, first-hand and exempt from hold-down, at the energy
+    /// `s` measured, or measures now if it has none. Returns whether it
+    /// measured the link now, or `None` when it did not readmit (table
+    /// routing, or a link that is not usable).
+    pub(crate) fn readmit(&mut self, s: StationId, nb: StationId) -> Option<bool> {
         let x = self.exchange.as_mut()?;
-        let &(_, cost) = x.links[s].iter().find(|&&(l, _)| l == nb)?;
+        let (cost, measured) = match x.links[s].binary_search_by_key(&nb, |&(l, _)| l) {
+            Ok(i) => (x.links[s][i].1, false),
+            Err(i) => {
+                let g = self.gains.gain(nb, s);
+                if g < self.usable_gain || g.value() <= 0.0 {
+                    return None;
+                }
+                x.links[s].insert(i, (nb, g.energy_cost()));
+                (g.energy_cost(), true)
+            }
+        };
         x.cluster.state_mut(s).restore_link(nb, cost);
-        Some(())
+        Some(measured)
     }
 
     /// `s` powered back up with its volatile state gone: its own state
@@ -271,7 +289,7 @@ impl Routing {
     /// against the links its own state holds, in ascending station order
     /// (nothing under table routing). A dark station's row of the masked
     /// graph is empty, so its measured links are too until it is measured
-    /// again at its power-up.
+    /// again at its power-up (see [`missed_relink`](Routing::missed_relink)).
     pub(crate) fn relink(&mut self, alive: &[bool], heal: &Heal) -> Vec<(StationId, Vec<Relink>)> {
         if self.exchange.is_none() {
             return Vec::new();
@@ -281,6 +299,7 @@ impl Routing {
         let mut moved = Vec::new();
         for (s, &up) in alive.iter().enumerate() {
             x.links[s] = graph.neighbors(s).to_vec();
+            x.missed[s] = !up;
             if !up {
                 continue;
             }
@@ -299,6 +318,12 @@ impl Routing {
             moved.push((s, changes));
         }
         moved
+    }
+
+    /// Whether `s` was dark at the last relink, so its links must be
+    /// measured again when it powers up (never under table routing).
+    pub(crate) fn missed_relink(&self, s: StationId) -> bool {
+        self.exchange.as_ref().is_some_and(|x| x.missed[s])
     }
 
     /// `s` applies a [`Relink::Recost`] or [`Relink::Found`] to its own
@@ -497,17 +522,27 @@ mod tests {
         }
         assert_eq!(r.round(1, true), Some(vec![2, 3]));
         assert_eq!(r.neighbors(3), vec![1, 2]);
-        // A readmission restores a measured link, and only a measured one.
+        assert!(r.missed_relink(0) && !r.missed_relink(1));
+        // A readmission restores a measured link, measures one the relink
+        // left out while its far end was dark, and restores no unusable
+        // one.
         assert_eq!(r.fail_link(1, 2, at(50)), Some(true));
         assert_eq!(r.round(1, true), Some(vec![3]));
-        assert!(r.readmit(1, 2).is_some());
+        assert_eq!(r.readmit(1, 2), Some(false));
         assert_eq!(r.round(1, true), Some(vec![2, 3]));
-        assert!(r.readmit(1, 0).is_none(), "1 measured no link to dark 0");
+        assert_eq!(r.readmit(1, 0), Some(true), "1 measures its link to 0");
+        assert_eq!(
+            r.links(1),
+            &[(0, cost(1, 0)), (2, cost(1, 2)), (3, cost(1, 3))]
+        );
+        assert_eq!(r.round(1, true), Some(vec![0, 2, 3]));
+        assert!(r.readmit(2, 0).is_none(), "0 is 20 m from 2");
         // A restart keeps only the measured links to live stations.
         assert!(r.restart(3, &[true, true, false, true]).is_some());
         assert_eq!(r.round(3, true), Some(vec![1]));
         let (mut table, ..) = line(RouteMode::Centralized);
         assert!(table.relink(&alive, &heal).is_empty());
+        assert!(!table.missed_relink(0));
         assert!(table.restart(3, &alive).is_none());
     }
 }
