@@ -96,7 +96,8 @@ impl FarFieldConfig {
 /// How routing tables are computed.
 #[derive(Clone, Debug)]
 pub enum RouteMode {
-    /// All-pairs Dijkstra from a central view (reference).
+    /// All-pairs Dijkstra from a central view (reference), a source's
+    /// row solved when it is first read.
     Centralized,
     /// Distributed asynchronous Bellman–Ford run as a real protocol (§6.2):
     /// every station keeps a private distance-vector state and learns
