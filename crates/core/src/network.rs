@@ -602,7 +602,6 @@ impl Network {
                 if cause == LossCause::RoutingLoop {
                     self.metrics.routing_loops += 1;
                 }
-                self.stations[at].attempts.remove(&packet.id);
                 self.settle_drop(&packet, cause);
             }
         }
@@ -972,7 +971,6 @@ impl Network {
                     let margin_db = 10.0 * (rep.min_sinr / self.threshold).log10();
                     self.metrics.sinr_margin_db.add(margin_db);
                 }
-                self.stations[s].attempts.remove(&packet.id);
                 self.deliver(nh, packet, now, queue);
             }
         } else if is_ctrl {
@@ -1021,7 +1019,9 @@ impl Network {
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
+        // A new hop starts with the whole retry budget.
         packet.hops += 1;
+        packet.attempts = 0;
         self.routing.assert_loop_free(at, &packet);
         packet.visited.push(at);
         let measured = self.warm.measured(packet.created);
@@ -1064,7 +1064,7 @@ impl Network {
     fn retry_or_drop(
         &mut self,
         s: StationId,
-        packet: Packet,
+        mut packet: Packet,
         now: Time,
         queue: &mut EventQueue<Event>,
     ) {
@@ -1073,11 +1073,9 @@ impl Network {
             self.settle_drop(&packet, LossCause::StationFailed);
             return;
         }
-        let attempts = self.stations[s].attempts.entry(packet.id).or_insert(0);
-        *attempts += 1;
-        let attempt = *attempts;
+        packet.attempts += 1;
+        let attempt = packet.attempts;
         if attempt > self.cfg.max_retries {
-            self.stations[s].attempts.remove(&packet.id);
             self.settle_drop(&packet, LossCause::RetriesExhausted);
             return;
         }
@@ -1578,7 +1576,6 @@ impl Network {
                 .map(|p| p.packet),
         );
         st.reservations.clear();
-        st.attempts.clear();
         st.retry_pending = false;
         for p in lost {
             self.settle_drop(&p, cause);
@@ -2227,9 +2224,11 @@ mod tests {
     }
 
     #[test]
-    fn drained_stations_hold_no_queue_plan_or_attempt_storage() {
-        // A relay outage makes its neighbours retry, so attempt maps fill
-        // and drain as well as queues and plans.
+    fn drained_stations_hold_no_queue_or_plan_storage() {
+        // A relay outage drops the packets its neighbours queued for it
+        // and makes them plan around it, so queues and plans fill and
+        // drain through a power-down and a power-up as well as in steady
+        // traffic.
         let mut cfg = small_cfg(40, 19);
         cfg.run_for = Duration::from_secs(8);
         cfg.traffic.arrivals_per_station_per_sec = 2.0;
@@ -2242,7 +2241,7 @@ mod tests {
         let mut q = parn_sim::EventQueue::new();
         net.prime(&mut q);
         let mut planned = vec![false; net.len()];
-        let (mut drained, mut retried) = (0usize, 0usize);
+        let mut drained = 0usize;
         let mut t = Time::ZERO;
         while t < net.end {
             t += Duration::from_millis(50);
@@ -2253,17 +2252,42 @@ mod tests {
                     "station {s} keeps a drained queue at {t:?}"
                 );
                 planned[s] |= !st.pending_tx.is_empty();
-                retried += usize::from(!st.attempts.is_empty());
-                if st.queued() == 0 && st.pending_tx.is_empty() && st.attempts.is_empty() {
+                if st.queued() == 0 && st.pending_tx.is_empty() {
                     assert_eq!(st.queues.capacity(), 0, "station {s} queue storage");
                     assert_eq!(st.pending_tx.capacity(), 0, "station {s} plan storage");
-                    assert_eq!(st.attempts.capacity(), 0, "station {s} attempt storage");
                     drained += usize::from(planned[s]);
                 }
             }
         }
         assert!(drained > 0, "no station ever drained after planning");
-        assert!(retried > 0, "no station ever held a retry count");
+    }
+
+    #[test]
+    fn a_successful_hop_restores_the_retry_budget() {
+        // A packet that spent its whole retry budget on one hop reaches a
+        // relay on its way: the relay holds it with a fresh budget.
+        let mut net = Network::new(small_cfg(30, 7));
+        let n = net.len();
+        let (src, dst, relay) = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d)))
+            .find_map(|(s, d)| {
+                let r = net.routes().next_hop(s, d)?;
+                (r != d).then_some((s, d, r))
+            })
+            .expect("a multi-hop route");
+        let mut packet = Packet::new(0, src, dst, Time::ZERO);
+        packet.attempts = net.cfg.max_retries;
+        let mut q = EventQueue::new();
+        net.deliver(relay, packet, Time::ZERO, &mut q);
+        let st = &net.stations[relay];
+        let held: Vec<&Packet> = st
+            .queues
+            .values()
+            .flatten()
+            .chain(st.pending_tx.values().map(|p| &p.packet))
+            .collect();
+        assert_eq!(held.len(), 1, "the relay holds the packet");
+        assert_eq!(held[0].attempts, 0);
     }
 
     #[test]

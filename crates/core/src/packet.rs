@@ -58,6 +58,8 @@ pub struct Packet {
     pub created: Time,
     /// Hops traversed so far.
     pub hops: u32,
+    /// Failed attempts at the current hop; a successful hop resets it.
+    pub attempts: u32,
     /// Time the packet was enqueued at the current holder (for per-hop
     /// queueing-delay statistics).
     pub enqueued: Time,
@@ -81,6 +83,7 @@ impl Packet {
             dst,
             created: now,
             hops: 0,
+            attempts: 0,
             enqueued: now,
             visited: vec![src],
             payload: None,
@@ -144,7 +147,7 @@ mod tests {
         assert_eq!(p.id, 7);
         assert_eq!(p.kind, PacketKind::Data);
         assert_eq!((p.src, p.dst), (1, 5));
-        assert_eq!(p.hops, 0);
+        assert_eq!((p.hops, p.attempts), (0, 0));
         assert_eq!(p.visited, vec![1]);
         assert!(p.payload.is_none());
         assert_eq!(p.age(Time::from_secs(5)).as_secs_f64(), 3.0);

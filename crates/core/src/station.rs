@@ -58,9 +58,6 @@ pub struct Station {
     pub protected: Vec<StationId>,
     /// Whether a MAC retry event is already scheduled (dedupes retries).
     pub retry_pending: bool,
-    /// Per-packet transmit attempts for the head entries, keyed by packet
-    /// id (cleared on success/drop).
-    pub attempts: VecMap<u64, u32>,
 }
 
 impl Station {
@@ -76,7 +73,6 @@ impl Station {
             routing_neighbors: Vec::new(),
             protected: Vec::new(),
             retry_pending: false,
-            attempts: VecMap::new(),
         }
     }
 
