@@ -10,12 +10,13 @@
 //! * [`packet`] — packets and loss causes;
 //! * [`power`] — §6.1 power control (deliver constant power);
 //! * [`collision`] — the §5 collision taxonomy over PHY failure reports;
-//! * [`station`] — per-station protocol state;
-//! * [`vecmap`] — the sorted-vector map that holds it;
-//! * [`network`] — the full event-driven simulator (event loop, MAC,
-//!   PHY bookkeeping, faults), with routing (the shared table or the
-//!   per-station distance-vector exchange), local failure detection and
-//!   the adversary runtime in three crate-private modules;
+//! * [`vecmap`] — the sorted-vector map that holds per-station state;
+//! * [`network`] — the full event-driven simulator (event loop,
+//!   reception, PHY bookkeeping, faults), with the §7 channel access
+//!   (clocks, clock models, queues, plans and routing views), routing
+//!   (the shared table or the per-station distance-vector exchange),
+//!   local failure detection and the adversary runtime in four
+//!   crate-private modules;
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
 //!   sources × uniform / neighbour / gravity / hotspot destinations), and
 //!   the generator that runs them;
@@ -37,13 +38,13 @@ pub mod collision;
 pub mod config;
 pub mod faults;
 mod heal;
+mod mac;
 pub mod metrics;
 pub mod mobility;
 pub mod network;
 pub mod packet;
 pub mod power;
 mod routing;
-pub mod station;
 pub mod traffic;
 pub mod vecmap;
 

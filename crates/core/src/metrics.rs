@@ -11,6 +11,10 @@ use parn_sim::stats::{Histogram, Tally, TimeWeightedHist};
 use parn_sim::{Duration, Time};
 use std::collections::HashMap;
 
+/// Depths [`Metrics::queue_depth_hist`] bins one by one; deeper backlogs
+/// pool in its overflow.
+pub(crate) const QUEUE_DEPTH_LEVELS: usize = 4096;
+
 /// Aggregated results of one run.
 #[derive(Clone, Debug)]
 pub struct Metrics {
@@ -196,7 +200,7 @@ impl Metrics {
             // produce; quantiles are exact from retained samples anyway.
             e2e_delay_hist: Histogram::new(0.0, 60.0, 6000),
             hops_hist: Histogram::new(0.0, 64.0, 64),
-            queue_depth_hist: TimeWeightedHist::new(Time::ZERO, 0.0, 4096),
+            queue_depth_hist: TimeWeightedHist::new(Time::ZERO, 0.0, QUEUE_DEPTH_LEVELS),
             partitions_healed: 0,
             partition_healed_at: Tally::new(),
             violations_detected: 0,

@@ -16,36 +16,19 @@ use crate::collision::classify;
 use crate::config::{NetConfig, PhyBackend, SyncMode};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::heal::{Heal, HopVerdict};
+use crate::mac::{Mac, Step};
 use crate::metrics::{Metrics, WarmupGate};
 use crate::mobility::{ChurnKind, Motion};
 use crate::packet::{ControlPayload, LossCause, Packet, PacketKind};
-use crate::power::PowerPolicy;
 use crate::routing::{Probe, Relink, Routing};
-use crate::station::{PlannedTx, Station};
 use crate::traffic::Traffic;
 use parn_phys::placement::density;
 use parn_phys::propagation::{FreeSpace, Propagation, Shadowed};
 use parn_phys::sinr::{RxId, SinrTracker, TxId};
-use parn_phys::{GainMatrix, GainModel, GridGainModel, Point, PowerW, StationId};
+use parn_phys::{GainMatrix, GainModel, GridGainModel, Point, StationId};
 use parn_route::RouteTable;
-use parn_sched::{
-    intersect_lists, subtract_lists, ClockSample, PredictedSchedule, QuarterSlot, RemoteClockModel,
-    SlotKind, StationClock, StationSchedule, Window,
-};
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::sync::Arc;
-
-/// The MAC's first look-ahead span, in slots. At p = 0.3 a sender's
-/// transmit window overlaps a given neighbour's receive window about once
-/// every 1/(p(1−p)) ≈ 4.8 slots (§7.2), so most plans settle in the first
-/// span. First spans of 4 to 16 slots walked within a third of the same
-/// number of slots on the benchmark workloads.
-const LOOKAHEAD_FIRST_SLOTS: u64 = 8;
-
-/// Factor by which each MAC look-ahead span grows over the last
-/// (8 → 32 → 128 → the horizon). Doubling walked up to 15 % fewer slots
-/// but takes six passes to reach the default 200-slot horizon, not four.
-const LOOKAHEAD_GROWTH: u64 = 4;
 
 /// Simulator events.
 #[derive(Debug)]
@@ -187,9 +170,10 @@ pub struct Network {
     tracker: SinrTracker,
     /// The shared table, or each station's own under distributed routing.
     routing: Routing,
-    stations: Vec<Station>,
-    clocks: Vec<StationClock>,
-    power: PowerPolicy,
+    /// Clocks, clock models, queues, plans and routing views (§7).
+    mac: Mac,
+    /// Despreading channels occupied by in-flight receptions, per station.
+    active_rx: Vec<usize>,
     threshold: f64,
     airtime: Duration,
     warm: WarmupGate,
@@ -200,8 +184,6 @@ pub struct Network {
     /// in the gain backend, which every relocation writes.
     motion: Option<Motion>,
     end: Time,
-    /// Interference budget for §7.3 significance: delivered/θ.
-    interference_budget: PowerW,
     /// Liveness per station (failure injection).
     alive: Vec<bool>,
     /// Results.
@@ -219,7 +201,6 @@ pub struct Network {
     /// restarts a chain only if the old one has died out).
     arrivals_live: Vec<bool>,
     tracer: parn_sim::trace::Tracer,
-    queue_depth: parn_sim::stats::TimeWeighted,
     on_air: parn_sim::stats::TimeWeighted,
 }
 
@@ -229,7 +210,6 @@ impl Network {
         parn_sim::time_scope!("core.build");
         let root = Rng::new(cfg.seed);
         let mut rng_place = root.substream("placement");
-        let mut rng_clock = root.substream("clocks");
         let rng_faults = root.substream("faults");
 
         let positions = cfg.placement.generate(&mut rng_place);
@@ -283,21 +263,9 @@ impl Network {
         }
 
         let threshold = cfg.sinr_threshold();
-        let power = match cfg.fixed_power {
-            Some(p) => PowerPolicy::Fixed(p),
-            None => PowerPolicy::Controlled {
-                target: cfg.delivered_power,
-                max: cfg.max_power,
-            },
-        };
-        let interference_budget = PowerW(cfg.delivered_power.value() / threshold);
-
         // Stations with random clocks; a station's schedule is the shared
         // slot function reckoned by its clock.
-        let clocks: Vec<StationClock> = (0..n)
-            .map(|_| StationClock::random(&mut rng_clock, cfg.clock.max_ppm))
-            .collect();
-        let stations = (0..n).map(Station::new).collect();
+        let mac = Mac::new(&cfg, Arc::clone(&gains), &mut root.substream("clocks"));
         let traffic = Traffic::new(
             &cfg.traffic,
             root.substream("traffic"),
@@ -323,9 +291,8 @@ impl Network {
             gains,
             tracker,
             routing,
-            stations,
-            clocks,
-            power,
+            mac,
+            active_rx: vec![0; n],
             threshold,
             airtime,
             warm,
@@ -333,7 +300,6 @@ impl Network {
             next_packet_id: 0,
             motion,
             end,
-            interference_budget,
             alive: vec![true; n],
             metrics,
             rng_faults,
@@ -342,18 +308,18 @@ impl Network {
             boot_epoch: vec![0; n],
             arrivals_live: vec![false; n],
             tracer: parn_sim::trace::Tracer::disabled(),
-            queue_depth: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
             on_air: parn_sim::stats::TimeWeighted::new(Time::ZERO, 0.0),
         };
         // Each station's routing view. Under distributed routing a station
         // exchanges vectors over every usable link, not just its current
         // next hops, so its link neighbours need clock models from boot.
         for s in 0..n {
-            for (nb, _) in net.routing.links(s).to_vec() {
-                net.rendezvous(s, nb, Time::ZERO, false);
+            for &(nb, _) in net.routing.links(s) {
+                net.mac.rendezvous(s, nb, Time::ZERO, false);
             }
             let rn = net.routing.neighbors(s);
-            net.set_routing_view(s, rn, Time::ZERO);
+            net.mac
+                .set_routing_view(s, rn, net.routing.links(s), &net.alive, Time::ZERO);
         }
         net
     }
@@ -392,22 +358,19 @@ impl Network {
 
     /// Number of stations.
     pub fn len(&self) -> usize {
-        self.stations.len()
+        self.alive.len()
     }
 
     /// True when the network has no stations (never, post-construction).
     pub fn is_empty(&self) -> bool {
-        self.stations.is_empty()
+        self.alive.is_empty()
     }
 
     /// Seed the event queue with initial arrivals and the resync cadence.
     pub fn prime(&mut self, queue: &mut EventQueue<Event>) {
-        let n = self.stations.len();
+        let n = self.alive.len();
         for s in 0..n {
-            if self
-                .traffic
-                .has_traffic(s, &self.stations[s].routing_neighbors)
-            {
+            if self.traffic.has_traffic(s, self.mac.routing_neighbors(s)) {
                 let dt = self.traffic.next_interarrival(s, Time::ZERO);
                 queue.schedule(Time::ZERO + dt, Event::NextArrival { station: s });
                 self.arrivals_live[s] = true;
@@ -554,35 +517,9 @@ impl Network {
     pub fn finish(mut self) -> Metrics {
         let settled = self.metrics.delivered + self.metrics.total_drops();
         self.metrics.in_flight_at_end = self.metrics.generated.saturating_sub(settled);
-        self.metrics.mean_queue_depth = self.queue_depth.average(self.end);
-        self.metrics.peak_queue_depth = self.queue_depth.max();
         self.metrics.mean_concurrent_tx = self.on_air.average(self.end);
-        self.metrics.queue_depth_hist.freeze(self.end);
+        self.mac.finish(self.end, &mut self.metrics);
         self.metrics
-    }
-
-    /// Adjust the network-wide queued-packet count: the running
-    /// time-average/peak (pre-existing) and the dwell-time histogram the
-    /// saturation sweep reads percentiles from.
-    fn track_queue(&mut self, now: Time, delta: f64) {
-        self.queue_depth.adjust(now, delta);
-        self.metrics.queue_depth_hist.adjust(now, delta);
-    }
-
-    /// Empty every queue at `s`, with occupancy bookkeeping.
-    fn take_queued(&mut self, s: StationId, now: Time) -> Vec<Packet> {
-        let queued: Vec<Packet> = std::mem::take(&mut self.stations[s].queues)
-            .into_values()
-            .flatten()
-            .collect();
-        self.track_queue(now, -(queued.len() as f64));
-        queued
-    }
-
-    /// Enqueue at a station with occupancy bookkeeping.
-    fn enqueue_tracked(&mut self, s: StationId, next_hop: StationId, packet: Packet, now: Time) {
-        self.stations[s].enqueue(next_hop, packet, now);
-        self.track_queue(now, 1.0);
     }
 
     /// Resolve and enqueue `packet` at `at`, or settle it as dropped.
@@ -595,7 +532,7 @@ impl Network {
     ) {
         match self.routing.next_hop(at, &packet) {
             Ok(next) => {
-                self.enqueue_tracked(at, next, packet, now);
+                self.mac.enqueue(at, next, packet, now);
                 self.try_schedule(at, now, queue);
             }
             Err(cause) => {
@@ -607,189 +544,28 @@ impl Network {
         }
     }
 
-    /// Attempt to plan the station's next transmissions (§7 MAC): keep
-    /// committing packets to admissible quarter-slot starts until the
-    /// outstanding-plan limit is reached or nothing fits in the horizon.
+    /// Plan the station's next transmissions (§7 MAC) and put them on
+    /// the event queue, or arm a retry when nothing fits in the horizon.
     fn try_schedule(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
         if !self.alive[s] {
             return;
         }
-        self.stations[s].prune_reservations(now);
-        while self.stations[s].pending_tx.len() < self.cfg.max_outstanding_plans {
-            if !self.try_schedule_one(s, now, queue) {
-                break;
-            }
-        }
-    }
-
-    /// Plan at most one transmission; returns whether a plan was made.
-    ///
-    /// The plan is the earliest `(start, next hop)` within the horizon of
-    /// `mac_horizon_slots` slots. The search runs over look-ahead spans
-    /// that grow from `LOOKAHEAD_FIRST_SLOTS` by `LOOKAHEAD_GROWTH` up to
-    /// the horizon, so its cost follows the distance to the first
-    /// usable window, not the horizon. A shorter span's result is kept
-    /// only when the packet ends at least `guard + slot` before the span
-    /// does: a §7.3 protected window that begins past the span reaches
-    /// back into it by `guard` once expanded, and clock inversion can move
-    /// a window edge by a tick. A kept result is therefore exactly the
-    /// full-horizon result. When nothing fits within the horizon, a
-    /// `MacRetry` is armed at the horizon.
-    fn try_schedule_one(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) -> bool {
-        if self.stations[s].queued() == 0 {
-            return false;
-        }
-        let slot = self.cfg.sched.slot;
-        let horizon = now + slot * self.cfg.mac_horizon_slots;
-        let margin = self.airtime + self.cfg.clock.guard + slot;
-        let mut span = LOOKAHEAD_FIRST_SLOTS;
-        let best = loop {
-            if span >= self.cfg.mac_horizon_slots {
-                break self.earliest_plan(s, now, horizon);
-            }
-            let end = now + slot * span;
-            match self.earliest_plan(s, now, end) {
-                Some((start, nh)) if start + margin <= end => break Some((start, nh)),
-                _ => span = span.saturating_mul(LOOKAHEAD_GROWTH),
-            }
-        };
-        debug_assert_eq!(
-            best,
-            self.earliest_plan(s, now, horizon),
-            "station {s} at {now:?}: look-ahead plan differs from the full-horizon plan"
-        );
-        match best {
-            Some((start, nh)) => {
-                let st = &mut self.stations[s];
-                let packet = st.dequeue(nh).expect("queue emptied unexpectedly");
-                st.reserve(Window::new(start, start + self.airtime));
-                let pid = packet.id;
-                self.track_queue(now, -1.0);
-                let st = &mut self.stations[s];
-                st.pending_tx.insert(
-                    start.ticks(),
-                    PlannedTx {
-                        start,
-                        next_hop: nh,
-                        packet,
-                    },
-                );
-                queue.schedule(start, Event::TxStart { station: s });
-                parn_sim::trace_event!(
-                    self.tracer,
-                    now,
-                    parn_sim::trace::Level::Debug,
-                    parn_sim::trace::TraceEvent::MacPlanned {
+        loop {
+            match self.mac.try_schedule_one(s, now) {
+                Step::Planned(start, next_hop, packet) => {
+                    queue.schedule(start, Event::TxStart { station: s });
+                    let event = parn_sim::trace::TraceEvent::MacPlanned {
                         station: s,
-                        packet: pid,
-                        next_hop: nh,
+                        packet,
+                        next_hop,
                         start,
-                    }
-                );
-                true
-            }
-            None => {
-                let st = &mut self.stations[s];
-                if st.pending_tx.is_empty() && !st.retry_pending {
-                    st.retry_pending = true;
-                    queue.schedule(horizon, Event::MacRetry { station: s });
-                }
-                false
-            }
-        }
-    }
-
-    /// The earliest `(start, next hop)` at which `s` can send the head of
-    /// one of its non-empty queues, over windows in `[now, end)` (§7 MAC:
-    /// own transmit window ∩ the next hop's predicted receive window,
-    /// minus commitments and §7.3 protected windows). Changes no state.
-    fn earliest_plan(&self, s: StationId, now: Time, end: Time) -> Option<(Time, StationId)> {
-        let params = self.cfg.sched;
-        let guard = self.cfg.clock.guard;
-        let qs = QuarterSlot::with_divisor(params, self.cfg.packet_divisor);
-        let my_clock = self.clocks[s];
-
-        // My own transmit windows, minus existing commitments, shaved by
-        // a transmitter-turnaround epsilon: window boundaries are computed
-        // through the clock inverse (±1 tick of rounding), and a 1-tick
-        // overhang into the station's own receive slot is enough to kill
-        // an incoming reception (Type 3) under the hold-for-the-whole-
-        // packet criterion. Real radios need TX/RX turnaround time anyway.
-        let my_tx: Vec<Window> = StationSchedule::new(params, my_clock)
-            .windows(now, end, SlotKind::Transmit)
-            .into_iter()
-            .map(|w| w.shrunk(Duration(2)))
-            .filter(|w| !w.is_empty())
-            .collect();
-        let my_free = subtract_lists(&my_tx, &self.stations[s].reservations);
-
-        // Pre-compute §7.3 cut lists lazily per candidate power level: the
-        // protected windows only depend on the neighbour being protected,
-        // so gather their expanded predicted receive windows once.
-        let protection_on = self.cfg.protection.enabled;
-        let mut protected_rx: Vec<(StationId, f64, Vec<Window>)> = Vec::new();
-        if protection_on {
-            for &pn in &self.stations[s].protected {
-                let gain_to_pn = self.gains.gain(pn, s).value();
-                if let Some(model) = self.stations[s].models.get(&pn) {
-                    let pred = PredictedSchedule {
-                        params,
-                        my_clock,
-                        model,
-                        guard: Duration::ZERO,
                     };
-                    let ws: Vec<Window> = pred
-                        .windows(now, end, SlotKind::Receive)
-                        .into_iter()
-                        .map(|w| w.expanded(guard))
-                        .collect();
-                    protected_rx.push((pn, gain_to_pn, ws));
+                    parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Debug, event);
                 }
+                Step::Retry(at) => return queue.schedule(at, Event::MacRetry { station: s }),
+                Step::Idle => return,
             }
         }
-
-        let st = &self.stations[s];
-        let mut best: Option<(Time, StationId)> = None;
-        for &nh in st.queues.keys() {
-            let Some(model) = st.models.get(&nh) else {
-                continue;
-            };
-            let pred = PredictedSchedule {
-                params,
-                my_clock,
-                model,
-                guard,
-            };
-            let their_rx = pred.windows(now, end, SlotKind::Receive);
-            let mut usable = intersect_lists(&my_free, &their_rx);
-            if protection_on && !usable.is_empty() {
-                let p_tx = self.power.tx_power(self.gains.gain(nh, s)).value();
-                for (pn, gain_to_pn, ws) in &protected_rx {
-                    if *pn == nh {
-                        continue;
-                    }
-                    let contrib = p_tx * gain_to_pn;
-                    if contrib
-                        >= self.cfg.protection.significance_fraction
-                            * self.interference_budget.value()
-                    {
-                        usable = subtract_lists(&usable, ws);
-                    }
-                }
-            }
-            let found = qs.first_admissible(
-                &usable,
-                now,
-                |t| my_clock.reading(t),
-                |local| my_clock.time_of_reading(local),
-            );
-            if let Some(start) = found {
-                if best.map(|(b, _)| start < b).unwrap_or(true) {
-                    best = Some((start, nh));
-                }
-            }
-        }
-        best
     }
 
     /// Snapshot a control payload onto `packet` at transmission start —
@@ -830,21 +606,19 @@ impl Network {
     }
 
     fn on_tx_start(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
-        let Some(mut plan) = self.stations[s].pending_tx.remove(&now.ticks()) else {
+        let Some((nh, mut packet)) = self.mac.start_tx(s, now) else {
             // The station failed after planning; the plan was cancelled.
             return;
         };
-        debug_assert_eq!(plan.start, now, "TxStart fired at the wrong time");
-        let nh = plan.next_hop;
-        self.attach_payload(s, nh, &mut plan.packet, now);
-        let p_tx = self.power.tx_power(self.gains.gain(nh, s));
+        self.attach_payload(s, nh, &mut packet, now);
+        let p_tx = self.mac.tx_power(s, nh);
         let tx = self.tracker.start_transmission(s, p_tx, Some(nh));
         self.on_air.adjust(now, 1.0);
 
         // Receiver side: occupy a despreading channel if one is free (a
         // failed station's receiver is dark).
-        let rx = if self.alive[nh] && self.stations[nh].active_rx < self.cfg.despreaders {
-            self.stations[nh].active_rx += 1;
+        let rx = if self.alive[nh] && self.active_rx[nh] < self.cfg.despreaders {
+            self.active_rx[nh] += 1;
             Some(self.tracker.begin_reception(nh, tx, self.threshold))
         } else {
             None
@@ -869,11 +643,11 @@ impl Network {
 
         let measured = self.warm.measured(now);
         if measured {
-            match plan.packet.kind {
+            match packet.kind {
                 PacketKind::Hello => self.metrics.hellos_sent += 1,
                 PacketKind::RouteUpdate => {}
                 PacketKind::Data => {
-                    let wait_slots = now.since(plan.packet.enqueued).ticks() as f64
+                    let wait_slots = now.since(packet.enqueued).ticks() as f64
                         / self.cfg.sched.slot.ticks() as f64;
                     self.metrics.hop_wait_slots.add(wait_slots);
                 }
@@ -881,11 +655,7 @@ impl Network {
             self.metrics.tx_airtime[s] += self.airtime.as_secs_f64();
             // Scheme self-check: the packet should land inside the
             // receiver's *actual* receive windows.
-            let sched = StationSchedule::new(self.cfg.sched, self.clocks[nh]);
-            let end = now + self.airtime;
-            if sched.kind_at(now) != SlotKind::Receive
-                || sched.kind_at(end - Duration(1)) != SlotKind::Receive
-            {
+            if !self.mac.listens(nh, now, now + self.airtime) {
                 self.metrics.schedule_violations += 1;
             }
         }
@@ -896,7 +666,7 @@ impl Network {
                 station: s,
                 tx,
                 rx,
-                packet: plan.packet,
+                packet,
                 next_hop: nh,
                 tx_epoch: self.boot_epoch[s],
                 rx_epoch: self.boot_epoch[nh],
@@ -920,7 +690,7 @@ impl Network {
         queue: &mut EventQueue<Event>,
     ) {
         let report = rx.map(|r| {
-            self.stations[nh].active_rx -= 1;
+            self.active_rx[nh] -= 1;
             self.tracker.complete_reception(r)
         });
         self.tracker.end_transmission(tx);
@@ -950,7 +720,7 @@ impl Network {
         if success {
             // Every successful reception carries the sender's clock
             // reading, sampled at transmission start.
-            self.learn_from_reception(nh, s, now.saturating_sub(self.airtime));
+            self.mac.learn(nh, s, now.saturating_sub(self.airtime));
             // The receiver heard the sender: readmit it if evicted.
             self.observe_alive(nh, s, now, queue);
             // Liveness evidence on both ends (the ack carries it back),
@@ -1007,9 +777,7 @@ impl Network {
                 self.settle_drop(&packet, LossCause::StationFailed);
             }
         }
-        if self.alive[s] {
-            self.try_schedule(s, now, queue);
-        }
+        self.try_schedule(s, now, queue);
     }
 
     fn deliver(
@@ -1134,11 +902,10 @@ impl Network {
         // Schedule the next arrival first (keeps the process going even if
         // this packet is unroutable).
         self.chain_arrival(s, now, queue);
-        let Some(dst) = self.traffic.pick_destination(
-            s,
-            &self.stations[s].routing_neighbors,
-            self.routing.table(),
-        ) else {
+        let Some(dst) =
+            self.traffic
+                .pick_destination(s, self.mac.routing_neighbors(s), self.routing.table())
+        else {
             return;
         };
         let id = self.next_packet_id;
@@ -1169,24 +936,7 @@ impl Network {
     }
 
     fn on_resync(&mut self, now: Time, queue: &mut EventQueue<Event>) {
-        for s in 0..self.stations.len() {
-            if !self.alive[s] {
-                continue;
-            }
-            let mine = self.clocks[s].reading(now);
-            let ids: Vec<StationId> = self.stations[s].models.keys().copied().collect();
-            for nb in ids {
-                if !self.alive[nb] {
-                    continue;
-                }
-                let theirs = self.clocks[nb].reading(now);
-                self.stations[s]
-                    .models
-                    .get_mut(&nb)
-                    .expect("model vanished")
-                    .add_sample(ClockSample { mine, theirs });
-            }
-        }
+        self.mac.resync(now, &self.alive);
         let next = now + self.cfg.clock.resync_interval;
         if next <= self.end {
             queue.schedule(next, Event::Resync);
@@ -1202,44 +952,12 @@ impl Network {
             return;
         };
         if self.alive[s] {
-            let neighbors = self.stations[s].routing_neighbors.clone();
+            let neighbors = self.mac.routing_neighbors(s).to_vec();
             self.queue_control(s, neighbors, PacketKind::Hello, now, queue);
         }
         let next = now + hello_interval;
         if next <= self.end {
             queue.schedule(next, Event::HelloRound { station: s });
-        }
-    }
-
-    /// Piggyback learning: a successful reception carries the sender's
-    /// clock reading sampled at transmission start; the receiver refines
-    /// its model of the sender.
-    fn learn_from_reception(&mut self, rx: StationId, sender: StationId, start: Time) {
-        if !matches!(self.cfg.clock.sync, SyncMode::Piggyback { .. }) {
-            return;
-        }
-        match self.stations[rx].models.get_mut(&sender) {
-            Some(m) => m.add_sample(ClockSample {
-                mine: self.clocks[rx].reading(start),
-                theirs: self.clocks[sender].reading(start),
-            }),
-            None => self.rendezvous(rx, sender, start, false),
-        }
-    }
-
-    /// A rendezvous at `at` (§7): `s` reads `nb`'s clock against its own
-    /// and starts a model of `nb` from that one sample where it holds
-    /// none, or with `restart` in place of the one it holds (one of the
-    /// two clocks restarted, so the old samples would poison the fit).
-    fn rendezvous(&mut self, s: StationId, nb: StationId, at: Time, restart: bool) {
-        if restart || self.stations[s].models.get(&nb).is_none() {
-            let sample = ClockSample {
-                mine: self.clocks[s].reading(at),
-                theirs: self.clocks[nb].reading(at),
-            };
-            self.stations[s]
-                .models
-                .insert(nb, RemoteClockModel::from_first_sample(sample));
         }
     }
 
@@ -1298,58 +1016,14 @@ impl Network {
     /// probe is armed for the network-wide convergence episode.
     fn after_dv_change(&mut self, s: StationId, now: Time, queue: &mut EventQueue<Event>) {
         let rn = self.routing.neighbors(s);
-        if rn != self.stations[s].routing_neighbors {
-            self.set_routing_view(s, rn, now);
+        if rn != self.mac.routing_neighbors(s) {
+            self.mac
+                .set_routing_view(s, rn, self.routing.links(s), &self.alive, now);
         }
         self.trigger_round(s, now, queue);
         if let Some(at) = self.routing.note_change(now) {
             queue.schedule(at, Event::ConvergenceCheck);
         }
-    }
-
-    /// Install `rn` as station `s`'s routing neighbours and derive the
-    /// rest of its routing view from them: the worst-case transmit power,
-    /// the §7.3 protected set, and clock models (bootstrapped with a
-    /// rendezvous at `now`) for any routing neighbour or protected
-    /// station it has none for yet. The one place a station's view is
-    /// derived — at build, after a distance-vector change or motion, and
-    /// after an oracle route rebuild.
-    fn set_routing_view(&mut self, s: StationId, rn: Vec<StationId>, now: Time) {
-        // Under distributed routing the worst case includes the physical
-        // link set: the station addresses advertisements over every
-        // usable link, not just its current next hops.
-        let max_power_used = rn
-            .iter()
-            .chain(self.routing.links(s).iter().map(|(nb, _)| nb))
-            .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
-            .fold(0.0f64, f64::max);
-        let mut protected = Vec::new();
-        if self.cfg.protection.enabled && max_power_used > 0.0 {
-            // §7.3 in threshold form: `other` is protected when this
-            // station's worst-case power would land at least the
-            // significance fraction of the interference budget on it,
-            // i.e. gain(other, s) ≥ frac·budget / max_power. Phrased as a
-            // gain threshold it runs through the (range-bounded)
-            // hearable_by query, identical on both backends. The set is
-            // recomputed in full, not filtered from the old one: a
-            // recovered station must be re-protected, not stay forgotten.
-            let thr = parn_phys::Gain(
-                self.cfg.protection.significance_fraction * self.interference_budget.value()
-                    / max_power_used,
-            );
-            // Held for the whole run, so allocated at its exact size
-            // rather than kept in the range query's larger buffer.
-            let near = self.gains.hearable_by(s, thr);
-            let keep = |&p: &StationId| p != s && self.alive[p];
-            protected = Vec::with_capacity(near.iter().filter(|p| keep(p)).count());
-            protected.extend(near.into_iter().filter(keep));
-        }
-        for &nb in rn.iter().chain(protected.iter()) {
-            self.rendezvous(s, nb, now, false);
-        }
-        let st = &mut self.stations[s];
-        st.routing_neighbors = rn;
-        st.protected = protected;
     }
 
     /// Arrange a triggered advertisement round for `s`, one per burst of
@@ -1424,18 +1098,14 @@ impl Network {
         queue: &mut EventQueue<Event>,
     ) {
         for nb in to {
-            let waiting = self.stations[s]
-                .queues
-                .get(&nb)
-                .is_some_and(|q| q.iter().any(|p| p.kind == kind));
-            if waiting {
+            if self.mac.has_queued(s, nb, kind) {
                 continue;
             }
             let id = self.next_packet_id;
             self.next_packet_id += 1;
             let mut frame = Packet::new(id, s, nb, now);
             frame.kind = kind;
-            self.enqueue_tracked(s, nb, frame, now);
+            self.mac.enqueue(s, nb, frame, now);
         }
         self.try_schedule(s, now, queue);
     }
@@ -1456,8 +1126,7 @@ impl Network {
         let Some(changed) = self.routing.fail_link(s, nh, now) else {
             return;
         };
-        let orphaned = self.stations[s].queues.remove(&nh).unwrap_or_default();
-        self.track_queue(now, -(orphaned.len() as f64));
+        let orphaned = self.mac.take_queue(s, nh, now);
         // Control frames are pinned to the lost addressee; the next round
         // regenerates them if the link comes back.
         for p in orphaned.into_iter().filter(|p| p.kind == PacketKind::Data) {
@@ -1490,7 +1159,16 @@ impl Network {
             FaultKind::Crash | FaultKind::CrashRecover { .. } => {
                 self.power_down(ev.station, LossCause::StationFailed, now, queue)
             }
-            FaultKind::ClockJump { ticks } => self.on_clock_jump(ev.station, ticks, now, queue),
+            // The station notices its own jump and re-plans. Its
+            // neighbours' models of it are now stale: that lingering
+            // staleness is the injected fault, healed by resync (oracle
+            // sync), packet headers (piggyback), or evict-and-readmit
+            // (local healing).
+            FaultKind::ClockJump { ticks } if self.alive[ev.station] => {
+                self.mac.clock_jump(ev.station, ticks, now);
+                self.try_schedule(ev.station, now, queue);
+            }
+            FaultKind::ClockJump { .. } => {}
             _ => {
                 if self.adversary.start(index, &ev, &mut self.tracker) {
                     self.on_byz_step(index, true, now, queue);
@@ -1529,11 +1207,7 @@ impl Network {
             if !self.alive[s] {
                 return 0.0;
             }
-            self.stations[s]
-                .routing_neighbors
-                .iter()
-                .map(|&nb| self.power.tx_power(self.gains.gain(nb, s)).value())
-                .fold(0.0f64, f64::max)
+            self.mac.worst_case_power(s)
         };
         let next =
             self.adversary
@@ -1568,16 +1242,7 @@ impl Network {
         };
         parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = false;
-        let mut lost = self.take_queued(s, now);
-        let st = &mut self.stations[s];
-        lost.extend(
-            std::mem::take(&mut st.pending_tx)
-                .into_values()
-                .map(|p| p.packet),
-        );
-        st.reservations.clear();
-        st.retry_pending = false;
-        for p in lost {
+        for p in self.mac.power_down(s, now) {
             self.settle_drop(&p, cause);
         }
         // The dead station's own eviction votes lapse with it, and a
@@ -1617,23 +1282,13 @@ impl Network {
         parn_sim::trace_event!(self.tracer, now, parn_sim::trace::Level::Warn, event);
         self.alive[s] = true;
         self.boot_epoch[s] += 1;
-        self.clocks[s] = StationClock::random(&mut self.rng_faults, self.cfg.clock.max_ppm);
-        // Rejoin handshake, both ways: the rebooted station restarts its
-        // models of everything it tracks, and every live station tracking
-        // it restarts its model (the old one predicts a schedule that no
-        // longer exists) and re-plans any transmissions computed with it.
-        let tracked: Vec<StationId> = self.stations[s].models.keys().copied().collect();
-        for nb in tracked {
-            if self.alive[nb] {
-                self.rendezvous(s, nb, now, true);
-            }
-        }
-        for o in 0..self.stations.len() {
-            if o != s && self.alive[o] && self.stations[o].models.get(&s).is_some() {
-                self.rendezvous(o, s, now, true);
-                self.cancel_plans(o, now);
-                self.try_schedule(o, now, queue);
-            }
+        // Rejoin handshake, both ways: every live station tracking the
+        // rebooted one re-plans the transmissions computed with its old
+        // model.
+        let trackers = self.mac.power_up(s, now, &self.alive, &mut self.rng_faults);
+        for o in trackers {
+            self.mac.cancel_plans(o, now);
+            self.try_schedule(o, now, queue);
         }
         self.heal.power_up(s, now);
         // Volatile routing state is gone with the reboot: the station's
@@ -1701,7 +1356,7 @@ impl Network {
                         self.routing.apply(s, &change);
                         // A brand-new link neighbour needs a clock model
                         // before any advertisement can be planned to it.
-                        self.rendezvous(s, nb, now, false);
+                        self.mac.rendezvous(s, nb, now, false);
                     }
                 }
             }
@@ -1711,7 +1366,8 @@ impl Network {
             // Even with the link set unchanged, moved geometry re-costs
             // gains: §7.3 protection and worst-case power re-budget.
             let rn = self.routing.neighbors(s);
-            self.set_routing_view(s, rn, now);
+            self.mac
+                .set_routing_view(s, rn, self.routing.links(s), &self.alive, now);
         }
     }
 
@@ -1747,52 +1403,6 @@ impl Network {
         match ev.kind {
             ChurnKind::Leave { .. } => self.power_down(ev.station, LossCause::Departed, now, queue),
             ChurnKind::Join { pos } => self.power_up(ev.station, PowerUp::Join(pos), now, queue),
-        }
-    }
-
-    /// An instantaneous discontinuity in a station's clock. The station
-    /// notices its own jump: its schedule moves with its clock, it
-    /// re-plans pending transmissions, and shifts the "mine" axis of every clock model it
-    /// holds. Its *neighbours'* models of it are now stale — that
-    /// lingering staleness is the injected fault, healed by resync
-    /// (oracle sync), packet headers (piggyback), or evict-and-readmit
-    /// (local healing).
-    fn on_clock_jump(
-        &mut self,
-        s: StationId,
-        ticks: i64,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if !self.alive[s] {
-            return;
-        }
-        self.clocks[s].offset = self.clocks[s].offset.wrapping_add_signed(ticks);
-        self.cancel_plans(s, now);
-        for m in self.stations[s].models.values_mut() {
-            m.rebase_mine(ticks);
-        }
-        self.try_schedule(s, now, queue);
-    }
-
-    /// Cancel every outstanding plan at `o` and put the packets back in
-    /// its queues; the caller re-runs the MAC with refreshed clock state.
-    /// The orphaned `TxStart` events no-op (their plans are gone).
-    fn cancel_plans(&mut self, o: StationId, now: Time) {
-        let plans = std::mem::take(&mut self.stations[o].pending_tx);
-        if plans.is_empty() {
-            return;
-        }
-        let airtime = self.airtime;
-        {
-            let st = &mut self.stations[o];
-            for plan in plans.values() {
-                let w = Window::new(plan.start, plan.start + airtime);
-                st.reservations.retain(|&r| r != w);
-            }
-        }
-        for (_, plan) in plans {
-            self.enqueue_tracked(o, plan.next_hop, plan.packet, now);
         }
     }
 
@@ -1868,13 +1478,14 @@ impl Network {
             .heal
             .readmit(subject, &self.alive, now, &mut self.metrics);
         for &o in &lifted {
-            self.rendezvous(o, subject, now, true);
+            self.mac.rendezvous(o, subject, now, true);
             if let Some(measured) = self.routing.readmit(o, subject) {
                 // A link measured now may need more power than any `o`
                 // budgeted for: its view covers it before it advertises.
                 if measured {
                     let rn = self.routing.neighbors(o);
-                    self.set_routing_view(o, rn, now);
+                    self.mac
+                        .set_routing_view(o, rn, self.routing.links(o), &self.alive, now);
                 }
                 self.after_dv_change(o, now, queue);
             }
@@ -1901,20 +1512,21 @@ impl Network {
         self.metrics.route_repairs += 1;
         parn_sim::counter_inc!("core.route_repairs");
         self.traffic.routes_changed(&rx_ok);
-        for s in 0..self.stations.len() {
+        for s in 0..self.alive.len() {
             if !self.alive[s] {
                 continue;
             }
             let rn = self.routing.neighbors(s);
-            self.set_routing_view(s, rn, now);
-            for p in self.take_queued(s, now) {
+            self.mac
+                .set_routing_view(s, rn, self.routing.links(s), &self.alive, now);
+            for p in self.mac.take_queued(s, now) {
                 // Hellos are pinned to their addressee: one stays only
                 // while the addressee is still a direct neighbour, else
                 // the next hello round regenerates it (a control frame
                 // settles as nothing).
                 match self.routing.table().next_hop(s, p.dst) {
                     Some(nh) if p.kind == PacketKind::Data || nh == p.dst => {
-                        self.enqueue_tracked(s, nh, p, now)
+                        self.mac.enqueue(s, nh, p, now)
                     }
                     _ => self.settle_drop(&p, LossCause::Unroutable),
                 }
@@ -1940,7 +1552,7 @@ impl Model for Network {
         match event {
             Event::NextArrival { station } => self.on_arrival(station, now, queue),
             Event::MacRetry { station } => {
-                self.stations[station].retry_pending = false;
+                self.mac.retry_fired(station);
                 self.try_schedule(station, now, queue);
             }
             Event::TxStart { station } => self.on_tx_start(station, now, queue),
@@ -1977,6 +1589,14 @@ impl Model for Network {
             Event::ChurnStep { index } => self.on_churn_step(index, now, queue),
             Event::ChurnReturn { station } => self.power_up(station, PowerUp::Return, now, queue),
         }
+    }
+}
+
+#[cfg(test)]
+impl Network {
+    /// The channel access, for tests of its per-station state.
+    pub(crate) fn mac(&self) -> &Mac {
+        &self.mac
     }
 }
 
@@ -2224,45 +1844,6 @@ mod tests {
     }
 
     #[test]
-    fn drained_stations_hold_no_queue_or_plan_storage() {
-        // A relay outage drops the packets its neighbours queued for it
-        // and makes them plan around it, so queues and plans fill and
-        // drain through a power-down and a power-up as well as in steady
-        // traffic.
-        let mut cfg = small_cfg(40, 19);
-        cfg.run_for = Duration::from_secs(8);
-        cfg.traffic.arrivals_per_station_per_sec = 2.0;
-        let probe = Network::new(cfg.clone());
-        let deps = probe.routing_dependent_counts();
-        let relay = (0..deps.len()).max_by_key(|&s| deps[s]).unwrap();
-        cfg.faults =
-            FaultPlan::none().crash_recover(Duration::from_secs(3), relay, Duration::from_secs(2));
-        let mut net = Network::new(cfg);
-        let mut q = parn_sim::EventQueue::new();
-        net.prime(&mut q);
-        let mut planned = vec![false; net.len()];
-        let mut drained = 0usize;
-        let mut t = Time::ZERO;
-        while t < net.end {
-            t += Duration::from_millis(50);
-            parn_sim::run(&mut net, &mut q, t);
-            for (s, st) in net.stations.iter().enumerate() {
-                assert!(
-                    st.queues.values().all(|queue| !queue.is_empty()),
-                    "station {s} keeps a drained queue at {t:?}"
-                );
-                planned[s] |= !st.pending_tx.is_empty();
-                if st.queued() == 0 && st.pending_tx.is_empty() {
-                    assert_eq!(st.queues.capacity(), 0, "station {s} queue storage");
-                    assert_eq!(st.pending_tx.capacity(), 0, "station {s} plan storage");
-                    drained += usize::from(planned[s]);
-                }
-            }
-        }
-        assert!(drained > 0, "no station ever drained after planning");
-    }
-
-    #[test]
     fn a_successful_hop_restores_the_retry_budget() {
         // A packet that spent its whole retry budget on one hop reaches a
         // relay on its way: the relay holds it with a fresh budget.
@@ -2279,13 +1860,7 @@ mod tests {
         packet.attempts = net.cfg.max_retries;
         let mut q = EventQueue::new();
         net.deliver(relay, packet, Time::ZERO, &mut q);
-        let st = &net.stations[relay];
-        let held: Vec<&Packet> = st
-            .queues
-            .values()
-            .flatten()
-            .chain(st.pending_tx.values().map(|p| &p.packet))
-            .collect();
+        let held = net.mac.power_down(relay, Time::ZERO);
         assert_eq!(held.len(), 1, "the relay holds the packet");
         assert_eq!(held[0].attempts, 0);
     }

@@ -108,6 +108,11 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
+    /// Entries in ascending key order, values mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
