@@ -99,32 +99,6 @@ impl SchedParams {
         self.kind_of_slot(self.slot_index(local))
     }
 
-    /// Local-time bounds `[start, end)` of the slot containing `local`.
-    pub fn slot_bounds(&self, local: u64) -> (u64, u64) {
-        let start = self.slot_start(self.slot_index(local));
-        (start, start + self.slot.ticks())
-    }
-
-    /// First local reading ≥ `local` at which a slot of `kind` begins, or
-    /// `None` within the next `search_limit` slots. (With a pseudo-random
-    /// schedule the wait is geometric; the limit only guards against
-    /// pathological parameters like `rx_prob = 0`.)
-    pub fn next_slot_of_kind(&self, local: u64, kind: SlotKind, search_limit: u64) -> Option<u64> {
-        let mut idx = self.slot_index(local);
-        // If we're already inside a matching slot, return the current
-        // position (the remainder of the slot is usable).
-        if self.kind_of_slot(idx) == kind {
-            return Some(local);
-        }
-        for _ in 0..search_limit {
-            idx += 1;
-            if self.kind_of_slot(idx) == kind {
-                return Some(self.slot_start(idx));
-            }
-        }
-        None
-    }
-
     /// Measure the empirical receive duty cycle over `n` slots starting at
     /// slot `start_idx`.
     pub fn empirical_rx_fraction(&self, start_idx: u64, n: u64) -> f64 {
@@ -176,7 +150,6 @@ mod tests {
         assert_eq!(s.slot_index(0), 0);
         assert_eq!(s.slot_index(9_999), 0);
         assert_eq!(s.slot_index(10_000), 1);
-        assert_eq!(s.slot_bounds(25_000), (20_000, 30_000));
         assert_eq!(s.slot_start(3), 30_000);
     }
 
@@ -189,37 +162,6 @@ mod tests {
             .count();
         // Agreement should be ~ p² + (1-p)² = 0.58, not ~1.0.
         assert!((400..750).contains(&same), "same = {same}");
-    }
-
-    #[test]
-    fn next_slot_of_kind_finds_soon() {
-        let s = params(0.3);
-        // From any point, a receive slot appears within a few slots whp.
-        let mut worst = 0u64;
-        for start in (0..100u64).map(|k| k * 10_000) {
-            let found = s
-                .next_slot_of_kind(start, SlotKind::Receive, 1000)
-                .expect("no rx slot in 1000");
-            worst = worst.max((found - start) / 10_000);
-        }
-        assert!(worst < 40, "worst wait {worst} slots");
-    }
-
-    #[test]
-    fn next_slot_current_position_if_matching() {
-        let s = params(0.3);
-        // Find some receive slot, query from its middle.
-        let idx = (0..1000)
-            .find(|&i| s.kind_of_slot(i) == SlotKind::Receive)
-            .unwrap();
-        let mid = s.slot_start(idx) + 5_000;
-        assert_eq!(s.next_slot_of_kind(mid, SlotKind::Receive, 10), Some(mid));
-    }
-
-    #[test]
-    fn next_slot_respects_limit() {
-        let s = params(0.0);
-        assert_eq!(s.next_slot_of_kind(0, SlotKind::Receive, 50), None);
     }
 
     #[test]
