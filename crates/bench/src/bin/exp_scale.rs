@@ -47,7 +47,7 @@ use std::time::Instant;
 /// Live heap bytes per station after `Network::new` at n = 10⁴
 /// `grid-far`, single-threaded. `--determinism 10000` fails when a build
 /// needs more than 10 % above it.
-const BUILD_HEAP_PER_STATION_10K: u64 = 1_588;
+const BUILD_HEAP_PER_STATION_10K: u64 = 1_544;
 
 /// The system allocator, counting live and peak heap bytes. The cost is
 /// two relaxed atomic operations per allocation.
