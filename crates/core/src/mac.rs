@@ -187,11 +187,8 @@ impl Mac {
     /// Queue `packet` at `s` for next hop `nh`, stamped with `now`.
     pub(crate) fn enqueue(&mut self, s: StationId, nh: StationId, mut packet: Packet, now: Time) {
         packet.enqueued = now;
-        self.stations[s]
-            .queues
-            .entry(nh)
-            .or_default()
-            .push_back(packet);
+        let queue = self.stations[s].queues.entry(nh).or_default();
+        queue.push_back(packet);
         self.track_queue(now, 1.0);
     }
 
@@ -391,8 +388,8 @@ impl Mac {
 
     /// Cancel every outstanding plan at `o` and put the packets back at
     /// the ends of their next hops' queues; the transmission on the air
-    /// stays. The caller re-runs the MAC with refreshed clock state, and
-    /// the orphaned `TxStart` events no-op (their plans are gone).
+    /// stays. The caller re-runs the MAC with refreshed clock state; a
+    /// cancelled plan's start finds nothing in [`start_tx`](Mac::start_tx).
     pub(crate) fn cancel_plans(&mut self, o: StationId, now: Time) {
         for (_, (nh, packet)) in std::mem::take(&mut self.stations[o].pending_tx) {
             self.enqueue(o, nh, packet, now);
@@ -662,47 +659,47 @@ mod tests {
 
     #[test]
     fn plans_overlap_neither_each_other_nor_the_transmission_on_the_air() {
-        let (mut mac, alive) = line(&[0.0, 10.0], 3);
-        let air = mac.packing.packet_len();
-        mac.set_routing_view(0, vec![1], &[], &alive, Time::ZERO);
-        for id in 0..6 {
-            mac.enqueue(0, 1, pkt(id), Time::ZERO);
-        }
-        let plans: Vec<Time> = plan_all(&mut mac, 0, Time::ZERO)
-            .iter()
-            .map(|p| p.0)
-            .collect();
-        assert_eq!(plans.len(), 6, "every packet planned");
-        for (i, &a) in plans.iter().enumerate() {
-            for &b in &plans[i + 1..] {
-                assert!(!overlaps(a, b, air), "plans at {a:?} and {b:?} overlap");
+        let starts = |plans: Vec<(Time, StationId)>| plans.iter().map(|p| p.0).collect::<Vec<_>>();
+        let disjoint = |plans: &[Time], air: Duration| {
+            for (i, &a) in plans.iter().enumerate() {
+                for &b in &plans[i + 1..] {
+                    assert!(!overlaps(a, b, air), "plans at {a:?} and {b:?} overlap");
+                }
+            }
+        };
+        for seed in 1..=12 {
+            let (mut mac, alive) = line(&[0.0, 10.0], seed);
+            let air = mac.packing.packet_len();
+            mac.set_routing_view(0, vec![1], &[], &alive, Time::ZERO);
+            for id in 0..6 {
+                mac.enqueue(0, 1, pkt(id), Time::ZERO);
+            }
+            let plans = starts(plan_all(&mut mac, 0, Time::ZERO));
+            assert_eq!(plans.len(), 6, "every packet planned");
+            disjoint(&plans, air);
+            // Cancelling frees the plans' windows: the same packets plan
+            // into the same starts again.
+            mac.cancel_plans(0, Time::ZERO);
+            assert_eq!(mac.stations[0].queued(), 6);
+            assert_eq!(starts(plan_all(&mut mac, 0, Time::ZERO)), plans);
+            // The first plan goes on the air and the clock jumps, which
+            // cancels the other plans but not that transmission. Quarter
+            // points are one air time apart, so only a jump off the old
+            // quarter grid lets a new plan reach into the air time.
+            let first = plans[0];
+            assert!(mac.start_tx(0, first).is_some());
+            let jump = air.ticks() / 3 * (1 + seed % 2);
+            mac.clock_jump(0, jump as i64, first);
+            let replanned = starts(plan_all(&mut mac, 0, first));
+            assert_eq!(replanned.len(), 5, "seed {seed}");
+            disjoint(&replanned, air);
+            for t in replanned {
+                assert!(
+                    t >= first + air,
+                    "seed {seed}: plan at {t:?} inside the on-air window"
+                );
             }
         }
-        // The first plan goes on the air. A packet queued now cannot take
-        // its window, though the next hop is predicted to receive in it.
-        let first = plans[0];
-        assert!(mac.start_tx(0, first).is_some());
-        mac.enqueue(0, 1, pkt(6), first);
-        let later = plan_all(&mut mac, 0, first)[0].0;
-        assert!(
-            later >= first + air,
-            "plan at {later:?} inside the on-air window"
-        );
-        for &b in &plans[1..] {
-            assert!(
-                !overlaps(later, b, air),
-                "plans at {later:?} and {b:?} overlap"
-            );
-        }
-        // Cancelling frees the plans' windows but not the on-air one: the
-        // same packets plan into the same starts again.
-        let mut before = plans[1..].to_vec();
-        before.push(later);
-        before.sort();
-        mac.cancel_plans(0, first);
-        assert_eq!(mac.stations[0].queued(), 6);
-        let replanned: Vec<Time> = plan_all(&mut mac, 0, first).iter().map(|p| p.0).collect();
-        assert_eq!(replanned, before);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! neighbour only where my transmit window overlaps its predicted receive
 //! window, quarter-slot aligned, respecting close neighbours' receive
 //! windows per §7.3) → the physical SINR reception test (§3.4), with
-//! Poisson traffic forwarded hop-by-hop.
+//! Poisson traffic forwarded hop-by-hop. The MAC and the per-station state
+//! it plans from live in the crate-private `mac` module; this one runs the
+//! event loop and reception and ties the subsystems together.
 //!
 //! The headline property this reproduces: **no packet is ever lost to a
 //! collision** — every loss cause is accounted, and under the scheme the

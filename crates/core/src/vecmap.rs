@@ -231,6 +231,12 @@ mod tests {
                         for v in reference.values_mut() {
                             *v = v.wrapping_mul(3);
                         }
+                        for (&k, v) in map.iter_mut() {
+                            *v ^= u32::from(k);
+                        }
+                        for (&k, v) in reference.iter_mut() {
+                            *v ^= u32::from(k);
+                        }
                     }
                 }
                 assert_same(&map, &reference);
