@@ -4,15 +4,17 @@
 //! distributed Bellman–Ford of §6.2, ref \[3] — is validated against.
 //! Costs are non-negative energies, so Dijkstra applies directly.
 //!
-//! One crate-internal solver does all the work: [`dijkstra`] runs it
-//! once, and a [`RouteTable::centralized`](crate::RouteTable::centralized)
-//! table reuses one solver for every row it solves, copying its distance
-//! and first-hop buffers straight into the row, and for every routing
-//! neighbour set, which needs only the settles up to the source's last
-//! link target.
+//! [`dijkstra`] solves a whole graph from one source with an indexed
+//! heap. A [`RouteTable::centralized`](crate::RouteTable::centralized)
+//! table holds one crate-internal search per source row instead, which
+//! settles stations in the same order but only as far as the row's reads
+//! reach, and resumes on the next read; a routing-neighbour query runs one
+//! until the source's link targets have settled.
 
 use crate::graph::EnergyGraph;
 use parn_phys::StationId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Next-hop code for "no hop" (the source itself, or unreachable) in the
 /// compact `u32` hop arrays.
@@ -77,125 +79,194 @@ impl ShortestPaths {
     }
 }
 
-/// A reusable single-source Dijkstra solver.
-///
-/// The frontier is an indexed binary min-heap keyed on `(dist, id)`, so a
-/// station sits in it at most once and a cheaper route is a decrease-key.
-/// The key is one integer, the distance's bits above the id: costs are
-/// non-negative, and the bits of non-negative floats order like the
-/// floats. Relaxation is strict (`<`) and equal distances settle the
-/// lower id first, so the settle order — and with it every tie between
-/// equal-cost routes — is fixed by the graph alone. The first hop toward
-/// each station is carried along when an edge is relaxed, so it is known
-/// the moment a station settles, without walking predecessors back.
-///
-/// The buffers are sized on the first run and reused by later ones.
+/// The heap key of `node` at distance `dist`: smaller distance first,
+/// lower id on ties. The key is one integer, the distance's bits above the
+/// id: distances are sums of non-negative costs from `+0.0`, so never
+/// negative, NaN or `-0.0`, and the bits of non-negative floats order like
+/// the floats.
+fn key(dist: f64, node: u32) -> u128 {
+    debug_assert!(dist.is_sign_positive(), "negative distance {dist}");
+    (u128::from(dist.to_bits()) << 32) | u128::from(node)
+}
+
+/// A set of station ids, one bit each.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Solver {
+pub(crate) struct StationSet(Vec<u64>);
+
+impl StationSet {
+    /// The empty set over `n` stations, keeping the buffer.
+    pub(crate) fn clear(&mut self, n: usize) {
+        self.0.clear();
+        self.0.resize(n.div_ceil(64), 0);
+    }
+
+    pub(crate) fn contains(&self, v: StationId) -> bool {
+        self.0[v / 64] >> (v % 64) & 1 == 1
+    }
+
+    /// Add `v`; false when it was already in.
+    pub(crate) fn insert(&mut self, v: StationId) -> bool {
+        let word = &mut self.0[v / 64];
+        let bit = 1 << (v % 64);
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// A single-source search that settles stations only as far as its reads
+/// reach, and resumes from its frontier on the next read.
+///
+/// It settles in [`dijkstra`]'s order, by `(distance, id)` with strict
+/// (`<`) relaxation, so a station it has settled has the distance and
+/// first hop a whole run gives it. The first hop toward each station is
+/// carried along when an edge is relaxed, so it is known the moment the
+/// station settles. The frontier is a binary heap with lazy deletion: a
+/// cheaper route pushes a second key, which pops before the first, and a
+/// key popped for a settled station is skipped. Settledness is a mark of
+/// its own, not read off the heap top: a zero-cost link to a lower id
+/// pushes a key below the last one popped.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Search {
+    source: u32,
+    /// First hops ([`NO_HOP`] for the source and stations not reached).
+    hop: Vec<u32>,
+    dist: Vec<f64>,
+    settled: StationSet,
+    frontier: BinaryHeap<Reverse<u128>>,
+}
+
+impl Search {
+    /// Start over from `source` in a graph of `n` stations, keeping the
+    /// buffers.
+    pub(crate) fn start(&mut self, n: usize, source: StationId) {
+        assert!(n < NO_HOP as usize, "station ids must fit a u32 hop");
+        self.source = source as u32;
+        self.hop.clear();
+        self.hop.resize(n, NO_HOP);
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.settled.clear(n);
+        self.frontier.clear();
+        self.dist[source] = 0.0;
+        self.frontier.push(Reverse(key(0.0, self.source)));
+    }
+
+    /// Whether `dst`'s entry is final: it has settled, or the search has
+    /// settled every station it reaches.
+    pub(crate) fn knows(&self, dst: StationId) -> bool {
+        self.frontier.is_empty() || self.settled.contains(dst)
+    }
+
+    /// Settle stations until `dst` has settled or none is left to settle,
+    /// and return how many settled. A search that runs out frees its
+    /// frontier.
+    pub(crate) fn settle_to(&mut self, graph: &EnergyGraph, dst: StationId) -> u64 {
+        let mut settles = 0;
+        while !self.settled.contains(dst) {
+            let Some(Reverse(top)) = self.frontier.pop() else {
+                self.frontier = BinaryHeap::new();
+                break;
+            };
+            let node = top as u32;
+            if !self.settled.insert(node as usize) {
+                continue;
+            }
+            settles += 1;
+            let d = self.dist[node as usize];
+            let via = (node != self.source).then(|| self.hop[node as usize]);
+            for &(next, cost) in graph.neighbors(node as usize) {
+                let nd = d + cost;
+                // Costs are non-negative, so a settled station is never
+                // improved.
+                if nd < self.dist[next] {
+                    self.dist[next] = nd;
+                    self.hop[next] = via.unwrap_or(next as u32);
+                    self.frontier.push(Reverse(key(nd, next as u32)));
+                }
+            }
+        }
+        settles
+    }
+
+    /// The first hop toward `dst` ([`NO_HOP`] for none); final once the
+    /// search [`knows`](Search::knows) `dst`.
+    pub(crate) fn hop(&self, dst: StationId) -> u32 {
+        self.hop[dst]
+    }
+
+    /// The route cost to `dst`; final once the search
+    /// [`knows`](Search::knows) `dst`.
+    pub(crate) fn dist(&self, dst: StationId) -> f64 {
+        self.dist[dst]
+    }
+
+    /// How many stations have settled.
+    #[cfg(test)]
+    pub(crate) fn settled(&self) -> usize {
+        self.settled.len()
+    }
+}
+
+/// The whole-graph Dijkstra behind [`dijkstra`], independent of
+/// [`Search`]: the reference the searches are checked against.
+///
+/// The frontier is an indexed binary min-heap on the same `(dist, id)`
+/// keys, so a station sits in it at most once and a cheaper route is a
+/// decrease-key.
+struct Solver {
     dist: Vec<f64>,
     first: Vec<u32>,
     prev: Vec<u32>,
-    /// Binary heap of [`key`](Solver::key)s.
+    /// Binary heap of [`key`]s.
     heap: Vec<u128>,
     /// Index of each queued station in `heap` (stale for the others).
     pos: Vec<u32>,
-    /// The source's link targets a [`run_to_links`](Solver::run_to_links)
-    /// still waits on.
-    waiting: Vec<bool>,
 }
 
 impl Solver {
-    /// Solve from `source`; the results stay readable until the next run.
-    pub(crate) fn run(&mut self, graph: &EnergyGraph, source: StationId) {
-        self.solve(graph, source, false);
-    }
-
-    /// Solve from `source` only until every target of its links has
-    /// settled. A settled station's distance and first hop are final, so
-    /// this is enough to tell which link targets are the source's
-    /// children in its shortest-path tree (`first[v] == v`). The other
-    /// results are partial.
-    pub(crate) fn run_to_links(&mut self, graph: &EnergyGraph, source: StationId) {
-        self.solve(graph, source, true);
-    }
-
-    fn solve(&mut self, graph: &EnergyGraph, source: StationId, to_links: bool) {
+    /// Solve `graph` from `source`.
+    fn run(graph: &EnergyGraph, source: StationId) -> Solver {
         let n = graph.len();
         assert!(n < NO_HOP as usize, "station ids must fit a u32 hop");
-        self.dist.clear();
-        self.dist.resize(n, f64::INFINITY);
-        self.first.clear();
-        self.first.resize(n, NO_HOP);
-        self.prev.clear();
-        self.prev.resize(n, NO_HOP);
-        self.pos.resize(n, 0);
-        self.waiting.resize(n, false);
-        self.heap.clear();
-        let mut waits = 0usize;
-        if to_links {
-            for &(v, _) in graph.neighbors(source) {
-                waits += usize::from(!std::mem::replace(&mut self.waiting[v], true));
-            }
-        }
-        self.dist[source] = 0.0;
-        self.push(0.0, source as u32);
-        while let Some(node) = self.pop() {
+        let mut s = Solver {
+            dist: vec![f64::INFINITY; n],
+            first: vec![NO_HOP; n],
+            prev: vec![NO_HOP; n],
+            heap: Vec::new(),
+            pos: vec![0; n],
+        };
+        s.dist[source] = 0.0;
+        s.push(0.0, source as u32);
+        while let Some(node) = s.pop() {
             let node = node as usize;
-            if to_links && std::mem::take(&mut self.waiting[node]) {
-                waits -= 1;
-                if waits == 0 {
-                    break;
-                }
-            }
-            let d = self.dist[node];
-            let via = if node == source {
-                None
-            } else {
-                Some(self.first[node])
-            };
+            let d = s.dist[node];
+            let via = (node != source).then(|| s.first[node]);
             for &(next, cost) in graph.neighbors(node) {
                 let nd = d + cost;
-                let old = self.dist[next];
+                let old = s.dist[next];
                 if nd < old {
                     // Costs are non-negative, so a settled station is
                     // never improved: `next` is new or still queued.
-                    self.dist[next] = nd;
-                    self.prev[next] = node as u32;
-                    self.first[next] = via.unwrap_or(next as u32);
+                    s.dist[next] = nd;
+                    s.prev[next] = node as u32;
+                    s.first[next] = via.unwrap_or(next as u32);
                     if old == f64::INFINITY {
-                        self.push(nd, next as u32);
+                        s.push(nd, next as u32);
                     } else {
-                        let i = self.pos[next] as usize;
-                        self.heap[i] = Self::key(nd, next as u32);
-                        self.sift_up(i);
+                        let i = s.pos[next] as usize;
+                        s.heap[i] = key(nd, next as u32);
+                        s.sift_up(i);
                     }
                 }
             }
         }
-        if to_links {
-            // A link of infinite cost never reaches its target.
-            for &(v, _) in graph.neighbors(source) {
-                self.waiting[v] = false;
-            }
-        }
-    }
-
-    /// Distances from the last run's source.
-    pub(crate) fn dist(&self) -> &[f64] {
-        &self.dist
-    }
-
-    /// First hops ([`NO_HOP`] for the source and unreachable stations).
-    pub(crate) fn first(&self) -> &[u32] {
-        &self.first
-    }
-
-    /// The heap key of `node` at distance `dist`: smaller distance first,
-    /// lower id on ties. Distances are sums of non-negative costs from
-    /// `+0.0`, so never negative, NaN or `-0.0`.
-    fn key(dist: f64, node: u32) -> u128 {
-        debug_assert!(dist.is_sign_positive(), "negative distance {dist}");
-        (u128::from(dist.to_bits()) << 32) | u128::from(node)
+        s
     }
 
     fn place(&mut self, i: usize, key: u128) {
@@ -204,7 +275,7 @@ impl Solver {
     }
 
     fn push(&mut self, dist: f64, node: u32) {
-        self.heap.push(Self::key(dist, node));
+        self.heap.push(key(dist, node));
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -256,8 +327,7 @@ impl Solver {
 
 /// Single-source Dijkstra over the energy graph.
 pub fn dijkstra(graph: &EnergyGraph, source: StationId) -> ShortestPaths {
-    let mut solver = Solver::default();
-    solver.run(graph, source);
+    let solver = Solver::run(graph, source);
     ShortestPaths {
         source,
         prev: solver.prev.iter().map(|&h| decode_hop(h)).collect(),
@@ -380,23 +450,97 @@ mod tests {
                 (2, 3, 0.5),
             ],
         );
-        let mut s = Solver::default();
-        s.run(&g, 0);
-        assert_eq!(s.dist(), &[0.0, 1.0, 1.5, 2.0]);
-        assert_eq!(s.first(), &[NO_HOP, 1, 2, 2]);
+        let sp = dijkstra(&g, 0);
+        assert_eq!(sp.dist, [0.0, 1.0, 1.5, 2.0]);
+        assert_eq!(sp.first, [None, Some(1), Some(2), Some(2)]);
+        assert_eq!(sp.path_to(3), Some(vec![0, 2, 3]));
+    }
+
+    /// A search from `src` over `g`, with every station settled.
+    fn settled_search(g: &EnergyGraph, src: StationId) -> Search {
+        let mut s = Search::default();
+        s.start(g.len(), src);
+        for v in 0..g.len() {
+            s.settle_to(g, v);
+        }
+        s
     }
 
     #[test]
-    fn solver_reuse_matches_fresh_runs() {
-        let mut s = Solver::default();
+    fn a_paused_search_resumes_where_it_stopped() {
+        // A line 0 - 1 - 2 - 3 - 4: reading 1 settles 0 and 1 only, and
+        // reading 3 then settles 2 and 3 without starting over.
+        let edges: Vec<_> = (0..4)
+            .flat_map(|i| [(i, i + 1, 1.0), (i + 1, i, 1.0)])
+            .collect();
+        let g = EnergyGraph::from_edges(5, &edges);
+        let mut s = Search::default();
+        s.start(5, 0);
+        assert_eq!(s.settle_to(&g, 1), 2);
+        assert!(s.knows(1) && !s.knows(2));
+        assert_eq!((s.hop(1), s.dist(1)), (1, 1.0));
+        assert_eq!(s.settle_to(&g, 3), 2);
+        assert_eq!((s.hop(3), s.dist(3)), (1, 3.0));
+        assert_eq!(s.settle_to(&g, 3), 0, "a settled station costs nothing");
+        assert_eq!(s.settled(), 4);
+    }
+
+    #[test]
+    fn settledness_is_marked_not_read_off_the_heap() {
+        // 0 → 2 costs 1 and 2 → 1 costs 0: station 1 is pushed at (1, 1)
+        // after (1, 2) popped, below the last key popped. Reading 2 must
+        // not count 1 as settled, and reading 1 then finds it at cost 1
+        // through 2.
+        let g = EnergyGraph::from_edges(3, &[(0, 2, 1.0), (2, 1, 0.0)]);
+        let mut s = Search::default();
+        s.start(3, 0);
+        s.settle_to(&g, 2);
+        assert!(!s.knows(1));
+        assert_eq!(s.settle_to(&g, 1), 1);
+        assert_eq!((s.hop(1), s.dist(1)), (2, 1.0));
+    }
+
+    #[test]
+    fn a_search_that_runs_out_knows_the_unreachable() {
+        // 0 → 1, and an infinite-cost link 1 → 2 that never reaches 2.
+        let g = EnergyGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, f64::INFINITY)]);
+        let mut s = Search::default();
+        s.start(3, 0);
+        assert_eq!(s.settle_to(&g, 2), 2);
+        assert!(s.knows(2));
+        assert_eq!((s.hop(2), s.dist(2)), (NO_HOP, f64::INFINITY));
+    }
+
+    #[test]
+    fn restarted_searches_match_dijkstra() {
         let g = diamond();
+        let mut s = Search::default();
         for src in [2, 0, 1, 0] {
-            s.run(&g, src);
+            // Read far stations first, so reads pause and resume.
+            s.start(3, src);
+            for dst in [2, 0, 1] {
+                s.settle_to(&g, dst);
+            }
             let fresh = dijkstra(&g, src);
-            assert_eq!(s.dist(), &fresh.dist[..]);
-            let first: Vec<Option<StationId>> = s.first().iter().map(|&h| decode_hop(h)).collect();
-            assert_eq!(first, fresh.first);
+            let whole = settled_search(&g, src);
+            for dst in 0..3 {
+                assert_eq!(s.dist(dst).to_bits(), fresh.dist[dst].to_bits());
+                assert_eq!(decode_hop(s.hop(dst)), fresh.first[dst]);
+                assert_eq!(whole.dist(dst).to_bits(), fresh.dist[dst].to_bits());
+            }
         }
+    }
+
+    #[test]
+    fn station_sets_hold_what_was_inserted() {
+        let mut set = StationSet::default();
+        set.clear(130);
+        assert!(set.insert(0) && set.insert(64) && set.insert(129));
+        assert!(!set.insert(64), "already in");
+        assert!(set.contains(129) && !set.contains(128));
+        assert_eq!(set.len(), 3);
+        set.clear(130);
+        assert_eq!(set.len(), 0);
     }
 
     #[test]

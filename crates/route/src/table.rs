@@ -6,7 +6,7 @@
 //! potential destination and the total energy along that route"),
 //! assembled network-wide for the simulator.
 
-use crate::dijkstra::{decode_hop, Solver};
+use crate::dijkstra::{decode_hop, Search, StationSet};
 use crate::graph::EnergyGraph;
 use parn_phys::{Point, StationId};
 use std::cell::{OnceCell, RefCell};
@@ -32,9 +32,10 @@ pub struct RouteTable {
 }
 
 /// Internal storage. `Centralized` is the minimum-energy table of the
-/// usable graph it keeps, with a source's row solved the first time
-/// anything reads it: 12 B per destination, a `u32` next hop
-/// ([`NO_HOP`](crate::dijkstra::NO_HOP) for none) and an `f64` cost.
+/// usable graph it keeps, with each source's row a search that settles
+/// only as far as the row's reads reach: 12 B per destination, a `u32`
+/// next hop ([`NO_HOP`](crate::dijkstra::NO_HOP) for none) and an `f64`
+/// cost, plus the search's frontier and settled set.
 /// `Dense` holds every row at once in the same layout, O(M²): the
 /// distance-vector snapshot.
 /// `OneHop` stores only the direct usable edges (O(E)) for workloads
@@ -60,26 +61,22 @@ enum Repr {
     },
 }
 
-/// One source's next hops ([`NO_HOP`](crate::dijkstra::NO_HOP) for none)
-/// and route costs, indexed by destination.
-type Row = (Box<[u32]>, Box<[f64]>);
-
-/// A centralized table: a function of the usable graph it keeps, solved
+/// A centralized table: a function of the usable graph it keeps, searched
 /// one source at a time over that graph's
 /// [undominated](EnergyGraph::undominated) links, so it costs only the
-/// rows and routing-neighbour sets read.
+/// entries and routing-neighbour sets read.
 #[derive(Clone, Debug)]
 struct Centralized {
     /// The usable graph, which a rebuild compares against.
     graph: EnergyGraph,
-    /// Its undominated links, which every solve runs over.
+    /// Its undominated links, which every search runs over.
     pruned: EnergyGraph,
-    /// The solver every solve reuses.
-    solver: RefCell<Solver>,
-    /// Each source's row, solved when first read.
-    rows: Vec<OnceCell<Row>>,
+    /// Each source's row search, started when the row is first read.
+    rows: RefCell<Vec<Option<Search>>>,
     /// Each source's routing neighbours, found when first asked.
     neighbors: Vec<OnceCell<Box<[StationId]>>>,
+    /// The search every routing-neighbour query starts over.
+    probe: RefCell<Search>,
 }
 
 impl Centralized {
@@ -95,41 +92,69 @@ impl Centralized {
         Centralized {
             graph,
             pruned,
-            solver: RefCell::default(),
-            rows: (0..n).map(|_| OnceCell::new()).collect(),
+            rows: RefCell::new((0..n).map(|_| None).collect()),
             neighbors: (0..n).map(|_| OnceCell::new()).collect(),
+            probe: RefCell::default(),
         }
     }
 
-    /// `src`'s next hops and costs. The first read solves them, counted
-    /// as `route.table_rows` and timed as `route.table_solve`.
-    fn row(&self, src: StationId) -> (&[u32], &[f64]) {
-        let (hops, cost) = self.rows[src].get_or_init(|| {
+    /// The next hop ([`NO_HOP`](crate::dijkstra::NO_HOP) for none) and
+    /// route cost from `src` to `dst`. The first read of `src`'s row
+    /// starts its search, counted as `route.table_rows`; a read settles
+    /// the search as far as `dst`, the stations counted as
+    /// `route.table_settles` and the read timed as `route.table_solve`.
+    fn entry(&self, src: StationId, dst: StationId) -> (u32, f64) {
+        let mut rows = self.rows.borrow_mut();
+        let search = rows[src].get_or_insert_with(|| {
             parn_sim::counter_inc!("route.table_rows");
-            parn_sim::time_scope!("route.table_solve");
-            let mut solver = self.solver.borrow_mut();
-            solver.run(&self.pruned, src);
-            (solver.first().into(), solver.dist().into())
+            let mut search = Search::default();
+            search.start(self.pruned.len(), src);
+            search
         });
-        (hops, cost)
+        if !search.knows(dst) {
+            parn_sim::time_scope!("route.table_solve");
+            let settles = search.settle_to(&self.pruned, dst);
+            parn_sim::counter_inc!("route.table_settles", settles);
+        }
+        (search.hop(dst), search.dist(dst))
+    }
+
+    /// The stations `src` reaches, itself included: a search over the
+    /// pruned links of finite cost, which are the links a relaxation
+    /// crosses. (A route whose summed cost overflowed to ∞ would count
+    /// here but cost ∞ in its row; energies stay far below that.)
+    fn reach(&self, src: StationId) -> StationSet {
+        let mut seen = StationSet::default();
+        seen.clear(self.pruned.len());
+        seen.insert(src);
+        let mut stack = vec![src];
+        while let Some(u) = stack.pop() {
+            for &(v, cost) in self.pruned.neighbors(u) {
+                if cost < f64::INFINITY && seen.insert(v) {
+                    stack.push(v);
+                }
+            }
+        }
+        seen
     }
 
     /// The distinct first hops of `src`'s routes, sorted: its children in
     /// the shortest-path tree, the link targets `v` with `first[v] == v`.
-    /// The first ask finds them with a solve that stops once every link
-    /// target has settled, timed as `route.table_solve`.
+    /// The first ask finds them with the probe search, settled until every
+    /// link target has settled and timed as `route.table_solve`.
     fn routing_neighbors(&self, src: StationId) -> &[StationId] {
         self.neighbors[src].get_or_init(|| {
             parn_sim::time_scope!("route.table_solve");
-            let mut solver = self.solver.borrow_mut();
-            solver.run_to_links(&self.pruned, src);
-            let first = solver.first();
-            let mut children: Vec<StationId> = self
-                .pruned
-                .neighbors(src)
+            let mut probe = self.probe.borrow_mut();
+            probe.start(self.pruned.len(), src);
+            let links = self.pruned.neighbors(src);
+            for &(v, _) in links {
+                probe.settle_to(&self.pruned, v);
+            }
+            let mut children: Vec<StationId> = links
                 .iter()
                 .map(|&(v, _)| v)
-                .filter(|&v| decode_hop(first[v]) == Some(v))
+                .filter(|&v| decode_hop(probe.hop(v)) == Some(v))
                 .collect();
             children.sort_unstable();
             children.dedup();
@@ -140,9 +165,10 @@ impl Centralized {
 
 impl RouteTable {
     /// Build centrally: the minimum-energy table of `graph`, counted as
-    /// `route.table_solves`. Each source's row is solved by Dijkstra the
-    /// first time anything reads it, so a run pays only for the rows it
-    /// reads.
+    /// `route.table_solves`. Each source's row is a Dijkstra search that
+    /// settles stations only until the destination read has settled, and
+    /// resumes there on the row's next read, so a run pays only for what
+    /// it reads.
     pub fn centralized(graph: &EnergyGraph) -> RouteTable {
         RouteTable::prepare(graph.clone())
     }
@@ -150,10 +176,10 @@ impl RouteTable {
     /// Make this table the centralized table of `graph`, as
     /// [`centralized`](RouteTable::centralized) would build it. When
     /// `graph` equals the usable graph this table was solved from (same
-    /// links, same cost bits) the table is kept with every row solved so
-    /// far, counted as `route.table_reuses`: it is a pure function of that
-    /// graph. Otherwise every solved row is dropped, so a rebuild never
-    /// holds two tables.
+    /// links, same cost bits) the table is kept with every row search as
+    /// far as it got, counted as `route.table_reuses`: it is a pure
+    /// function of that graph. Otherwise every search is dropped, so a
+    /// rebuild never holds two tables.
     pub fn rebuild_centralized(&mut self, graph: EnergyGraph) {
         if let Repr::Centralized(t) = &self.repr {
             if t.graph.same_links(&graph) {
@@ -164,7 +190,7 @@ impl RouteTable {
         *self = RouteTable::prepare(graph);
     }
 
-    /// The centralized table of `graph`, with no row solved yet.
+    /// The centralized table of `graph`, with no row read yet.
     fn prepare(graph: EnergyGraph) -> RouteTable {
         RouteTable {
             n: graph.len(),
@@ -242,7 +268,7 @@ impl RouteTable {
     /// [`next_hop`](RouteTable::next_hop) without the lookup counter.
     fn hop(&self, src: StationId, dst: StationId) -> Option<StationId> {
         match &self.repr {
-            Repr::Centralized(t) => decode_hop(t.row(src).0[dst]),
+            Repr::Centralized(t) => decode_hop(t.entry(src, dst).0),
             Repr::Dense { next_hop, .. } => decode_hop(next_hop[src * self.n + dst]),
             Repr::OneHop { adj } => {
                 if src == dst {
@@ -283,7 +309,7 @@ impl RouteTable {
     /// Total route energy from `src` to `dst`.
     pub fn cost(&self, src: StationId, dst: StationId) -> f64 {
         match &self.repr {
-            Repr::Centralized(t) => t.row(src).1[dst],
+            Repr::Centralized(t) => t.entry(src, dst).1,
             Repr::Dense { cost, .. } => cost[src * self.n + dst],
             Repr::OneHop { adj } => {
                 if src == dst {
@@ -329,11 +355,22 @@ impl RouteTable {
         src == dst || self.hop(src, dst).is_some()
     }
 
-    /// Every destination `src` can route to, itself excluded, ascending
-    /// (on a dense or centralized table, one uncounted scan of `src`'s
-    /// row).
+    /// Every destination `src` can route to, itself excluded, ascending.
+    /// A centralized table answers with a search that follows links
+    /// without costing routes, so it reads no row; the others scan `src`'s
+    /// next hops without counting.
     pub fn reachable_from(&self, src: StationId) -> impl Iterator<Item = StationId> + '_ {
-        (0..self.n).filter(move |&d| d != src && self.hop(src, d).is_some())
+        let reach = match &self.repr {
+            Repr::Centralized(t) => Some(t.reach(src)),
+            _ => None,
+        };
+        (0..self.n).filter(move |&d| {
+            d != src
+                && match &reach {
+                    Some(reach) => reach.contains(d),
+                    None => self.hop(src, d).is_some(),
+                }
+        })
     }
 
     /// Whether every station can reach every other.
@@ -362,7 +399,7 @@ impl RouteTable {
 
     /// The distinct next-hop neighbours `src` actually uses — the paper's
     /// "routing neighbors", observed in its simulations never to exceed
-    /// eight. A centralized table finds them without solving `src`'s row.
+    /// eight. A centralized table finds them without reading `src`'s row.
     pub fn routing_neighbors(&self, src: StationId) -> Vec<StationId> {
         match &self.repr {
             Repr::Centralized(t) => t.routing_neighbors(src).to_vec(),
@@ -473,37 +510,51 @@ mod tests {
         assert!(t.check_consistency(&chain()).is_ok());
     }
 
-    /// The sources whose rows a centralized table has solved.
-    fn solved(t: &RouteTable) -> Vec<StationId> {
+    /// Each started row search of a centralized table: its source and
+    /// how many stations it has settled.
+    fn started(t: &RouteTable) -> Vec<(StationId, usize)> {
         match &t.repr {
-            Repr::Centralized(c) => (0..t.n).filter(|&s| c.rows[s].get().is_some()).collect(),
+            Repr::Centralized(c) => c
+                .rows
+                .borrow()
+                .iter()
+                .enumerate()
+                .filter_map(|(s, row)| row.as_ref().map(|r| (s, r.settled())))
+                .collect(),
             _ => panic!("not a centralized table"),
         }
     }
 
     #[test]
-    fn a_row_is_solved_when_first_read() {
+    fn a_row_is_searched_only_as_far_as_it_is_read() {
         let t = RouteTable::centralized(&chain());
-        assert!(solved(&t).is_empty(), "the build solves no row");
+        assert!(started(&t).is_empty(), "the build starts no row");
         assert_eq!(t.routing_neighbors(1), vec![0, 2]);
-        assert!(solved(&t).is_empty(), "routing neighbours solve no row");
+        assert_eq!(t.reachable_from(0).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(
+            started(&t).is_empty(),
+            "neither neighbours nor reachability start a row"
+        );
+        // From 3, station 2 settles first (cost 1), then 1 and 0.
+        assert_eq!(t.cost(3, 2), 1.0);
+        assert_eq!(started(&t), vec![(3, 2)]);
         assert_eq!(t.cost(3, 0), 3.0);
-        // The path reads the rows of every station on it.
+        assert_eq!(started(&t), vec![(3, 4)]);
+        // The path reads the rows of every station on it, each only as
+        // far as 2 (from 1, station 0 ties 2 and settles first).
         assert_eq!(t.path(0, 2), Some(vec![0, 1, 2]));
-        assert_eq!(solved(&t), vec![0, 1, 3]);
+        assert_eq!(started(&t), vec![(0, 3), (1, 3), (3, 4)]);
     }
 
     #[test]
-    fn rebuild_keeps_the_rows_of_an_equal_graph_and_drops_the_rest() {
+    fn rebuild_keeps_the_searches_of_an_equal_graph_and_drops_the_rest() {
         let mut t = RouteTable::centralized(&chain());
         assert_eq!(t.cost(0, 1), 1.0);
-        // A marker no solve would write survives only if nothing re-solves.
-        let Repr::Centralized(c) = &mut t.repr else {
-            unreachable!()
-        };
-        c.rows[0].get_mut().expect("row 0 is solved").1[1] = -1.0;
+        assert_eq!(started(&t), vec![(0, 2)]);
         t.rebuild_centralized(chain());
-        assert_eq!(t.cost(0, 1), -1.0);
+        assert_eq!(started(&t), vec![(0, 2)], "a reuse keeps the progress");
+        assert_eq!(t.cost(0, 3), 3.0);
+        assert_eq!(started(&t), vec![(0, 4)], "and resumes from it");
         // Dropping the 1–2 links forces 0 → 3 over the expensive 0–2 hop.
         let cut = EnergyGraph::from_edges(
             4,
@@ -517,7 +568,7 @@ mod tests {
             ],
         );
         t.rebuild_centralized(cut.clone());
-        assert!(solved(&t).is_empty(), "a re-solve drops every row");
+        assert!(started(&t).is_empty(), "a re-solve drops every search");
         let fresh = RouteTable::centralized(&cut);
         for s in 0..4 {
             for d in 0..4 {
@@ -531,7 +582,7 @@ mod tests {
         dv.converge_sync(16).expect("converges");
         let mut snapshot = dv.to_table();
         snapshot.rebuild_centralized(chain());
-        assert!(solved(&snapshot).is_empty());
+        assert!(started(&snapshot).is_empty());
     }
 
     #[test]

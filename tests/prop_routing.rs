@@ -2,12 +2,14 @@
 //! exchange always lands on Dijkstra's route costs, whatever the delivery
 //! order, and heals to the survivor optimum when a station dies; route
 //! costs obey metric sanity, tables are internally consistent, and the
-//! centralized table, which solves each row over the undominated links
-//! only when it is first read, matches an independent reference Dijkstra
-//! over every link bit for bit, in any read order, after a rebuild
-//! re-solves it and after one reuses it: on masked, unsorted, tied and
-//! float-boundary graphs too. Its routing neighbours, found without
-//! solving a row, are the reference's distinct first hops.
+//! centralized table, whose rows are searches over the undominated links
+//! that settle only as far as their reads reach, matches an independent
+//! reference Dijkstra over every link bit for bit, in any read order,
+//! after a rebuild re-solves it and after one reuses it: on masked,
+//! unsorted, tied, float-boundary and infinite-cost graphs too. Its
+//! reachable sets, found without costing routes, are the reference's
+//! finite entries, and its routing neighbours, found without reading a
+//! row, are the reference's distinct first hops.
 
 use parn::phys::placement::Placement;
 use parn::phys::propagation::FreeSpace;
@@ -284,12 +286,15 @@ fn distinct_hops(first: &[Option<usize>]) -> Vec<usize> {
     hops
 }
 
-/// A centralized table of `g` matches the reference in every row and
-/// every routing-neighbour set. The table starts from `g`'s stations with
-/// no links, every row and neighbour set read, then a rebuild over `g`
-/// re-solves it and a second one reuses it; after each, rows and then
-/// neighbour sets are read in `rng`-shuffled orders. `dijkstra` matches
-/// the reference too.
+/// A centralized table of `g` matches the reference in every entry,
+/// every reachable set and every routing-neighbour set. The table starts
+/// from `g`'s stations with no links, every reachable set and neighbour
+/// set read, then a rebuild over `g` re-solves it and a second one reuses
+/// it. After each, every `(src, dst)` pair is read in one `rng`-shuffled
+/// order across all sources, so row searches pause mid-row and resume; a
+/// reuse halfway through keeps the paused searches. Then reachable sets
+/// and neighbour sets are read, sources in shuffled orders. `dijkstra`
+/// matches the reference too.
 fn assert_matches_reference(g: &EnergyGraph, label: &str, rng: &mut Rng) {
     let n = g.len();
     let reference: Vec<_> = (0..n).map(|src| reference_routes(g, src)).collect();
@@ -298,24 +303,39 @@ fn assert_matches_reference(g: &EnergyGraph, label: &str, rng: &mut Rng) {
         assert_eq!(t.reachable_from(src).count(), 0);
         assert!(t.routing_neighbors(src).is_empty());
     }
+    let mut pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|src| (0..n).map(move |dst| (src, dst)))
+        .collect();
     for step in ["re-solved", "reused"] {
         t.rebuild_centralized(g.clone());
+        rng.shuffle(&mut pairs);
+        for (k, &(src, dst)) in pairs.iter().enumerate() {
+            if k == pairs.len() / 2 {
+                t.rebuild_centralized(g.clone());
+            }
+            let (dist, first) = &reference[src];
+            assert_eq!(
+                t.cost(src, dst).to_bits(),
+                dist[dst].to_bits(),
+                "{label}, {step}: cost {src}->{dst}"
+            );
+            assert_eq!(
+                t.next_hop(src, dst),
+                first[dst],
+                "{label}, {step}: hop {src}->{dst}"
+            );
+        }
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
         for &src in &order {
-            let (dist, first) = &reference[src];
-            for dst in 0..n {
-                assert_eq!(
-                    t.cost(src, dst).to_bits(),
-                    dist[dst].to_bits(),
-                    "{label}, {step}: cost {src}->{dst}"
-                );
-                assert_eq!(
-                    t.next_hop(src, dst),
-                    first[dst],
-                    "{label}, {step}: hop {src}->{dst}"
-                );
-            }
+            let finite: Vec<usize> = (0..n)
+                .filter(|&d| d != src && reference[src].0[d].is_finite())
+                .collect();
+            assert_eq!(
+                t.reachable_from(src).collect::<Vec<_>>(),
+                finite,
+                "{label}, {step}: reachable from {src}"
+            );
         }
         rng.shuffle(&mut order);
         for &src in &order {
@@ -365,6 +385,36 @@ fn centralized_matches_reference_dijkstra_with_ties() {
         let p_edge = rng.range_f64(0.05, 0.5);
         let g = tie_graph(rng, n, parts, p_edge);
         assert_matches_reference(&g, &format!("n={n} parts={parts}"), rng);
+    });
+}
+
+/// A link of infinite cost never carries a route: strict `<` relaxation
+/// never crosses it, so neither may reachability. One fixed graph whose
+/// only way on is such a link, then tie graphs with some links made
+/// infinite.
+#[test]
+fn centralized_matches_reference_dijkstra_over_infinite_cost_links() {
+    let inf = f64::INFINITY;
+    let g = EnergyGraph::from_edges(
+        5,
+        &[(0, 1, 1.0), (1, 2, inf), (2, 0, 1.0), (0, 3, inf), (3, 4, 0.0)],
+    );
+    assert_matches_reference(&g, "infinite links", &mut Rng::new(2));
+    let t = RouteTable::centralized(&g);
+    assert_eq!(t.reachable_from(0).collect::<Vec<_>>(), vec![1]);
+    assert_eq!(t.reachable_from(2).collect::<Vec<_>>(), vec![0, 1]);
+    cases(24, "reference_infinite", |_, rng| {
+        let n = 2 + rng.below(20) as usize;
+        let p_edge = rng.range_f64(0.1, 0.4);
+        let tied = tie_graph(rng, n, 1, p_edge);
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for &(b, c) in tied.neighbors(a) {
+                edges.push((a, b, if rng.chance(0.3) { inf } else { c }));
+            }
+        }
+        let g = EnergyGraph::from_edges(n, &edges);
+        assert_matches_reference(&g, &format!("infinite links n={n}"), rng);
     });
 }
 
