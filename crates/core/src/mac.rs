@@ -14,7 +14,7 @@
 //! healing, metrics and traces stay with the simulator.
 
 use crate::config::{ClockConfig, NetConfig, SyncMode};
-use crate::metrics::{Metrics, QUEUE_DEPTH_LEVELS};
+use crate::metrics::Metrics;
 use crate::packet::{Packet, PacketId, PacketKind};
 use crate::power::PowerPolicy;
 use crate::vecmap::VecMap;
@@ -137,8 +137,15 @@ pub(crate) struct Mac {
 
 impl Mac {
     /// The channel access of the stations of `gains` under `cfg`, with
-    /// clocks drawn from `rng`.
-    pub(crate) fn new(cfg: &NetConfig, gains: Arc<dyn GainModel>, rng: &mut Rng) -> Mac {
+    /// clocks drawn from `rng`. It tracks queue depth in the histogram of
+    /// `metrics`, which it holds until [`finish`](Mac::finish) hands it
+    /// back.
+    pub(crate) fn new(
+        cfg: &NetConfig,
+        gains: Arc<dyn GainModel>,
+        rng: &mut Rng,
+        metrics: &mut Metrics,
+    ) -> Mac {
         let n = gains.len();
         let power = match cfg.fixed_power {
             Some(p) => PowerPolicy::Fixed(p),
@@ -162,7 +169,10 @@ impl Mac {
                 .collect(),
             stations: (0..n).map(|_| Station::default()).collect(),
             queue_depth: TimeWeighted::new(Time::ZERO, 0.0),
-            queue_hist: TimeWeightedHist::new(Time::ZERO, 0.0, QUEUE_DEPTH_LEVELS),
+            queue_hist: std::mem::replace(
+                &mut metrics.queue_depth_hist,
+                TimeWeightedHist::new(Time::ZERO, 0.0, 1),
+            ),
             cuts: Vec::new(),
         }
     }
@@ -640,7 +650,12 @@ mod tests {
         ));
         let mut cfg = NetConfig::paper_default(xs.len(), seed);
         cfg.clock.max_ppm = 0.0;
-        let mac = Mac::new(&cfg, gains, &mut Rng::new(seed));
+        let mac = Mac::new(
+            &cfg,
+            gains,
+            &mut Rng::new(seed),
+            &mut Metrics::new(xs.len()),
+        );
         (mac, vec![true; xs.len()])
     }
 

@@ -265,9 +265,16 @@ impl Network {
         }
 
         let threshold = cfg.sinr_threshold();
+        let mut metrics = Metrics::new(n);
+        metrics.measured_span = cfg.run_for.saturating_sub(cfg.warmup);
         // Stations with random clocks; a station's schedule is the shared
         // slot function reckoned by its clock.
-        let mac = Mac::new(&cfg, Arc::clone(&gains), &mut root.substream("clocks"));
+        let mac = Mac::new(
+            &cfg,
+            Arc::clone(&gains),
+            &mut root.substream("clocks"),
+            &mut metrics,
+        );
         let traffic = Traffic::new(
             &cfg.traffic,
             root.substream("traffic"),
@@ -284,8 +291,6 @@ impl Network {
         };
         let end = Time::ZERO + cfg.run_for;
         let airtime = cfg.packet_airtime();
-        let mut metrics = Metrics::new(n);
-        metrics.measured_span = cfg.run_for.saturating_sub(cfg.warmup);
         let heal = Heal::new(&cfg, n);
 
         let mut net = Network {
