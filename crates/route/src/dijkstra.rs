@@ -170,7 +170,6 @@ impl Search {
         let mut settles = 0;
         while !self.settled.contains(dst) {
             let Some(Reverse(top)) = self.frontier.pop() else {
-                self.frontier = BinaryHeap::new();
                 break;
             };
             let node = top as u32;
@@ -190,6 +189,9 @@ impl Search {
                     self.frontier.push(Reverse(key(nd, next as u32)));
                 }
             }
+        }
+        if self.frontier.is_empty() {
+            self.frontier = BinaryHeap::new();
         }
         settles
     }
