@@ -1,6 +1,6 @@
 //! Micro-benchmarks for minimum-energy routing: single-source Dijkstra,
-//! all-pairs table construction, and the cold-start distance-vector
-//! exchange that real stations would run.
+//! a centralized table read whole and read one entry per row, and the
+//! cold-start distance-vector exchange that real stations would run.
 
 use parn_bench::harness;
 use parn_phys::placement::Placement;
@@ -30,12 +30,33 @@ fn main() {
         group.bench(n, || dijkstra(&g, 0));
     }
 
+    // Every entry read: each row search runs to the end, a full table.
     let mut group = h.group("route_table_centralized");
     for &n in &[100usize, 300, 500, 1000] {
         let g = graph(n);
         group.bench(n, || {
             let t = RouteTable::centralized(&g);
-            (0..n).map(|s| t.cost(s, 0)).sum::<f64>()
+            (0..n)
+                .flat_map(|s| (0..n).map(move |d| (s, d)))
+                .map(|(s, d)| t.cost(s, d))
+                .filter(|c| c.is_finite())
+                .sum::<f64>()
+        });
+    }
+
+    // One seeded random destination per row, a relay's pattern: each row
+    // search stops once that destination has settled.
+    let mut group = h.group("route_table_one_per_row");
+    for &n in &[100usize, 300, 500, 1000] {
+        let g = graph(n);
+        let mut rng = Rng::new(7);
+        let dsts: Vec<usize> = (0..n).map(|_| rng.below(n as u64) as usize).collect();
+        group.bench(n, || {
+            let t = RouteTable::centralized(&g);
+            dsts.iter()
+                .enumerate()
+                .filter_map(|(s, &d)| t.next_hop(s, d))
+                .count()
         });
     }
 
