@@ -27,7 +27,8 @@
 //! centralized table so per-epoch reroutes (`route_repairs`) are part of
 //! what's measured, and assert that every reroute either re-solved or
 //! reused the table (`route.table_solves` + `route.table_reuses`); the
-//! summary line prints the rows solved (`route.table_rows`).
+//! summary line prints the row searches started (`route.table_rows`) and
+//! the stations they settled (`route.table_settles`).
 
 use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
 use parn_core::{
@@ -123,13 +124,14 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
          scoped invalidation regressed to gains_changed"
     );
     // The centralized arms prepare the table at build and then re-solve
-    // or reuse it once per oracle reroute, solving a row only when it is
-    // read. Under churn, a reroute 500 ms after its event usually lands
+    // or reuse it once per oracle reroute, searching a row only as far as
+    // it is read. Under churn, a reroute 500 ms after its event usually lands
     // after a motion epoch rebuilt over the same usable graph, so some
     // rebuilds must be reuses.
     let solves = counter("route.table_solves");
     let reuses = counter("route.table_reuses");
     let rows = counter("route.table_rows");
+    let settles = counter("route.table_settles");
     if n < 10_000 {
         assert_eq!(
             solves + reuses,
@@ -146,7 +148,7 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
         "n={n} speed={speed} churn={churn_events}{threads_suffix} wall_s={wall:.2} \
          peak_rss_mb={rss_mb:.1} delivered={} moves={} leaves={} joins={} \
          relocations={} scoped_inval={scoped} full_inval={full} table_solves={solves} \
-         table_reuses={reuses} table_rows={rows} collisions={}",
+         table_reuses={reuses} table_rows={rows} table_settles={settles} collisions={}",
         m.delivered,
         m.station_moves,
         m.leaves,
