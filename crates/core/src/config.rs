@@ -97,7 +97,7 @@ impl FarFieldConfig {
 #[derive(Clone, Debug)]
 pub enum RouteMode {
     /// All-pairs Dijkstra from a central view (reference), a source's
-    /// row solved when it is first read.
+    /// row searched only as far as its reads reach.
     Centralized,
     /// Distributed asynchronous Bellman–Ford run as a real protocol (§6.2):
     /// every station keeps a private distance-vector state and learns

@@ -198,7 +198,7 @@ pub(crate) struct Traffic {
 
 /// A destination policy's runtime state.
 enum Dest {
-    /// Uniform over the stations the source's route row reaches that may
+    /// Uniform over the stations the source's routes reach that may
     /// receive routed traffic: the last route rebuild's receive mask,
     /// everyone's before the first.
     Reachable { receivers: Vec<bool> },

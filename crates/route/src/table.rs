@@ -586,6 +586,12 @@ mod tests {
     }
 
     #[test]
+    fn a_table_can_move_to_another_thread() {
+        fn send<T: Send>() {}
+        send::<RouteTable>();
+    }
+
+    #[test]
     fn self_route() {
         let t = RouteTable::centralized(&chain());
         assert_eq!(t.next_hop(2, 2), None);
