@@ -397,7 +397,13 @@ fn centralized_matches_reference_dijkstra_over_infinite_cost_links() {
     let inf = f64::INFINITY;
     let g = EnergyGraph::from_edges(
         5,
-        &[(0, 1, 1.0), (1, 2, inf), (2, 0, 1.0), (0, 3, inf), (3, 4, 0.0)],
+        &[
+            (0, 1, 1.0),
+            (1, 2, inf),
+            (2, 0, 1.0),
+            (0, 3, inf),
+            (3, 4, 0.0),
+        ],
     );
     assert_matches_reference(&g, "infinite links", &mut Rng::new(2));
     let t = RouteTable::centralized(&g);
