@@ -13,21 +13,9 @@
 //!   scheme must degrade *visibly and accountably* (schedule violations /
 //!   Type-3 losses), never silently.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network, SyncMode};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{NetConfig, SyncMode};
 use parn_sim::Duration;
-
-fn run_recorded(reporter: &Reporter, label: String, cfg: NetConfig) -> parn_core::Metrics {
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label,
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
-    m
-}
 
 fn base(seed: u64) -> NetConfig {
     let mut cfg = NetConfig::paper_default(60, seed);
@@ -39,7 +27,7 @@ fn base(seed: u64) -> NetConfig {
 
 fn main() {
     println!("# A2: clock drift and schedule staleness\n");
-    let reporter = Reporter::create("abl_clock_drift");
+    let reporter = Reporter::new(artifact_dir(), "abl_clock_drift");
 
     println!("## drift sweep (resync every 5 s, 200 us guard)");
     println!(
@@ -49,7 +37,7 @@ fn main() {
     for &ppm in &[0.0, 20.0, 50.0, 100.0, 200.0] {
         let mut cfg = base(41);
         cfg.clock.max_ppm = ppm;
-        let m = run_recorded(&reporter, format!("drift ppm={ppm}"), cfg);
+        let m = reporter.run(format!("drift ppm={ppm}"), &cfg);
         println!(
             "{:<10} {:>10.2}% {:>11} {:>12} {:>11}",
             ppm,
@@ -80,11 +68,7 @@ fn main() {
         }
         cfg.clock.guard = Duration::from_micros(guard_us);
         let label = if starved { "never" } else { "5 s" };
-        let m = run_recorded(
-            &reporter,
-            format!("resync={label} guard_us={guard_us}"),
-            cfg,
-        );
+        let m = reporter.run(format!("resync={label} guard_us={guard_us}"), &cfg);
         println!(
             "{:<16} {:>10.2}% {:>11} {:>12} {:>10}",
             label,
@@ -127,7 +111,7 @@ fn main() {
         let mut cfg = base(47);
         cfg.clock.max_ppm = 100.0;
         cfg.clock.guard = Duration::from_micros(g);
-        let m = run_recorded(&reporter, format!("guard-sweep guard_us={g}"), cfg);
+        let m = reporter.run(format!("guard-sweep guard_us={g}"), &cfg);
         println!(
             "{:<10} {:>10.2}% {:>11} {:>12}",
             g,

@@ -8,12 +8,12 @@
 //! overlaps but send many more packets for the same bits. Collision
 //! freedom must hold at every size.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::NetConfig;
 use parn_sim::Duration;
 
 fn main() {
-    let reporter = Reporter::create("abl_packet_size");
+    let reporter = Reporter::new(artifact_dir(), "abl_packet_size");
     println!("# A5: packets-per-slot sweep (30 stations, saturating load)\n");
     println!(
         "{:>10} {:>12} {:>12} {:>12} {:>11} {:>11}",
@@ -29,14 +29,7 @@ fn main() {
         cfg.run_for = Duration::from_secs(14);
         cfg.warmup = Duration::from_secs(2);
         let airtime_us = cfg.packet_airtime().ticks();
-        parn_sim::obs::reset();
-        let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-        reporter.record(&Run {
-            label: format!("pkts_per_slot={div}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s,
-        });
+        let m = reporter.run(format!("pkts_per_slot={div}"), &cfg);
         println!(
             "{:>10} {:>12} {:>12.0} {:>12} {:>11} {:>11.1}",
             div,

@@ -11,22 +11,10 @@
 //!    schedules alone cannot protect receptions from the din of parallel
 //!    transmissions.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::NetConfig;
 use parn_phys::{PowerW, ReceptionCriterion};
 use parn_sim::Duration;
-
-fn run_recorded(reporter: &Reporter, label: String, cfg: NetConfig) -> parn_core::Metrics {
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label,
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
-    m
-}
 
 fn base(n: usize, seed: u64) -> NetConfig {
     let mut cfg = NetConfig::paper_default(n, seed);
@@ -44,8 +32,8 @@ fn main() {
         "{:<22} {:>11} {:>11} {:>13} {:>13}",
         "policy", "hop succ%", "collisions", "margin mean", "margin worst"
     );
-    let reporter = Reporter::create("abl_power_gain");
-    let full = run_recorded(&reporter, "full scheme".into(), base(100, 21));
+    let reporter = Reporter::new(artifact_dir(), "abl_power_gain");
+    let full = reporter.run("full scheme", &base(100, 21));
     // Isolate power control from the §7.3 rule: compare controlled vs
     // fixed with protection disabled in both. (With protection left on, a
     // fixed-power network freezes solid: every station becomes a protected
@@ -53,13 +41,13 @@ fn main() {
     // job, but uninformative here.)
     let mut cfg_ctl = base(100, 21);
     cfg_ctl.protection.enabled = false;
-    let ctl = run_recorded(&reporter, "controlled no-7.3".into(), cfg_ctl);
+    let ctl = reporter.run("controlled no-7.3", &cfg_ctl);
     // Fixed power sized to reach the longest usable hop (2/sqrt(rho) =
     // 200 m at the default density): P = target * d^2.
     let mut cfg_off = base(100, 21);
     cfg_off.protection.enabled = false;
     cfg_off.fixed_power = Some(PowerW(1e-6 * 200.0f64 * 200.0));
-    let off = run_recorded(&reporter, "fixed no-7.3".into(), cfg_off);
+    let off = reporter.run("fixed no-7.3", &cfg_off);
     for (name, m) in [
         ("full scheme", &full),
         ("controlled, no 7.3", &ctl),
@@ -96,7 +84,7 @@ fn main() {
         let mut cfg = base(60, 22);
         cfg.criterion = ReceptionCriterion::with_5db_margin(1e5, 1e5 * spread);
         let th = cfg.sinr_threshold();
-        let m = run_recorded(&reporter, format!("processing-gain db={pg_db}"), cfg);
+        let m = reporter.run(format!("processing-gain db={pg_db}"), &cfg);
         println!(
             "{:<12} {:>12.1} {:>10.2}% {:>11} {:>11.1}dB",
             pg_db,

@@ -10,12 +10,12 @@
 //! more hops. Connectivity at a fixed reach eventually suffers — that is
 //! the honest cost of obstructions.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::NetConfig;
 use parn_sim::Duration;
 
 fn main() {
-    let reporter = Reporter::create("abl_shadowing");
+    let reporter = Reporter::new(artifact_dir(), "abl_shadowing");
     println!("# A3: log-normal shadowing sweep (60 stations, 3 pkt/s)\n");
     println!(
         "{:<10} {:>10} {:>11} {:>11} {:>10} {:>11} {:>10}",
@@ -34,14 +34,7 @@ fn main() {
         cfg.traffic.arrivals_per_station_per_sec = 3.0;
         cfg.run_for = Duration::from_secs(14);
         cfg.warmup = Duration::from_secs(2);
-        parn_sim::obs::reset();
-        let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-        reporter.record(&Run {
-            label: format!("sigma_db={sigma}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s,
-        });
+        let m = reporter.run(format!("sigma_db={sigma}"), &cfg);
         println!(
             "{:<10} {:>10} {:>10.2}% {:>11} {:>10.2} {:>11.1} {:>10}",
             sigma,

@@ -9,8 +9,8 @@
 //! complexity.
 
 use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{DestPolicy, NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{DestPolicy, NetConfig};
 use parn_sim::Duration;
 
 fn aloha_with_sic(
@@ -31,22 +31,17 @@ fn aloha_with_sic(
             margin: 2.0,
         };
     }
-    parn_sim::obs::reset();
-    let config = c.to_json();
-    let (m, wall_s) = timed(|| Baseline::run(Scenario::new(c)));
     let band = if narrowband { "narrowband" } else { "spread" };
-    reporter.record(&Run {
-        label: format!("aloha sic_depth={depth} rate={rate} {band}"),
-        config,
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let run = reporter.start(format!("aloha sic_depth={depth} rate={rate} {band}"));
+    let config = c.to_json();
+    let m = Baseline::run(Scenario::new(c));
+    run.record(config, m.to_json());
     m
 }
 
 fn main() {
     println!("# A6: SIC receivers under contention MACs\n");
-    let reporter = Reporter::create("abl_sic");
+    let reporter = Reporter::new(artifact_dir(), "abl_sic");
 
     println!("## narrowband ALOHA (threshold ~2), 8 pkt/s, 50 stations");
     println!(
@@ -100,14 +95,7 @@ fn main() {
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(10);
     cfg.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
-    let (scheme, scheme_wall) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: "scheme rate=8".into(),
-        config: cfg.to_json(),
-        metrics: scheme.to_json(),
-        wall_s: scheme_wall,
-    });
+    let scheme = reporter.run("scheme rate=8", &cfg);
     println!(
         "\nscheme (no SIC, plain receivers): {} collisions, {:.2}% hop success",
         scheme.collision_losses(),

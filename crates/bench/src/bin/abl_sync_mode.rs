@@ -14,8 +14,8 @@
 //! air-time overhead that shrinks as the hello interval grows; overly
 //! lazy hellos + high drift eventually show up as schedule violations.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network, SyncMode};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{NetConfig, SyncMode};
 use parn_sim::Duration;
 
 fn run(reporter: &Reporter, label: &str, sync: SyncMode, max_ppm: f64) -> parn_core::Metrics {
@@ -25,20 +25,12 @@ fn run(reporter: &Reporter, label: &str, sync: SyncMode, max_ppm: f64) -> parn_c
     cfg.traffic.arrivals_per_station_per_sec = 2.0;
     cfg.run_for = Duration::from_secs(16);
     cfg.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: label.to_string(),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
-    m
+    reporter.run(label, &cfg)
 }
 
 fn main() {
     println!("# A4: oracle vs piggyback schedule maintenance (60 stations, 100 ppm)\n");
-    let reporter = Reporter::create("abl_sync_mode");
+    let reporter = Reporter::new(artifact_dir(), "abl_sync_mode");
     println!(
         "{:<22} {:>10} {:>9} {:>11} {:>12} {:>11}",
         "mode", "delivered", "hellos", "collisions", "violations", "air s"

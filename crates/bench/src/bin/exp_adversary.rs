@@ -20,7 +20,7 @@
 //! The sweep is deterministic: a run reproduces the `metrics` of every
 //! line of the committed `BENCH_adversary.json`, which CI checks.
 
-use parn_bench::report::{timed, Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{
     ByzMode, CutAxis, FaultPlan, HealConfig, LossCause, Metrics, NetConfig, Network, RouteMode,
 };
@@ -67,14 +67,7 @@ fn run_with(
     };
     c.route_mode = arm.route.clone();
     c.faults = plan;
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(c.clone()));
-    reporter.record(&Run {
-        label: label.into(),
-        config: c.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let m = reporter.run(label, &c);
     assert!(m.conservation_holds(), "{label}: {}", m.summary());
     assert_eq!(
         m.hop_attempts,
@@ -107,9 +100,8 @@ fn main() {
     cfg.run_for = Duration::from_secs(secs);
     cfg.warmup = Duration::from_secs(2);
 
-    let reporter = Reporter::create("adversary");
+    let reporter = Reporter::new(artifact_dir(), "adversary");
 
-    parn_sim::obs::reset();
     let probe = Network::new(cfg.clone());
     let deps = probe.routing_dependent_counts();
     let anchor = (0..deps.len()).max_by_key(|&s| deps[s]).unwrap();

@@ -9,8 +9,8 @@
 //! exactly zero collision losses at every load, trading only delay.
 
 use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{DestPolicy, Metrics, NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{DestPolicy, Metrics, NetConfig};
 use parn_phys::PowerW;
 use parn_sim::Duration;
 
@@ -23,15 +23,10 @@ fn baseline(reporter: &Reporter, name: &str, mac: MacKind, rate: f64) -> Metrics
     c.arrivals_per_station_per_sec = rate;
     c.run_for = Duration::from_secs(SECS);
     c.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
+    let run = reporter.start(format!("rate={rate} mac={name}"));
     let config = c.to_json();
-    let (m, wall_s) = timed(|| Baseline::run(Scenario::new(c)));
-    reporter.record(&Run {
-        label: format!("rate={rate} mac={name}"),
-        config,
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let m = Baseline::run(Scenario::new(c));
+    run.record(config, m.to_json());
     m
 }
 
@@ -41,15 +36,7 @@ fn shepard(reporter: &Reporter, rate: f64) -> Metrics {
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(SECS);
     cfg.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: format!("rate={rate} mac=shepard"),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
-    m
+    reporter.run(format!("rate={rate} mac=shepard"), &cfg)
 }
 
 fn main() {
@@ -58,7 +45,7 @@ fn main() {
         "{:<8} {:<14} {:>10} {:>11} {:>11} {:>12} {:>10}",
         "load/s", "MAC", "delivered", "hop succ%", "collisions", "goodput b/s", "delay ms"
     );
-    let reporter = Reporter::create("baseline_compare");
+    let reporter = Reporter::new(artifact_dir(), "baseline_compare");
     let mut shepard_collisions_total = 0;
     let mut aloha_collisions_heavy = 0;
     for &rate in &[1.0, 5.0, 15.0, 40.0] {

@@ -31,14 +31,15 @@
 //! Modes (subprocess pattern as in `exp_scale`, one child per
 //! configuration so peak RSS stays per-run):
 //!
-//! * no args — full sweep driver;
-//! * `--smoke` — tiny sweep (n = 200, truncated ladder) for CI;
+//! * no args — full sweep driver, appending to `BENCH_capacity.json`;
+//! * `--smoke` — tiny sweep (n = 200, truncated ladder) for CI, into
+//!   `PARN_BENCH_DIR` or a throwaway directory it prints;
 //! * `--one <n> <model> <rate>` — run one configuration and append its
 //!   artifact line.
 //!
 //! The measured-vs-analytic discussion lives in `docs/CAPACITY.md`.
 
-use parn_bench::report::{read_artifact, Reporter, Run};
+use parn_bench::report::{artifact_dir, read_artifact, scratch_dir, Reporter};
 use parn_core::{
     DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode, SourceModel,
 };
@@ -48,7 +49,7 @@ use parn_phys::capacity::{
 };
 use parn_sim::json::{obj, Json};
 use parn_sim::Duration;
-use std::time::Instant;
+use std::path::PathBuf;
 
 /// Station density of `NetConfig::paper_default` (stations per m²).
 const RHO: f64 = 0.01;
@@ -135,16 +136,10 @@ fn carried_over_offered(record: &Json) -> f64 {
 
 fn run_one(n: usize, model: &str, rate: f64) {
     let cfg = capacity_config(n, model, rate);
-    parn_sim::obs::reset();
-    let start = Instant::now();
+    let run =
+        Reporter::new(artifact_dir(), "capacity").start(format!("n={n} model={model} rate={rate}"));
     let m = Network::run(cfg.clone());
-    let wall = start.elapsed().as_secs_f64();
-    Reporter::append("capacity").record(&Run {
-        label: format!("n={n} model={model} rate={rate}"),
-        config: cfg.to_json(),
-        metrics: m.to_json_extended(),
-        wall_s: wall,
-    });
+    let wall = run.record(cfg.to_json(), m.to_json_extended());
     assert_eq!(
         m.collision_losses(),
         0,
@@ -159,18 +154,6 @@ fn run_one(n: usize, model: &str, rate: f64) {
         m.delivered as f64 / span,
         m.delivered,
         m.hops_per_packet.mean(),
-    );
-}
-
-fn spawn_one(n: usize, model: &str, rate: f64) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let status = std::process::Command::new(&exe)
-        .args(["--one", &n.to_string(), model, &rate.to_string()])
-        .status()
-        .expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} model={model} rate={rate}: {status}"
     );
 }
 
@@ -193,12 +176,14 @@ fn analytic_flow_distance(n: usize, model: &str) -> f64 {
 
 /// Sweep one (n, model) pair up the ladder, then append the synthesized
 /// knee-summary artifact line with the analytic comparison columns.
-fn sweep(n: usize, model: &str, ladder: &[f64]) {
-    let reporter = Reporter::append("capacity");
-    let start = Instant::now();
+/// Returns the measured mean hop count at the knee.
+fn sweep(reporter: &Reporter, n: usize, model: &str, ladder: &[f64]) -> f64 {
+    // The summary line times the whole sweep; the driver process runs
+    // no simulation, so its counters stay empty.
+    let summary = reporter.start(format!("knee n={n} model={model}"));
     let mut runs: Vec<(f64, Json)> = Vec::new();
     for &rate in ladder {
-        spawn_one(n, model, rate);
+        reporter.spawn(&format!("--one {n} {model} {rate}"));
         let record = read_artifact(reporter.path())
             .pop()
             .expect("child appended a line");
@@ -257,9 +242,8 @@ fn sweep(n: usize, model: &str, ladder: &[f64]) {
         at,
         &["metrics", "saturation", "per_station_carried_pps", "mean"],
     );
-    let summary = Run {
-        label: format!("knee n={n} model={model}"),
-        config: obj([
+    summary.record(
+        obj([
             ("n", n.into()),
             ("model", model.into()),
             (
@@ -269,7 +253,7 @@ fn sweep(n: usize, model: &str, ladder: &[f64]) {
             ("knee_fraction", KNEE_FRACTION.into()),
             ("stop_ratio", STOP_RATIO.into()),
         ]),
-        metrics: obj([
+        obj([
             (
                 "measured",
                 obj([
@@ -308,19 +292,18 @@ fn sweep(n: usize, model: &str, ladder: &[f64]) {
                 ]),
             ),
         ]),
-        wall_s: start.elapsed().as_secs_f64(),
-    };
-    reporter.record(&summary);
+    );
     println!(
         "knee n={n} model={model}: rate={} ratio={:.3} hops_measured={hops_measured:.2} \
          hops_analytic={hops_analytic:.2} relay_bound_pps={relay_bound:.2} coverage={coverage:.3}\n",
         knee_rate.map_or("<ladder".into(), |r| format!("{r}")),
         carried_over_offered(at),
     );
+    hops_measured
 }
 
-fn drive(sizes: &[usize], ladder: &[f64], assert_multihop: bool) {
-    let reporter = Reporter::create("capacity"); // truncate; children append
+fn drive(sizes: &[usize], ladder: &[f64], assert_multihop: bool, dir: PathBuf) {
+    let reporter = Reporter::new(dir, "capacity");
     println!("# E7: saturation capacity envelope (knee sweep per traffic model)");
     println!("# artifact: {}", reporter.path().display());
     println!(
@@ -329,23 +312,12 @@ fn drive(sizes: &[usize], ladder: &[f64], assert_multihop: bool) {
     );
     for &n in sizes {
         for model in MODELS {
-            sweep(n, model, ladder);
-        }
-    }
-    if assert_multihop {
-        // ISSUE acceptance: gravity traffic must be genuinely multi-hop.
-        for record in read_artifact(reporter.path()) {
-            let label = match record.get("label") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => continue,
-            };
-            if label.starts_with("knee") && label.contains("gravity") {
-                let hops = num(&record, &["metrics", "measured", "hops_mean"]);
-                assert!(
-                    hops > 2.0,
-                    "{label}: gravity knee hops_mean={hops:.2} not multi-hop"
-                );
-            }
+            let hops = sweep(&reporter, n, model, ladder);
+            // Gravity traffic must be genuinely multi-hop at its knee.
+            assert!(
+                !assert_multihop || !model.contains("gravity") || hops > 2.0,
+                "knee n={n} model={model}: gravity knee hops_mean={hops:.2} not multi-hop"
+            );
         }
     }
     println!("# E7 sweep complete");
@@ -359,7 +331,7 @@ fn main() {
         }
         // CI smoke: one small size, two rungs — exercises the child,
         // the artifact schema, and the knee synthesis in seconds.
-        ["--smoke"] => drive(&[200], &[0.5, 2.0], false),
-        _ => drive(&[1_000, 10_000, 100_000], &LADDER, true),
+        ["--smoke"] => drive(&[200], &[0.5, 2.0], false, scratch_dir("capacity")),
+        _ => drive(&[1_000, 10_000, 100_000], &LADDER, true, artifact_dir()),
     }
 }

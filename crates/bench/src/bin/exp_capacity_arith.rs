@@ -13,8 +13,8 @@
 //! and cross-checks the *simulated* SINR margins in a dense network
 //! against the analytic din level.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::NetConfig;
 use parn_phys::linkbudget::{rate_factor_for_range, SystemDesign};
 use parn_phys::noise::{relative_net_throughput, snr_vs_scale_db};
 use parn_phys::shannon::spectral_efficiency;
@@ -76,14 +76,7 @@ fn main() {
     cfg.run_for = Duration::from_secs(15);
     cfg.warmup = Duration::from_secs(3);
     let threshold = cfg.sinr_threshold();
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    Reporter::create("capacity_arith").record(&Run {
-        label: "n=100 sinr-vs-din".into(),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let m = Reporter::new(artifact_dir(), "capacity_arith").run("n=100 sinr-vs-din", &cfg);
     let eta = m.mean_tx_duty().max(1e-4);
     let predicted_snr_db = snr_vs_scale_db(eta, 100.0);
     println!(

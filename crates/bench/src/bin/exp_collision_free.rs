@@ -8,8 +8,8 @@
 //! schedule violations, and a per-hop wait distribution consistent with
 //! the §7.2 Bernoulli model.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{LossCause, NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{LossCause, NetConfig};
 use parn_sim::Duration;
 
 fn run(reporter: &Reporter, n: usize, seed: u64, secs: u64, rate: f64) {
@@ -17,14 +17,7 @@ fn run(reporter: &Reporter, n: usize, seed: u64, secs: u64, rate: f64) {
     cfg.traffic.arrivals_per_station_per_sec = rate;
     cfg.run_for = Duration::from_secs(secs);
     cfg.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: format!("n={n} seed={seed} rate={rate}"),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let m = reporter.run(format!("n={n} seed={seed} rate={rate}"), &cfg);
 
     println!("## n = {n}, seed {seed}, {rate} pkt/s/station, {secs} s");
     println!(
@@ -74,7 +67,7 @@ fn run(reporter: &Reporter, n: usize, seed: u64, secs: u64, rate: f64) {
 
 fn main() {
     println!("# E1: collision-free operation (paper Sec. 1/Sec. 7, thesis ch. 5)\n");
-    let reporter = Reporter::create("collision_free");
+    let reporter = Reporter::new(artifact_dir(), "collision_free");
     // The paper's 100-station scale, three seeds.
     for seed in [1, 2, 3] {
         run(&reporter, 100, seed, 20, 2.0);

@@ -15,7 +15,7 @@
 //! there must come entirely from the per-station distance-vector exchange
 //! (`route_repairs == 0`) with a nonzero, seed-deterministic time-to-heal.
 
-use parn_bench::report::{timed, Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{FaultPlan, HealConfig, LossCause, Metrics, NetConfig, Network, RouteMode};
 use parn_phys::PowerW;
 use parn_sim::Duration;
@@ -32,14 +32,7 @@ fn run_with(
     c.heal = heal;
     c.route_mode = route;
     c.faults = plan;
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(c.clone()));
-    reporter.record(&Run {
-        label: label.into(),
-        config: c.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let m = reporter.run(label, &c);
     assert!(m.conservation_holds(), "{label}: {}", m.summary());
     assert_eq!(
         m.collision_losses(),
@@ -59,11 +52,12 @@ fn main() {
     cfg.run_for = Duration::from_secs(24);
     cfg.warmup = Duration::from_secs(2);
 
-    let reporter = Reporter::create("failures");
+    let reporter = Reporter::new(artifact_dir(), "failures");
 
     // One build serves both the dependents query and the fault-free
     // baseline run: rank relays, then run the same Network to completion.
-    parn_sim::obs::reset();
+    // The baseline line counts the build and the run but times the run.
+    let mut run = reporter.start("baseline");
     let probe = Network::new(cfg.clone());
     let mut dependents: Vec<(usize, usize)> = probe
         .routing_dependent_counts()
@@ -73,13 +67,9 @@ fn main() {
         .collect();
     dependents.sort_by(|a, b| b.cmp(a));
     let victims: Vec<usize> = dependents.iter().take(8).map(|&(_, s)| s).collect();
-    let (baseline, base_wall) = timed(|| probe.run_built());
-    reporter.record(&Run {
-        label: "baseline".into(),
-        config: cfg.to_json(),
-        metrics: baseline.to_json(),
-        wall_s: base_wall,
-    });
+    run.restart_clock();
+    let baseline = probe.run_built();
+    run.record(cfg.to_json(), baseline.to_json());
     assert_eq!(baseline.collision_losses(), 0);
     println!(
         "busiest relays (by routing dependents): {:?}\n",
@@ -218,7 +208,6 @@ fn main() {
         c.heal = HealConfig::local();
         c.route_mode = RouteMode::Distributed;
         c.faults = churn.clone();
-        parn_sim::obs::reset();
         let again = Network::run(c);
         assert_eq!(dist.delivered, again.delivered);
         assert_eq!(dist.route_updates_sent, again.route_updates_sent);

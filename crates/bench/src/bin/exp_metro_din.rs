@@ -8,8 +8,8 @@
 //! delivered power can clear, losses appear — but as properly-classified
 //! **link-budget (Din) losses**, never as collisions, and never silently.
 
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{LossCause, NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{LossCause, NetConfig};
 use parn_phys::PowerW;
 use parn_sim::Duration;
 
@@ -31,18 +31,11 @@ fn main() {
 
     let mut clean_frac: f64 = 0.0;
     let mut first_din_frac = f64::INFINITY;
-    let reporter = Reporter::create("metro_din");
+    let reporter = Reporter::new(artifact_dir(), "metro_din");
     for &ext in &[0.0, 1e-6, 5e-6, 1e-5, 3e-5, 6e-5, 1e-4] {
         let mut cfg = cfg0.clone();
         cfg.external_din = PowerW(ext);
-        parn_sim::obs::reset();
-        let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-        reporter.record(&Run {
-            label: format!("external_din_w={ext:.1e}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s,
-        });
+        let m = reporter.run(format!("external_din_w={ext:.1e}"), &cfg);
         let din = m.losses.get(&LossCause::Din).copied().unwrap_or(0);
         let frac = ext / budget;
         println!(

@@ -15,10 +15,12 @@
 //! Modes, mirroring `exp_scale`:
 //!
 //! * no args — driver: spawns `--one` subprocesses for the speed × churn
-//!   sweep at n ∈ {10³, 10⁴, 10⁵} and collects `BENCH_mobility.json`;
+//!   sweep at n ∈ {10³, 10⁴, 10⁵}, each appending its line to
+//!   `BENCH_mobility.json`;
 //! * `--one <n> <speed_mps> <churn_events> [threads]` — one
 //!   configuration, one artifact line;
-//! * `--smoke` — the n=10³ corner of the sweep only;
+//! * `--smoke` — the n=10³ corner of the sweep only, into
+//!   `PARN_BENCH_DIR` or a throwaway directory it prints;
 //! * `--determinism <n>` — grid-far mobility runs at 1/2/8 sweep threads
 //!   must produce byte-identical metrics JSON.
 //!
@@ -30,13 +32,13 @@
 //! summary line prints the row searches started (`route.table_rows`) and
 //! the stations they settled (`route.table_settles`).
 
-use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
+use parn_bench::report::{self, artifact_dir, peak_rss_kb, scratch_dir, Reporter};
 use parn_core::{
     ChurnPlan, DestPolicy, FarFieldConfig, MobilityConfig, MobilityModel, NetConfig, Network,
     PhyBackend, RouteMode,
 };
-use parn_sim::{Duration, Json};
-use std::time::Instant;
+use parn_sim::Duration;
+use std::path::PathBuf;
 
 fn mobility_config(n: usize, speed: f64, churn_events: usize, threads: usize) -> NetConfig {
     let mut cfg = NetConfig::paper_default(n, 1996);
@@ -70,16 +72,17 @@ fn mobility_config(n: usize, speed: f64, churn_events: usize, threads: usize) ->
 
 fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
     let cfg = mobility_config(n, speed, churn_events, threads);
-    parn_sim::obs::reset();
-    let start = Instant::now();
-    let m = Network::run(cfg.clone());
-    let wall = start.elapsed().as_secs_f64();
-    let rss_mb = peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0);
     let threads_suffix = if threads > 1 {
         format!(" threads={threads}")
     } else {
         String::new()
     };
+    let run = Reporter::new(artifact_dir(), "mobility").start(format!(
+        "n={n} speed={speed} churn={churn_events}{threads_suffix}"
+    ));
+    let m = Network::run(cfg.clone());
+    let wall = run.record(cfg.to_json(), m.to_json());
+    let rss_mb = peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0);
     let counters = parn_sim::obs::counters_snapshot();
     let counter = |name: &str| {
         counters
@@ -87,12 +90,6 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
             .find(|&&(cn, _)| cn == name)
             .map_or(0, |&(_, v)| v)
     };
-    Reporter::append("mobility").record(&Run {
-        label: format!("n={n} speed={speed} churn={churn_events}{threads_suffix}"),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s: wall,
-    });
     assert!(
         m.station_moves > 0,
         "mobility run without moves at n={n}: {}",
@@ -158,68 +155,14 @@ fn run_one(n: usize, speed: f64, churn_events: usize, threads: usize) {
     );
 }
 
-fn spawn_one(
-    n: usize,
-    speed: f64,
-    churn_events: usize,
-    threads: usize,
-    bench_dir: Option<&std::path::Path>,
-) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(&exe);
-    cmd.args([
-        "--one",
-        &n.to_string(),
-        &speed.to_string(),
-        &churn_events.to_string(),
-        &threads.to_string(),
-    ]);
-    if let Some(dir) = bench_dir {
-        cmd.env("PARN_BENCH_DIR", dir);
-    }
-    let status = cmd.status().expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} speed={speed} churn={churn_events} failed: {status}"
-    );
-}
-
-fn drive(sweep: &[(usize, f64, usize)]) {
-    let reporter = Reporter::create("mobility"); // truncate; children append
+fn drive(sweep: &[(usize, f64, usize)], dir: PathBuf) {
+    let reporter = Reporter::new(dir, "mobility");
     println!("# E9: delivery and reconvergence vs speed x churn, with incremental reindexing");
     println!("# artifact: {}", reporter.path().display());
     println!("# (each line is an independent subprocess; RSS is per-configuration)\n");
     for &(n, speed, churn) in sweep {
-        spawn_one(n, speed, churn, 1, None);
+        reporter.spawn(&format!("--one {n} {speed} {churn} 1"));
     }
-}
-
-/// The determinism matrix: same seed, grid + far field, threads 1/2/8 →
-/// the metrics JSON must match byte-for-byte through every move.
-fn determinism(n: usize) {
-    let base = std::env::temp_dir().join(format!("parn_mob_determinism_{}", std::process::id()));
-    let mut metrics_by_threads: Vec<(usize, String)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let dir = base.join(format!("t{threads}"));
-        std::fs::create_dir_all(&dir).expect("create determinism dir");
-        let artifact = dir.join("BENCH_mobility.json");
-        let _ = std::fs::remove_file(&artifact);
-        spawn_one(n, 3.0, 8, threads, Some(&dir));
-        let records: Vec<Json> = read_artifact(&artifact);
-        assert_eq!(records.len(), 1, "expected one artifact line");
-        let metrics = records[0].get("metrics").expect("metrics field").clone();
-        metrics_by_threads.push((threads, metrics.to_string()));
-    }
-    let (_, reference) = &metrics_by_threads[0];
-    for (threads, metrics) in &metrics_by_threads[1..] {
-        assert_eq!(
-            metrics, reference,
-            "mobility metrics diverged between threads=1 and threads={threads}: \
-             the moved-reception recompute order is no longer stable"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    println!("determinism OK at n={n}: mobility metrics byte-identical across threads 1/2/8");
 }
 
 fn main() {
@@ -237,14 +180,27 @@ fn main() {
             churn.parse().expect("churn"),
             threads.parse().expect("threads"),
         ),
-        ["--determinism", n] => determinism(n.parse().expect("n")),
-        ["--smoke"] => drive(&[(1_000, 1.5, 10), (1_000, 6.0, 10)]),
-        _ => drive(&[
-            (1_000, 1.5, 0),
-            (1_000, 1.5, 10),
-            (1_000, 6.0, 10),
-            (10_000, 1.5, 30),
-            (100_000, 1.5, 100),
-        ]),
+        // Grid + far field through every move: the moved-reception
+        // recompute order must not depend on the thread count.
+        ["--determinism", n] => {
+            report::determinism("mobility", &format!("{n} 3 8"));
+            println!(
+                "determinism OK at n={n}: mobility metrics byte-identical across threads 1/2/8"
+            );
+        }
+        ["--smoke"] => drive(
+            &[(1_000, 1.5, 10), (1_000, 6.0, 10)],
+            scratch_dir("mobility"),
+        ),
+        _ => drive(
+            &[
+                (1_000, 1.5, 0),
+                (1_000, 1.5, 10),
+                (1_000, 6.0, 10),
+                (10_000, 1.5, 30),
+                (100_000, 1.5, 100),
+            ],
+            artifact_dir(),
+        ),
     }
 }

@@ -11,7 +11,10 @@
 //! is measured per configuration, not accumulated across them:
 //!
 //! * no args — driver mode: spawns itself with `--one n backend` for
-//!   the whole sweep and prints a result table;
+//!   the whole sweep, each child appending its line to
+//!   `BENCH_scale.json`;
+//! * `--quick` — the n = 10³ corner, every backend, into
+//!   `PARN_BENCH_DIR` or a throwaway directory it prints;
 //! * `--one <n> <dense|grid|grid-far> [threads]` — run one configuration,
 //!   append its line to `BENCH_scale.json` and print a one-line summary;
 //! * `--determinism <n>` — run `grid-far` at `n` with 1, 2 and 8 sweep
@@ -36,13 +39,13 @@
 //! measured window; the point is memory and wall-clock scaling plus the
 //! zero-collision invariant, not long-run throughput statistics.
 
-use parn_bench::report::{peak_rss_kb, read_artifact, Reporter, Run};
+use parn_bench::report::{self, artifact_dir, peak_rss_kb, scratch_dir, Reporter};
 use parn_core::{DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode};
 use parn_sim::json::obj;
 use parn_sim::{Duration, Json};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::time::Instant;
 
 /// Live heap bytes per station after `Network::new` at n = 10⁴
 /// `grid-far`, single-threaded. `--determinism 10000` fails when a build
@@ -123,12 +126,18 @@ fn scale_config(n: usize, backend: PhyBackend, threads: usize) -> NetConfig {
 
 fn run_one(n: usize, backend_name: &str, threads: usize) {
     let cfg = scale_config(n, backend_from_name(backend_name), threads);
-    parn_sim::obs::reset();
-    let start = Instant::now();
+    let threads_suffix = if threads > 1 {
+        format!(" threads={threads}")
+    } else {
+        String::new()
+    };
+    // Each subprocess appends its own line, so peak RSS in provenance is
+    // per configuration (the point of the subprocess split).
+    let run = Reporter::new(artifact_dir(), "scale")
+        .start(format!("n={n} backend={backend_name}{threads_suffix}"));
     let net = Network::new(cfg.clone());
     let build_bytes = HEAP_LIVE.load(Relaxed);
     let m = net.run_built();
-    let wall = start.elapsed().as_secs_f64();
     let peak_bytes = HEAP_PEAK.load(Relaxed);
     let per_station = |bytes: usize| bytes / n;
     let heap = obj([
@@ -137,24 +146,8 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
         ("peak_bytes", peak_bytes.into()),
         ("peak_bytes_per_station", per_station(peak_bytes).into()),
     ]);
+    let wall = run.record_with(cfg.to_json(), m.to_json(), vec![("heap".into(), heap)]);
     let rss_mb = peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0);
-    let threads_suffix = if threads > 1 {
-        format!(" threads={threads}")
-    } else {
-        String::new()
-    };
-    // The driver truncated the artifact; each subprocess appends its line
-    // (peak RSS in provenance is then per-configuration, the point of the
-    // subprocess split).
-    Reporter::append("scale").record_with(
-        &Run {
-            label: format!("n={n} backend={backend_name}{threads_suffix}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s: wall,
-        },
-        vec![("heap".into(), heap)],
-    );
     assert_eq!(
         m.collision_losses(),
         0,
@@ -178,27 +171,13 @@ fn run_one(n: usize, backend_name: &str, threads: usize) {
     );
 }
 
-fn spawn_one(n: usize, backend: &str, threads: usize, bench_dir: Option<&std::path::Path>) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(&exe);
-    cmd.args(["--one", &n.to_string(), backend, &threads.to_string()]);
-    if let Some(dir) = bench_dir {
-        cmd.env("PARN_BENCH_DIR", dir);
-    }
-    let status = cmd.status().expect("spawn subprocess");
-    assert!(
-        status.success(),
-        "n={n} backend={backend} threads={threads} failed: {status}"
-    );
-}
-
-fn drive(sweep: &[(usize, &str, usize)]) {
-    let reporter = Reporter::create("scale"); // truncate; children append
+fn drive(sweep: &[(usize, &str, usize)], dir: PathBuf) {
+    let reporter = Reporter::new(dir, "scale");
     println!("# E6: wall-clock and peak RSS, dense vs spatial index");
     println!("# artifact: {}", reporter.path().display());
     println!("# (each line is an independent subprocess; RSS is per-configuration)\n");
     for &(n, backend, threads) in sweep {
-        spawn_one(n, backend, threads, None);
+        reporter.spawn(&format!("--one {n} {backend} {threads}"));
     }
     println!("\n# dense at n=10^5 is omitted: the matrix alone is ~80 GB (8 B x 10^10).");
 }
@@ -211,32 +190,12 @@ fn counter_of(record: &Json, name: &str) -> u64 {
     }
 }
 
-/// The determinism matrix: same seed, `grid-far`, threads 1/2/8 → the
-/// metrics JSON must match byte-for-byte, the far cache must hit, MAC
-/// planning must not walk its whole horizon on every window scan, and at
-/// n = 10⁴ the build must not outgrow its heap figure.
+/// The determinism matrix at `grid-far` (same seed, threads 1/2/8, metrics
+/// byte-identical), then checks on the threads-1 line: the far cache must
+/// hit, MAC planning must not walk its whole horizon on every window
+/// scan, and at n = 10⁴ the build must not outgrow its heap figure.
 fn determinism(n: usize) {
-    let base = std::env::temp_dir().join(format!("parn_determinism_{}", std::process::id()));
-    let mut metrics_by_threads: Vec<(usize, String, Json)> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let dir = base.join(format!("t{threads}"));
-        std::fs::create_dir_all(&dir).expect("create determinism dir");
-        let artifact = dir.join("BENCH_scale.json");
-        let _ = std::fs::remove_file(&artifact);
-        spawn_one(n, "grid-far", threads, Some(&dir));
-        let records = read_artifact(&artifact);
-        assert_eq!(records.len(), 1, "expected one artifact line");
-        let metrics = records[0].get("metrics").expect("metrics field").clone();
-        metrics_by_threads.push((threads, metrics.to_string(), records[0].clone()));
-    }
-    let (_, reference, baseline) = &metrics_by_threads[0];
-    for (threads, metrics, _) in &metrics_by_threads[1..] {
-        assert_eq!(
-            metrics, reference,
-            "metrics diverged between threads=1 and threads={threads}: \
-             the sweep reduction order is no longer stable"
-        );
-    }
+    let baseline = &report::determinism("scale", &format!("{n} grid-far"));
     // Hit-rate floor, checked on the single-threaded child (its counters
     // are not split across per-thread caches): the per-cell epoch fix
     // must keep the snapshot cache alive under churn.
@@ -275,7 +234,6 @@ fn determinism(n: usize) {
         per_scan <= 50.0,
         "MAC planning walks {slots} slots in {scans} window scans = {per_scan:.1} per scan > 50"
     );
-    let _ = std::fs::remove_dir_all(&base);
     println!(
         "determinism OK at n={n}: metrics byte-identical across threads 1/2/8, \
          far-cache hit rate {rate:.3}, {per_scan:.1} slots per window scan, \
@@ -296,18 +254,24 @@ fn main() {
         // `cargo test` passes `--test`-style flags to bins it never runs;
         // anything other than `--one` gets the default sweep. A smaller
         // sweep keeps smoke invocations (`--quick`) under a minute.
-        ["--quick"] => drive(&[
-            (1_000, "dense", 1),
-            (1_000, "grid", 1),
-            (1_000, "grid-far", 1),
-        ]),
-        _ => drive(&[
-            (1_000, "dense", 1),
-            (1_000, "grid-far", 1),
-            (10_000, "dense", 1),
-            (10_000, "grid-far", 1),
-            (100_000, "grid-far", 1),
-            (1_000_000, "grid-far", 2),
-        ]),
+        ["--quick"] => drive(
+            &[
+                (1_000, "dense", 1),
+                (1_000, "grid", 1),
+                (1_000, "grid-far", 1),
+            ],
+            scratch_dir("scale"),
+        ),
+        _ => drive(
+            &[
+                (1_000, "dense", 1),
+                (1_000, "grid-far", 1),
+                (10_000, "dense", 1),
+                (10_000, "grid-far", 1),
+                (100_000, "grid-far", 1),
+                (1_000_000, "grid-far", 2),
+            ],
+            artifact_dir(),
+        ),
     }
 }

@@ -10,7 +10,7 @@
 //! Paper anchors: ≈ −20 dB at M = 10¹², η = 1; η = 0.25 sits 6 dB above
 //! η = 1 everywhere.
 
-use parn_bench::report::{timed, Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_phys::noise::{exclusion_radius, figure1, snr_vs_scale, snr_vs_scale_db};
 use parn_phys::placement::Placement;
 use parn_phys::Point;
@@ -73,42 +73,38 @@ fn main() {
     );
     let mut rng = Rng::new(0xF16);
     let mut worst: f64 = 0.0;
-    parn_sim::obs::reset();
+    let run = Reporter::new(artifact_dir(), "fig1_snr_decline").start("eq15 vs monte-carlo");
     let mut rows: Vec<(String, parn_sim::Json)> = Vec::new();
-    let ((), wall_s) = timed(|| {
-        for &m in &[1_000usize, 10_000, 100_000] {
-            for &eta in &[0.2, 0.5, 1.0] {
-                let analytic = snr_vs_scale(eta, m as f64);
-                let measured = monte_carlo_snr(m, eta, 8, &mut rng);
-                let a_db = 10.0 * analytic.log10();
-                let m_db = 10.0 * measured.log10();
-                worst = worst.max((a_db - m_db).abs());
-                rows.push((
-                    format!("m={m} eta={eta}"),
-                    obj([("analytic_db", a_db.into()), ("measured_db", m_db.into())]),
-                ));
-                println!(
-                    "{:>8} {:>6} | {:>12.2} {:>12.2} {:>7.2}",
-                    m,
-                    eta,
-                    a_db,
-                    m_db,
-                    (a_db - m_db).abs()
-                );
-            }
+    for &m in &[1_000usize, 10_000, 100_000] {
+        for &eta in &[0.2, 0.5, 1.0] {
+            let analytic = snr_vs_scale(eta, m as f64);
+            let measured = monte_carlo_snr(m, eta, 8, &mut rng);
+            let a_db = 10.0 * analytic.log10();
+            let m_db = 10.0 * measured.log10();
+            worst = worst.max((a_db - m_db).abs());
+            rows.push((
+                format!("m={m} eta={eta}"),
+                obj([("analytic_db", a_db.into()), ("measured_db", m_db.into())]),
+            ));
+            println!(
+                "{:>8} {:>6} | {:>12.2} {:>12.2} {:>7.2}",
+                m,
+                eta,
+                a_db,
+                m_db,
+                (a_db - m_db).abs()
+            );
         }
-    });
-    Reporter::create("fig1_snr_decline").record(&Run {
-        label: "eq15 vs monte-carlo".into(),
-        config: obj([("seed", 0xF16u64.into()), ("trials_per_point", 8u64.into())]),
-        metrics: obj([
+    }
+    run.record(
+        obj([("seed", 0xF16u64.into()), ("trials_per_point", 8u64.into())]),
+        obj([
             ("anchor_eta1_m1e12_db", a1.into()),
             ("anchor_eta025_gain_db", a2.into()),
             ("worst_gap_db", worst.into()),
             ("points", parn_sim::Json::Obj(rows)),
         ]),
-        wall_s,
-    });
+    );
     println!("\nworst analytic-vs-measured gap: {worst:.2} dB");
     assert!(
         worst < 2.0,

@@ -7,8 +7,8 @@
 //! random 60-station scenario repeats the contrast at scale.
 
 use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
-use parn_bench::report::{timed, Reporter, Run};
-use parn_core::{classify, DestPolicy, LossCause, NetConfig, Network};
+use parn_bench::report::{artifact_dir, Reporter};
+use parn_core::{classify, DestPolicy, LossCause, NetConfig};
 use parn_phys::propagation::FreeSpace;
 use parn_phys::sinr::SinrTracker;
 use parn_phys::{GainMatrix, Point, PowerW};
@@ -106,30 +106,18 @@ fn main() {
         bandwidth_hz: 1e6,
         margin: 2.0,
     };
-    let reporter = Reporter::create("fig2_collision_types");
-    parn_sim::obs::reset();
+    let reporter = Reporter::new(artifact_dir(), "fig2_collision_types");
+    let run = reporter.start(format!("rate={rate} mac=naive-aloha narrowband"));
     let bc_json = bc.to_json();
-    let (naive, naive_wall) = timed(|| Baseline::run(Scenario::new(bc)));
-    reporter.record(&Run {
-        label: format!("rate={rate} mac=naive-aloha narrowband"),
-        config: bc_json,
-        metrics: naive.to_json(),
-        wall_s: naive_wall,
-    });
+    let naive = Baseline::run(Scenario::new(bc));
+    run.record(bc_json, naive.to_json());
 
     let mut cfg = NetConfig::paper_default(n, seed);
     cfg.traffic.arrivals_per_station_per_sec = rate;
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(12);
     cfg.warmup = Duration::from_secs(2);
-    parn_sim::obs::reset();
-    let (scheme, scheme_wall) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: format!("rate={rate} mac=shepard"),
-        config: cfg.to_json(),
-        metrics: scheme.to_json(),
-        wall_s: scheme_wall,
-    });
+    let scheme = reporter.run(format!("rate={rate} mac=shepard"), &cfg);
 
     println!(
         "{:<12} {:>8} {:>8} {:>8} {:>8} {:>11}",

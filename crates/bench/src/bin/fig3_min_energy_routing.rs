@@ -12,7 +12,7 @@
 //! 4. centralized Dijkstra and the distributed asynchronous Bellman–Ford
 //!    (the per-station distance-vector exchange) agree on route costs.
 
-use parn_bench::report::{Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_phys::placement::{density, Placement};
 use parn_phys::propagation::FreeSpace;
 use parn_phys::{Gain, GainMatrix};
@@ -22,8 +22,7 @@ use parn_sim::json::obj;
 use parn_sim::Rng;
 
 fn run_size(reporter: &Reporter, n: usize, seed: u64) {
-    parn_sim::obs::reset();
-    let started = std::time::Instant::now();
+    let run = reporter.start(format!("n={n} seed={seed}"));
     let mut rng = Rng::new(seed);
     let placement = Placement::UniformDisk {
         n,
@@ -97,10 +96,9 @@ fn run_size(reporter: &Reporter, n: usize, seed: u64) {
         println!("  distance vector agrees: worst relative cost gap {worst:.2e}");
         assert!(worst < 1e-9);
     }
-    reporter.record(&Run {
-        label: format!("n={n} seed={seed}"),
-        config: obj([("n", n.into()), ("seed", seed.into())]),
-        metrics: obj([
+    run.record(
+        obj([("n", n.into()), ("seed", seed.into())]),
+        obj([
             ("fully_connected", connected.into()),
             ("mean_hops", geom.mean_hops.into()),
             ("max_hops", (geom.max_hops as u64).into()),
@@ -109,14 +107,13 @@ fn run_size(reporter: &Reporter, n: usize, seed: u64) {
             ("max_routing_degree", (max_deg as u64).into()),
             ("relay_circle_holds", skipped.is_none().into()),
         ]),
-        wall_s: started.elapsed().as_secs_f64(),
-    });
+    );
     println!();
 }
 
 fn main() {
     println!("# Figure 3 / Sec 6.2: minimum-energy routing geometry\n");
-    let reporter = Reporter::create("fig3_min_energy_routing");
+    let reporter = Reporter::new(artifact_dir(), "fig3_min_energy_routing");
     // The paper's simulated sizes: 100 and 1000 stations.
     for (n, seed) in [(100, 1u64), (100, 2), (100, 3), (1000, 4)] {
         run_size(&reporter, n, seed);

@@ -7,14 +7,13 @@
 //! the figure's caption properties: unaligned slot boundaries and a ~30%
 //! receive fraction.
 
-use parn_bench::report::{Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_sched::{SchedParams, SlotKind, StationClock, StationSchedule};
 use parn_sim::json::obj;
 use parn_sim::{Duration, Rng, Time};
 
 fn main() {
-    let started = std::time::Instant::now();
-    parn_sim::obs::reset();
+    let run = Reporter::new(artifact_dir(), "fig4_schedule_sample").start("20 stations p=0.3");
     let params = SchedParams::new(Duration::from_millis(10), 0.3, 0x1996);
     let mut rng = Rng::new(0xF164);
     let stations: Vec<StationSchedule> = (0..20)
@@ -97,20 +96,18 @@ fn main() {
         "sendable ordered pairs at t=0.123 s: {sendable}/380 ({frac_pairs:.2}; expect ~p(1-p)=0.21)"
     );
     assert!((frac_pairs - 0.21).abs() < 0.15);
-    Reporter::create("fig4_schedule_sample").record(&Run {
-        label: "20 stations p=0.3".into(),
-        config: obj([
+    run.record(
+        obj([
             ("stations", 20u64.into()),
             ("slot_s", 0.01.into()),
             ("rx_prob", 0.3.into()),
             ("seed", 0x1996u64.into()),
         ]),
-        metrics: obj([
+        obj([
             ("receive_fraction", frac.into()),
             ("aligned_slot_pairs", (aligned_pairs as u64).into()),
             ("sendable_pair_fraction", frac_pairs.into()),
         ]),
-        wall_s: started.elapsed().as_secs_f64(),
-    });
+    );
     println!("\nfigure 4 reproduced: OK");
 }

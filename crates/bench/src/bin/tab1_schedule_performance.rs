@@ -14,7 +14,7 @@
 //! * with several neighbours and no head-of-line blocking, transmit duty
 //!   approaches 50%.
 
-use parn_bench::report::{timed, Reporter, Run};
+use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{DestPolicy, NetConfig, Network};
 use parn_sched::analysis;
 use parn_sched::{QuarterSlot, SchedParams, SlotKind, StationClock, StationSchedule};
@@ -74,15 +74,8 @@ fn main() {
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(60);
     cfg.warmup = Duration::from_secs(2);
-    let reporter = Reporter::create("tab1_schedule_performance");
-    parn_sim::obs::reset();
-    let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-    reporter.record(&Run {
-        label: "near-zero-load wait".into(),
-        config: cfg.to_json(),
-        metrics: m.to_json(),
-        wall_s,
-    });
+    let reporter = Reporter::new(artifact_dir(), "tab1_schedule_performance");
+    let m = reporter.run("near-zero-load wait", &cfg);
     let measured_wait = m.hop_wait_slots.mean().expect("no waits");
     let p50 = m.hop_wait_slots.quantile(0.5).unwrap();
     let p95 = m.hop_wait_slots.quantile(0.95).unwrap();
@@ -117,14 +110,7 @@ fn main() {
         cfg.traffic.arrivals_per_station_per_sec = 12.0; // saturating
         cfg.run_for = Duration::from_secs(15);
         cfg.warmup = Duration::from_secs(3);
-        parn_sim::obs::reset();
-        let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-        reporter.record(&Run {
-            label: format!("duty-sweep p={p}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s,
-        });
+        let m = reporter.run(format!("duty-sweep p={p}"), &cfg);
         println!(
             "{:>5} | {:>11.0} {:>10.1}% {:>10.1} {:>10}",
             p,
@@ -180,14 +166,7 @@ fn main() {
         cfg.run_for = Duration::from_secs(12);
         cfg.warmup = Duration::from_secs(2);
         cfg.protection.enabled = false; // isolate the scheduling effect
-        parn_sim::obs::reset();
-        let (m, wall_s) = timed(|| Network::run(cfg.clone()));
-        reporter.record(&Run {
-            label: format!("fan-out k={k}"),
-            config: cfg.to_json(),
-            metrics: m.to_json(),
-            wall_s,
-        });
+        let m = reporter.run(format!("fan-out k={k}"), &cfg);
         let duty = m.tx_airtime[center] / m.measured_span.as_secs_f64();
         if k == 8 {
             duty8 = duty;

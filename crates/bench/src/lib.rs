@@ -3,7 +3,7 @@
 //! The `benches/` targets use the zero-dependency timing [`harness`]
 //! below (the workspace builds hermetically, so no external bench
 //! framework). The `src/bin/` experiments regenerate the paper's
-//! figures and tables. Both drop machine-readable `BENCH_*.json` run
+//! figures and tables. Both append machine-readable `BENCH_*.json` run
 //! artifacts at the repo root through [`report::Reporter`]
 //! (schema: `docs/OBSERVABILITY.md`).
 
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// variable (`PARN_BENCH_QUICK=1 cargo bench -p parn-bench`) or a `--test`
 /// argument. Cargo passes no such argument to `harness = false` targets,
 /// so `cargo test --bench <target>` runs the full timing loop. Outside
-/// quick mode, results are also written to `BENCH_micro_<target>.json`
+/// quick mode, results are also appended to `BENCH_micro_<target>.json`
 /// when the harness is dropped.
 pub fn harness(target: &str) -> Harness {
     let quick = std::env::args().any(|a| a == "--test")
@@ -29,31 +29,33 @@ pub fn harness(target: &str) -> Harness {
     // the first non-flag argument as a substring filter.
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     println!("# bench target: {target}");
+    // Quick mode (smoke runs) records nothing: single unwarmed
+    // iterations are not trajectory data.
+    let run = (!quick).then(|| {
+        report::Reporter::new(report::artifact_dir(), &format!("micro_{target}")).start(target)
+    });
     Harness {
-        quick,
         filter,
-        target: target.to_string(),
         results: Vec::new(),
-        started: Instant::now(),
+        run,
     }
 }
 
 /// A minimal benchmark runner: per-benchmark warmup, auto-scaled
 /// iteration counts, and min/mean-of-samples reporting.
 pub struct Harness {
-    quick: bool,
     filter: Option<String>,
-    target: String,
     results: Vec<(String, f64, f64, u64)>, // label, min_s, mean_s, iters
-    started: Instant,
+    /// The measured run the results are recorded as; `None` in quick mode.
+    run: Option<report::Measurement>,
 }
 
 impl Drop for Harness {
     /// Write the collected results as one `BENCH_micro_<target>.json`
-    /// line. Quick mode (smoke runs) writes nothing —
-    /// single unwarmed iterations are not trajectory data.
+    /// line.
     fn drop(&mut self) {
-        if self.quick || self.results.is_empty() {
+        let Some(run) = self.run.take() else { return };
+        if self.results.is_empty() {
             return;
         }
         use parn_sim::json::{obj, Json};
@@ -72,19 +74,8 @@ impl Drop for Harness {
                 })
                 .collect(),
         );
-        let reporter = report::Reporter::create(&format!("micro_{}", self.target));
-        reporter.record(&report::Run {
-            label: self.target.clone(),
-            config: obj([(
-                "filter",
-                self.filter
-                    .as_deref()
-                    .map(|f| Json::Str(f.into()))
-                    .unwrap_or(Json::Null),
-            )]),
-            metrics,
-            wall_s: self.started.elapsed().as_secs_f64(),
-        });
+        let filter = self.filter.as_deref().map_or(Json::Null, |f| f.into());
+        run.record(obj([("filter", filter)]), metrics);
     }
 }
 
@@ -113,7 +104,7 @@ impl Group<'_> {
                 return;
             }
         }
-        if self.h.quick {
+        if self.h.run.is_none() {
             std::hint::black_box(f());
             println!("{label}: ok (quick mode, 1 iter)");
             return;

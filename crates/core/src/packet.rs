@@ -112,7 +112,11 @@ pub enum LossCause {
     /// ambient din alone was too high — a link-budget failure, not a
     /// collision).
     Din,
-    /// The packet was held by, or addressed to, a station that failed.
+    /// A station the packet depended on was down. As a hop loss: the
+    /// receiver crashed, rebooted or left before the transmission ended.
+    /// As a drop: the packet was queued or planned at a station when it
+    /// crashed, or its holder crashed, rebooted or left while the packet
+    /// was on the air or backing off.
     StationFailed,
     /// The destination became unreachable after a topology change and the
     /// packet was dropped at rerouting time.
@@ -132,8 +136,10 @@ pub enum LossCause {
     /// published §7.3 windows, not a protocol collision and not a plain
     /// jammer.
     Violation,
-    /// The packet was held by, or addressed to, a station that cleanly
-    /// left the network (a churn departure, not a crash).
+    /// The packet was queued or planned at a station when it cleanly left
+    /// the network (a churn departure, not a crash). Only that backlog is
+    /// recorded so: a hop to a departed receiver, and a packet the
+    /// departure catches on the air or backing off, are `StationFailed`.
     Departed,
 }
 
