@@ -17,8 +17,8 @@
 //!   or advertising poisoned routes — is detected (`Violation` losses,
 //!   rejected advertisements) rather than silently eroding the scheme.
 //!
-//! The sweep is deterministic: a run reproduces the `metrics` of every
-//! line of the committed `BENCH_adversary.json`, which CI checks.
+//! The sweep is deterministic: a run reproduces the `metrics` of the last
+//! committed `BENCH_adversary.json` line with each label, which CI checks.
 
 use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{
