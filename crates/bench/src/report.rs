@@ -287,13 +287,11 @@ pub fn determinism(bench: &str, args: &str) -> Json {
             records.pop().expect("one line")
         })
         .collect();
-    let metrics: Vec<String> = lines
-        .iter()
-        .map(|l| l.get("metrics").expect("metrics field").to_string())
-        .collect();
-    for (threads, m) in [2, 8].into_iter().zip(&metrics[1..]) {
+    let metrics = |line: &Json| line.get("metrics").expect("metrics field").to_string();
+    for (threads, line) in [2, 8].into_iter().zip(&lines[1..]) {
         assert_eq!(
-            m, &metrics[0],
+            metrics(line),
+            metrics(&lines[0]),
             "{bench} metrics diverged between threads=1 and threads={threads}: \
              the result depends on the sweep thread count"
         );
