@@ -39,7 +39,7 @@
 //!
 //! The measured-vs-analytic discussion lives in `docs/CAPACITY.md`.
 
-use parn_bench::report::{artifact_dir, read_artifact, scratch_dir, Reporter};
+use parn_bench::report::{artifact_dir, read_artifact, smoke_dir, Reporter};
 use parn_core::{
     DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode, SourceModel,
 };
@@ -331,7 +331,7 @@ fn main() {
         }
         // CI smoke: one small size, two rungs — exercises the child,
         // the artifact schema, and the knee synthesis in seconds.
-        ["--smoke"] => drive(&[200], &[0.5, 2.0], false, scratch_dir("capacity")),
+        ["--smoke"] => drive(&[200], &[0.5, 2.0], false, smoke_dir("capacity")),
         _ => drive(&[1_000, 10_000, 100_000], &LADDER, true, artifact_dir()),
     }
 }

@@ -32,7 +32,7 @@
 //! summary line prints the row searches started (`route.table_rows`) and
 //! the stations they settled (`route.table_settles`).
 
-use parn_bench::report::{self, artifact_dir, peak_rss_kb, scratch_dir, Reporter};
+use parn_bench::report::{self, artifact_dir, peak_rss_kb, smoke_dir, Reporter};
 use parn_core::{
     ChurnPlan, DestPolicy, FarFieldConfig, MobilityConfig, MobilityModel, NetConfig, Network,
     PhyBackend, RouteMode,
@@ -188,10 +188,7 @@ fn main() {
                 "determinism OK at n={n}: mobility metrics byte-identical across threads 1/2/8"
             );
         }
-        ["--smoke"] => drive(
-            &[(1_000, 1.5, 10), (1_000, 6.0, 10)],
-            scratch_dir("mobility"),
-        ),
+        ["--smoke"] => drive(&[(1_000, 1.5, 10), (1_000, 6.0, 10)], smoke_dir("mobility")),
         _ => drive(
             &[
                 (1_000, 1.5, 0),

@@ -39,7 +39,7 @@
 //! measured window; the point is memory and wall-clock scaling plus the
 //! zero-collision invariant, not long-run throughput statistics.
 
-use parn_bench::report::{self, artifact_dir, peak_rss_kb, scratch_dir, Reporter};
+use parn_bench::report::{self, artifact_dir, peak_rss_kb, smoke_dir, Reporter};
 use parn_core::{DestPolicy, FarFieldConfig, NetConfig, Network, PhyBackend, RouteMode};
 use parn_sim::json::obj;
 use parn_sim::{Duration, Json};
@@ -260,7 +260,7 @@ fn main() {
                 (1_000, "grid", 1),
                 (1_000, "grid-far", 1),
             ],
-            scratch_dir("scale"),
+            smoke_dir("scale"),
         ),
         _ => drive(
             &[

@@ -11,7 +11,7 @@
 //! Readers key lines by `(label, provenance.git_sha)` and take the last
 //! line per label. Artifacts land at the repo root ([`artifact_dir`]),
 //! overridable with the `PARN_BENCH_DIR` environment variable; smoke,
-//! quick and determinism modes write under [`scratch_dir`] or a
+//! quick and determinism modes write under [`smoke_dir`] or a
 //! throwaway directory, never into the checkout.
 //!
 //! A measured run goes through [`Reporter::start`] (or [`Reporter::run`]
@@ -71,7 +71,7 @@ pub fn artifact_dir() -> PathBuf {
 /// Where smoke and quick modes write: `$PARN_BENCH_DIR` when set, else a
 /// fresh directory under the system temp dir, so they never touch a
 /// committed artifact.
-pub fn scratch_dir(tag: &str) -> PathBuf {
+pub fn smoke_dir(tag: &str) -> PathBuf {
     std::env::var_os("PARN_BENCH_DIR").map_or_else(|| throwaway_dir(tag), PathBuf::from)
 }
 
@@ -108,7 +108,7 @@ pub struct Reporter {
 
 impl Reporter {
     /// A reporter appending to `<dir>/BENCH_<name>.json`; lines already
-    /// there stay. A binary passes [`artifact_dir`], or [`scratch_dir`] in
+    /// there stay. A binary passes [`artifact_dir`], or [`smoke_dir`] in
     /// its smoke and quick modes.
     pub fn new(dir: impl Into<PathBuf>, name: &str) -> Reporter {
         Reporter {
