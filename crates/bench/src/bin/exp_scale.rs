@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// Live heap bytes per station after `Network::new` at n = 10⁴
 /// `grid-far`, single-threaded. `--determinism 10000` fails when a build
 /// needs more than 10 % above it.
-const BUILD_HEAP_PER_STATION_10K: u64 = 1_540;
+const BUILD_HEAP_PER_STATION_10K: u64 = 1_243;
 
 /// The system allocator, counting live and peak heap bytes. The cost is
 /// two relaxed atomic operations per allocation.

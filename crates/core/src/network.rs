@@ -54,20 +54,9 @@ pub enum Event {
     TxEnd {
         /// The transmitting station.
         station: StationId,
-        /// PHY transmission handle.
-        tx: TxId,
-        /// PHY reception handle, if the receiver had a despreader free.
-        rx: Option<RxId>,
-        /// The packet carried.
-        packet: Packet,
-        /// The addressed neighbour.
-        next_hop: StationId,
-        /// Sender's boot epoch at transmission start (a reboot in flight
-        /// invalidates the sender's claim to the packet).
-        tx_epoch: u64,
-        /// Receiver's boot epoch at transmission start (a reboot in
-        /// flight invalidates the reception).
-        rx_epoch: u64,
+        /// What went on the air. A station that reboots can transmit
+        /// again before this fires, so each transmission owns its own.
+        on_air: Box<OnAir>,
     },
     /// Periodic network-wide clock-sample exchange between neighbours.
     Resync,
@@ -112,7 +101,7 @@ pub enum Event {
         /// The station holding the packet.
         station: StationId,
         /// The packet awaiting retransmission.
-        packet: Packet,
+        packet: Box<Packet>,
         /// The holder's boot epoch when the backoff began.
         epoch: u64,
     },
@@ -152,6 +141,27 @@ pub enum Event {
         /// The returning station.
         station: StationId,
     },
+}
+
+/// One transmission in flight: what its [`Event::TxEnd`] needs, behind
+/// one pointer so that the pending events, one per station and more,
+/// stay small (an [`Event`] is 32 B).
+#[derive(Debug)]
+pub struct OnAir {
+    /// PHY transmission handle.
+    tx: TxId,
+    /// PHY reception handle, if the receiver had a despreader free.
+    rx: Option<RxId>,
+    /// The packet carried.
+    packet: Packet,
+    /// The addressed neighbour.
+    next_hop: StationId,
+    /// Sender's boot epoch at transmission start (a reboot in flight
+    /// invalidates the sender's claim to the packet).
+    tx_epoch: u64,
+    /// Receiver's boot epoch at transmission start (a reboot in flight
+    /// invalidates the reception).
+    rx_epoch: u64,
 }
 
 /// How a dark station comes back ([`Network::power_up`]).
@@ -667,35 +677,34 @@ impl Network {
             }
         }
 
+        let on_air = OnAir {
+            tx,
+            rx,
+            packet,
+            next_hop: nh,
+            tx_epoch: self.boot_epoch[s],
+            rx_epoch: self.boot_epoch[nh],
+        };
         queue.schedule(
             now + self.airtime,
             Event::TxEnd {
                 station: s,
-                tx,
-                rx,
-                packet,
-                next_hop: nh,
-                tx_epoch: self.boot_epoch[s],
-                rx_epoch: self.boot_epoch[nh],
+                on_air: Box::new(on_air),
             },
         );
         // Pipeline: plan the next packet while this one is on air.
         self.try_schedule(s, now, queue);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_tx_end(
-        &mut self,
-        s: StationId,
-        tx: TxId,
-        rx: Option<RxId>,
-        packet: Packet,
-        nh: StationId,
-        tx_epoch: u64,
-        rx_epoch: u64,
-        now: Time,
-        queue: &mut EventQueue<Event>,
-    ) {
+    fn on_tx_end(&mut self, s: StationId, on_air: OnAir, now: Time, queue: &mut EventQueue<Event>) {
+        let OnAir {
+            tx,
+            rx,
+            packet,
+            next_hop: nh,
+            tx_epoch,
+            rx_epoch,
+        } = on_air;
         let report = rx.map(|r| {
             self.active_rx[nh] -= 1;
             self.tracker.complete_reception(r)
@@ -871,7 +880,7 @@ impl Network {
                 now + wait,
                 Event::RetryRelease {
                     station: s,
-                    packet,
+                    packet: Box::new(packet),
                     epoch: self.boot_epoch[s],
                 },
             );
@@ -1563,17 +1572,7 @@ impl Model for Network {
                 self.try_schedule(station, now, queue);
             }
             Event::TxStart { station } => self.on_tx_start(station, now, queue),
-            Event::TxEnd {
-                station,
-                tx,
-                rx,
-                packet,
-                next_hop,
-                tx_epoch,
-                rx_epoch,
-            } => self.on_tx_end(
-                station, tx, rx, packet, next_hop, tx_epoch, rx_epoch, now, queue,
-            ),
+            Event::TxEnd { station, on_air } => self.on_tx_end(station, *on_air, now, queue),
             Event::Resync => self.on_resync(now, queue),
             Event::HelloRound { station } => self.on_hello_round(station, now, queue),
             Event::Fault { index } => self.on_fault(index, now, queue),
@@ -1586,7 +1585,7 @@ impl Model for Network {
                 station,
                 packet,
                 epoch,
-            } => self.on_retry_release(station, packet, epoch, now, queue),
+            } => self.on_retry_release(station, *packet, epoch, now, queue),
             Event::Reroute => self.on_reroute(now, queue),
             Event::RouteUpdateRound { station, periodic } => {
                 self.on_route_update_round(station, periodic, now, queue)
@@ -1628,6 +1627,13 @@ mod tests {
         cfg.warmup = Duration::from_secs(1);
         cfg.traffic.arrivals_per_station_per_sec = 1.0;
         cfg
+    }
+
+    #[test]
+    fn an_event_takes_at_most_32_bytes() {
+        // A queue slot is the event plus its time and sequence number; a
+        // packet in flight or backing off sits behind a pointer.
+        assert!(std::mem::size_of::<Event>() <= 32);
     }
 
     #[test]

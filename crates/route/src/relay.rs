@@ -9,6 +9,7 @@
 use crate::table::RouteTable;
 use parn_phys::geom::Disk;
 use parn_phys::Point;
+use std::collections::HashSet;
 
 /// Check the diameter-circle property for every hop of every route in the
 /// table: returns the first violation `(src, dst, hop_from, hop_to,
@@ -20,6 +21,9 @@ use parn_phys::Point;
 /// the same near-field clamp the propagation model uses (energies saturate
 /// below that distance), and `slack` is the relative margin by which a
 /// violator must win, absorbing float noise.
+///
+/// Routes share their hops, so each distinct hop is checked once, where
+/// the scan first meets it: a hop met again passed when first met.
 pub fn find_skipped_relay(
     table: &RouteTable,
     positions: &[Point],
@@ -31,6 +35,7 @@ pub fn find_skipped_relay(
         let d = a.distance(b).max(r_min);
         d * d
     };
+    let mut checked = HashSet::new();
     for src in 0..n {
         for dst in 0..n {
             let Some(path) = table.path(src, dst) else {
@@ -38,6 +43,9 @@ pub fn find_skipped_relay(
             };
             for hop in path.windows(2) {
                 let (a, c) = (hop[0], hop[1]);
+                if !checked.insert((a, c)) {
+                    continue;
+                }
                 let direct = energy(positions[a], positions[c]);
                 // Cheap pre-filter: a winning relay must lie inside the
                 // diameter circle (clamping only ever *raises* relay cost).
@@ -167,6 +175,76 @@ mod tests {
                 find_skipped_relay(&t, &pos, 1.0, 1e-9),
                 None,
                 "seed {seed} skipped a relay"
+            );
+        }
+    }
+
+    /// The scan `find_skipped_relay` replaced: every hop of every route
+    /// against every station, however many routes share the hop.
+    fn every_route_scan(
+        table: &RouteTable,
+        positions: &[Point],
+        r_min: f64,
+        slack: f64,
+    ) -> Option<(usize, usize, usize, usize, usize)> {
+        let energy = |a: Point, b: Point| -> f64 {
+            let d = a.distance(b).max(r_min);
+            d * d
+        };
+        for src in 0..positions.len() {
+            for dst in 0..positions.len() {
+                let Some(path) = table.path(src, dst) else {
+                    continue;
+                };
+                for hop in path.windows(2) {
+                    let (a, c) = (hop[0], hop[1]);
+                    let direct = energy(positions[a], positions[c]);
+                    let disk = Disk::on_diameter(positions[a], positions[c]);
+                    for (b, &p) in positions.iter().enumerate() {
+                        if b == a || b == c || !disk.contains(p) {
+                            continue;
+                        }
+                        let via = energy(positions[a], p) + energy(p, positions[c]);
+                        if via < direct * (1.0 - slack) {
+                            return Some((src, dst, a, c, b));
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn each_hop_once_finds_what_every_route_finds() {
+        let mut rng = Rng::new(5);
+        for seed in 0..12 {
+            // Sparse usable links, as F3 draws them, for multi-hop routes.
+            let n = 50;
+            let pos = Placement::UniformDisk { n, radius: 150.0 }.generate(&mut Rng::new(seed));
+            let gm = GainMatrix::build(&pos, &FreeSpace::unit());
+            let t =
+                RouteTable::centralized(&EnergyGraph::from_model(&gm, Gain(1.0 / 60.0f64.powi(2))));
+            assert_eq!(find_skipped_relay(&t, &pos, 1.0, 1e-9), None, "seed {seed}");
+            assert_eq!(every_route_scan(&t, &pos, 1.0, 1e-9), None, "seed {seed}");
+            // Plant a violator: move a station to the middle of a random
+            // hop the table takes, after routing, so the routes skip it.
+            let hops: Vec<(usize, usize)> = (0..n)
+                .flat_map(|s| t.routing_neighbors(s).into_iter().map(move |nb| (s, nb)))
+                .collect();
+            let (a, c) = *rng.choose(&hops);
+            let mut moved = pos.clone();
+            let v = (0..n).find(|&v| v != a && v != c).expect("a third station");
+            moved[v] = Point::new((pos[a].x + pos[c].x) / 2.0, (pos[a].y + pos[c].y) / 2.0);
+            let found = find_skipped_relay(&t, &moved, 1.0, 1e-9);
+            assert!(
+                found.is_some(),
+                "seed {seed}: the planted violator went unseen"
+            );
+            assert_eq!(
+                found,
+                every_route_scan(&t, &moved, 1.0, 1e-9),
+                "seed {seed}"
             );
         }
     }

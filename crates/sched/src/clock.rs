@@ -12,6 +12,38 @@
 
 use parn_sim::{Rng, Time};
 
+/// Below this magnitude an `f64` may have a fraction; at and above it,
+/// every `f64` is an integer.
+const EXACT_INTEGERS: f64 = (1u64 << 52) as f64;
+
+/// `x.round() as i64` for every `x`, ties away from zero, in integer
+/// arithmetic. On the x86-64 baseline `f64::round` is a library call;
+/// this is a truncating conversion and one exact subtraction.
+#[inline]
+pub(crate) fn round_i64(x: f64) -> i64 {
+    if x.abs() < EXACT_INTEGERS {
+        let t = x as i64;
+        // Exact: `x` and its truncation share their integer bits.
+        let frac = x - t as f64;
+        t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64
+    } else {
+        // Already an integer, or NaN or infinite: `as` saturates exactly
+        // as it does after `round`.
+        x as i64
+    }
+}
+
+/// `x.round().max(0.0) as u64` for every `x` (see [`round_i64`]).
+#[inline]
+pub(crate) fn round_u64(x: f64) -> u64 {
+    if x < EXACT_INTEGERS {
+        round_i64(x).max(0) as u64
+    } else {
+        // An integer at or above 2⁵², or NaN.
+        x as u64
+    }
+}
+
 /// A station's local clock: `reading(t) = offset + t·(1 + ppm·10⁻⁶)`.
 #[derive(Clone, Copy, Debug)]
 pub struct StationClock {
@@ -52,7 +84,7 @@ impl StationClock {
     /// The drift accumulated by simulation time `t`, in ticks (signed).
     #[inline]
     fn drift_ticks(&self, t: Time) -> i64 {
-        (t.ticks() as f64 * self.ppm * 1e-6).round() as i64
+        round_i64(t.ticks() as f64 * self.ppm * 1e-6)
     }
 
     /// Local clock reading at simulation time `t`.
@@ -74,7 +106,7 @@ impl StationClock {
             return None; // wrapped: reading precedes the epoch
         }
         let t = elapsed_local as f64 / (1.0 + self.ppm * 1e-6);
-        Some(Time(t.round() as u64))
+        Some(Time(round_u64(t)))
     }
 
     /// Offset difference to another clock at time `t`, in ticks (signed):
@@ -165,6 +197,49 @@ mod tests {
             }
         }
         assert_eq!(close_pairs, 0, "{close_pairs} pairs within one slot");
+    }
+
+    #[test]
+    fn integer_rounding_matches_round_everywhere() {
+        let check = |x: f64| {
+            assert_eq!(round_i64(x), x.round() as i64, "i64 at {x:e}");
+            assert_eq!(round_u64(x), x.round().max(0.0) as u64, "u64 at {x:e}");
+        };
+        // A positive finite value and its two neighbouring floats.
+        let around = |x: f64| {
+            let b = x.to_bits();
+            [f64::from_bits(b - 1), x, f64::from_bits(b + 1)]
+        };
+        let mut values = vec![
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MAX,
+            i64::MAX as f64,
+            u64::MAX as f64,
+        ];
+        values.extend(around(f64::MIN_POSITIVE));
+        values.extend(around(EXACT_INTEGERS));
+        values.extend(around((1u64 << 63) as f64));
+        // Ties (k + ½) near zero, near the clock readings the simulator
+        // rounds, and just below 2⁵².
+        for k in (0u64..40).chain([1 << 40, (1 << 51) - 1]) {
+            values.extend(around(k as f64 + 0.5));
+        }
+        let mut rng = Rng::new(29);
+        for _ in 0..100_000 {
+            // Random bit patterns cover every exponent and NaN payloads.
+            values.push(f64::from_bits(rng.next_u64()));
+            // Uniform values of a random magnitude up to 2⁶⁴.
+            let scale = (1u64 << rng.below(64)) as f64;
+            values.push(rng.range_f64(0.0, scale));
+        }
+        values.extend((0..64).map(|e| (1u64 << e) as f64));
+        for x in values {
+            // Each value with both signs: negatives, -0.0 and -inf too.
+            check(x);
+            check(-x);
+        }
     }
 
     #[test]
