@@ -223,18 +223,23 @@ mod tests {
             let n = 50;
             let pos = Placement::UniformDisk { n, radius: 150.0 }.generate(&mut Rng::new(seed));
             let gm = GainMatrix::build(&pos, &FreeSpace::unit());
-            let t =
-                RouteTable::centralized(&EnergyGraph::from_model(&gm, Gain(1.0 / 60.0f64.powi(2))));
+            let usable = Gain(1.0 / 60.0f64.powi(2));
+            let t = RouteTable::centralized(&EnergyGraph::from_model(&gm, usable));
             assert_eq!(find_skipped_relay(&t, &pos, 1.0, 1e-9), None, "seed {seed}");
             assert_eq!(every_route_scan(&t, &pos, 1.0, 1e-9), None, "seed {seed}");
-            // Plant a violator: move a station to the middle of a random
-            // hop the table takes, after routing, so the routes skip it.
+            // Plant a violator: a station the routes leave out, moved to
+            // the middle of a random hop they take. The scan meets that
+            // hop after it has met many others more than once.
+            let v = rng.below(n as u64) as usize;
+            let mut live = vec![true; n];
+            live[v] = false;
+            let t =
+                RouteTable::centralized(&EnergyGraph::from_model_masked(&gm, usable, &live, &live));
             let hops: Vec<(usize, usize)> = (0..n)
                 .flat_map(|s| t.routing_neighbors(s).into_iter().map(move |nb| (s, nb)))
                 .collect();
             let (a, c) = *rng.choose(&hops);
             let mut moved = pos.clone();
-            let v = (0..n).find(|&v| v != a && v != c).expect("a third station");
             moved[v] = Point::new((pos[a].x + pos[c].x) / 2.0, (pos[a].y + pos[c].y) / 2.0);
             let found = find_skipped_relay(&t, &moved, 1.0, 1e-9);
             assert!(
