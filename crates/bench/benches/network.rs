@@ -2,7 +2,7 @@
 //! simulated-seconds-per-wall-second for the full scheme and for the
 //! baselines at matched load.
 
-use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{Baseline, MacKind};
 use parn_bench::harness;
 use parn_core::{NetConfig, Network};
 use parn_sim::Duration;
@@ -30,12 +30,6 @@ fn main() {
 
     let mut group = h.group("baseline_aloha_run_3s");
     for &n in &[50usize, 100] {
-        group.bench(n, || {
-            let mut cfg = BaselineConfig::matched(n, 77, MacKind::PureAloha);
-            cfg.arrivals_per_station_per_sec = 2.0;
-            cfg.run_for = Duration::from_secs(3);
-            cfg.warmup = Duration::from_secs(1);
-            Baseline::run(Scenario::new(cfg))
-        });
+        group.bench(n, || Baseline::new(scenario(n), MacKind::PureAloha).run());
     }
 }

@@ -8,22 +8,24 @@
 //! that still falls short of the scheme's zero, at zero receiver
 //! complexity.
 
-use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{Baseline, MacKind};
 use parn_bench::report::{artifact_dir, Reporter};
-use parn_core::{DestPolicy, NetConfig};
+use parn_core::{DestPolicy, Metrics, NetConfig};
 use parn_sim::Duration;
 
-fn aloha_with_sic(
-    reporter: &Reporter,
-    depth: usize,
-    rate: f64,
-    narrowband: bool,
-) -> parn_core::Metrics {
-    let mut c = BaselineConfig::matched(50, 8, MacKind::PureAloha);
-    c.arrivals_per_station_per_sec = rate;
-    c.sic_depth = depth;
-    c.run_for = Duration::from_secs(10);
-    c.warmup = Duration::from_secs(2);
+/// The scenario every arm runs at `rate`: 50 stations, single-hop
+/// neighbour traffic.
+fn scenario(rate: f64) -> NetConfig {
+    let mut cfg = NetConfig::paper_default(50, 8);
+    cfg.traffic.arrivals_per_station_per_sec = rate;
+    cfg.traffic.dest = DestPolicy::Neighbors;
+    cfg.run_for = Duration::from_secs(10);
+    cfg.warmup = Duration::from_secs(2);
+    cfg
+}
+
+fn aloha_with_sic(reporter: &Reporter, depth: usize, rate: f64, narrowband: bool) -> Metrics {
+    let mut c = scenario(rate);
     if narrowband {
         c.criterion = parn_phys::ReceptionCriterion {
             rate_bps: 1e6,
@@ -33,8 +35,9 @@ fn aloha_with_sic(
     }
     let band = if narrowband { "narrowband" } else { "spread" };
     let run = reporter.start(format!("aloha sic_depth={depth} rate={rate} {band}"));
-    let config = c.to_json();
-    let m = Baseline::run(Scenario::new(c));
+    let b = Baseline::new(c, MacKind::PureAloha).with_sic(depth);
+    let config = b.to_json();
+    let m = b.run();
     run.record(config, m.to_json());
     m
 }
@@ -90,12 +93,7 @@ fn main() {
     }
 
     // The reference point: the scheme needs no cancellation at all.
-    let mut cfg = NetConfig::paper_default(50, 8);
-    cfg.traffic.arrivals_per_station_per_sec = 8.0;
-    cfg.traffic.dest = DestPolicy::Neighbors;
-    cfg.run_for = Duration::from_secs(10);
-    cfg.warmup = Duration::from_secs(2);
-    let scheme = reporter.run("scheme rate=8", &cfg);
+    let scheme = reporter.run("scheme rate=8", &scenario(8.0));
     println!(
         "\nscheme (no SIC, plain receivers): {} collisions, {:.2}% hop success",
         scheme.collision_losses(),

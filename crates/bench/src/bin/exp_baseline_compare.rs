@@ -1,14 +1,15 @@
 //! E3 — the scheme vs the MACs it replaces, across offered load.
 //!
-//! All five MACs run over identical physics (same placement seed, gain
-//! matrix, reception criterion, power control, packet size) with
-//! single-hop neighbour traffic at increasing offered load. The expected
-//! shape: contention MACs lose packets to collisions once load grows —
-//! pure ALOHA worst, slotted better, CSMA/MACA better still but paying in
-//! deferral delay and control overhead — while the Shepard scheme stays at
-//! exactly zero collision losses at every load, trading only delay.
+//! All five MACs run from one `NetConfig` per load, so they share its
+//! physics (placement seed, gain matrix, reception criterion, power
+//! control, packet size), with single-hop neighbour traffic at increasing
+//! offered load. The expected shape: contention MACs lose packets to
+//! collisions once load grows — pure ALOHA worst, slotted better,
+//! CSMA/MACA better still but paying in deferral delay and control
+//! overhead — while the Shepard scheme stays at exactly zero collision
+//! losses at every load, trading only delay.
 
-use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{Baseline, MacKind};
 use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{DestPolicy, Metrics, NetConfig};
 use parn_phys::PowerW;
@@ -18,25 +19,24 @@ const N: usize = 60;
 const SEED: u64 = 3;
 const SECS: u64 = 12;
 
-fn baseline(reporter: &Reporter, name: &str, mac: MacKind, rate: f64) -> Metrics {
-    let mut c = BaselineConfig::matched(N, SEED, mac);
-    c.arrivals_per_station_per_sec = rate;
-    c.run_for = Duration::from_secs(SECS);
-    c.warmup = Duration::from_secs(2);
-    let run = reporter.start(format!("rate={rate} mac={name}"));
-    let config = c.to_json();
-    let m = Baseline::run(Scenario::new(c));
-    run.record(config, m.to_json());
-    m
-}
-
-fn shepard(reporter: &Reporter, rate: f64) -> Metrics {
+/// The one scenario every MAC runs at `rate`.
+fn scenario(rate: f64) -> NetConfig {
     let mut cfg = NetConfig::paper_default(N, SEED);
     cfg.traffic.arrivals_per_station_per_sec = rate;
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(SECS);
     cfg.warmup = Duration::from_secs(2);
-    reporter.run(format!("rate={rate} mac=shepard"), &cfg)
+    cfg
+}
+
+fn baseline(reporter: &Reporter, cfg: &NetConfig, name: &str, mac: MacKind) -> Metrics {
+    let rate = cfg.traffic.arrivals_per_station_per_sec;
+    let run = reporter.start(format!("rate={rate} mac={name}"));
+    let b = Baseline::new(cfg.clone(), mac);
+    let config = b.to_json();
+    let m = b.run();
+    run.record(config, m.to_json());
+    m
 }
 
 fn main() {
@@ -49,45 +49,25 @@ fn main() {
     let mut shepard_collisions_total = 0;
     let mut aloha_collisions_heavy = 0;
     for &rate in &[1.0, 5.0, 15.0, 40.0] {
+        let cfg = scenario(rate);
+        let csma = MacKind::Csma {
+            sense_threshold: PowerW(1e-8),
+        };
         let rows: Vec<(&str, Metrics)> = vec![
-            ("shepard", shepard(&reporter, rate)),
+            (
+                "shepard",
+                reporter.run(format!("rate={rate} mac=shepard"), &cfg),
+            ),
             (
                 "pure-aloha",
-                baseline(&reporter, "pure-aloha", MacKind::PureAloha, rate),
+                baseline(&reporter, &cfg, "pure-aloha", MacKind::PureAloha),
             ),
             (
                 "slot-aloha",
-                baseline(
-                    &reporter,
-                    "slot-aloha",
-                    MacKind::SlottedAloha {
-                        slot: Duration::from_micros(2500),
-                    },
-                    rate,
-                ),
+                baseline(&reporter, &cfg, "slot-aloha", MacKind::SlottedAloha),
             ),
-            (
-                "csma",
-                baseline(
-                    &reporter,
-                    "csma",
-                    MacKind::Csma {
-                        sense_threshold: PowerW(1e-8),
-                    },
-                    rate,
-                ),
-            ),
-            (
-                "maca",
-                baseline(
-                    &reporter,
-                    "maca",
-                    MacKind::Maca {
-                        ctrl_airtime: Duration::from_micros(250),
-                    },
-                    rate,
-                ),
-            ),
+            ("csma", baseline(&reporter, &cfg, "csma", csma)),
+            ("maca", baseline(&reporter, &cfg, "maca", MacKind::Maca)),
         ];
         for (name, m) in &rows {
             println!(

@@ -6,7 +6,7 @@
 //! under the Shepard scheme produces zero collisions of any type; a
 //! random 60-station scenario repeats the contrast at scale.
 
-use parn_baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn_baseline::{Baseline, MacKind};
 use parn_bench::report::{artifact_dir, Reporter};
 use parn_core::{classify, DestPolicy, LossCause, NetConfig};
 use parn_phys::propagation::FreeSpace;
@@ -95,28 +95,25 @@ fn main() {
     let rate = 8.0;
     let seed = 2;
 
-    let mut bc = BaselineConfig::matched(n, seed, MacKind::PureAloha);
-    bc.arrivals_per_station_per_sec = rate;
-    bc.run_for = Duration::from_secs(12);
-    bc.warmup = Duration::from_secs(2);
+    let mut cfg = NetConfig::paper_default(n, seed);
+    cfg.traffic.arrivals_per_station_per_sec = rate;
+    cfg.traffic.dest = DestPolicy::Neighbors;
+    cfg.run_for = Duration::from_secs(12);
+    cfg.warmup = Duration::from_secs(2);
     // Narrowband radios (no processing gain): the regime the classic
     // taxonomy describes — any comparable-power overlap is fatal.
-    bc.criterion = parn_phys::ReceptionCriterion {
+    let mut narrowband = cfg.clone();
+    narrowband.criterion = parn_phys::ReceptionCriterion {
         rate_bps: 1e6,
         bandwidth_hz: 1e6,
         margin: 2.0,
     };
     let reporter = Reporter::new(artifact_dir(), "fig2_collision_types");
     let run = reporter.start(format!("rate={rate} mac=naive-aloha narrowband"));
-    let bc_json = bc.to_json();
-    let naive = Baseline::run(Scenario::new(bc));
-    run.record(bc_json, naive.to_json());
-
-    let mut cfg = NetConfig::paper_default(n, seed);
-    cfg.traffic.arrivals_per_station_per_sec = rate;
-    cfg.traffic.dest = DestPolicy::Neighbors;
-    cfg.run_for = Duration::from_secs(12);
-    cfg.warmup = Duration::from_secs(2);
+    let aloha = Baseline::new(narrowband, MacKind::PureAloha);
+    let config = aloha.to_json();
+    let naive = aloha.run();
+    run.record(config, naive.to_json());
     let scheme = reporter.run(format!("rate={rate} mac=shepard"), &cfg);
 
     println!(

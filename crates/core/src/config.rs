@@ -8,6 +8,7 @@
 
 use crate::faults::{FaultPlan, HealConfig};
 use crate::mobility::{ChurnPlan, MobilityConfig};
+use crate::power::PowerPolicy;
 use parn_phys::placement::Placement;
 use parn_phys::{PowerW, ReceptionCriterion};
 use parn_sched::SchedParams;
@@ -498,6 +499,18 @@ impl NetConfig {
     /// The SINR threshold every reception must hold.
     pub fn sinr_threshold(&self) -> f64 {
         self.criterion.threshold()
+    }
+
+    /// The §6.1 power control: `fixed_power` when set, else deliver
+    /// `delivered_power` under the `max_power` ceiling.
+    pub fn power_policy(&self) -> PowerPolicy {
+        match self.fixed_power {
+            Some(p) => PowerPolicy::Fixed(p),
+            None => PowerPolicy::Controlled {
+                target: self.delivered_power,
+                max: self.max_power,
+            },
+        }
     }
 }
 

@@ -20,7 +20,10 @@
 //! * [`traffic`] — composable traffic models (Poisson / bursty on-off
 //!   sources × uniform / neighbour / gravity / hotspot destinations), and
 //!   the generator that runs them;
-//! * [`metrics`] — loss/delay/duty accounting.
+//! * [`metrics`] — loss/delay/duty accounting;
+//! * [`world`] — the physical world a config describes (positions, gain
+//!   backend, usable-hop gain, SINR tracker), which the scheme and the
+//!   baseline MACs build alike.
 //!
 //! ```
 //! use parn_core::{NetConfig, Network};
@@ -47,6 +50,7 @@ pub mod power;
 mod routing;
 pub mod traffic;
 pub mod vecmap;
+pub mod world;
 
 pub use collision::{classify, classify_with, CollisionKinds};
 pub use config::{
@@ -59,3 +63,4 @@ pub use mobility::{ChurnEvent, ChurnKind, ChurnPlan, MobilityConfig, MobilityMod
 pub use network::{Event, Network};
 pub use packet::{ControlPayload, LossCause, Packet, PacketKind};
 pub use power::PowerPolicy;
+pub use world::World;

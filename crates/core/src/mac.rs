@@ -147,13 +147,6 @@ impl Mac {
         metrics: &mut Metrics,
     ) -> Mac {
         let n = gains.len();
-        let power = match cfg.fixed_power {
-            Some(p) => PowerPolicy::Fixed(p),
-            None => PowerPolicy::Controlled {
-                target: cfg.delivered_power,
-                max: cfg.max_power,
-            },
-        };
         let budget = cfg.delivered_power.value() / cfg.sinr_threshold();
         let significant = cfg.protection.significance_fraction * budget;
         Mac {
@@ -161,7 +154,7 @@ impl Mac {
             horizon_slots: cfg.mac_horizon_slots,
             max_plans: cfg.max_outstanding_plans,
             clock: cfg.clock.clone(),
-            power,
+            power: cfg.power_policy(),
             significant: cfg.protection.enabled.then_some(significant),
             gains,
             clocks: (0..n)

@@ -15,7 +15,7 @@
 
 use crate::adversary::Adversary;
 use crate::collision::classify;
-use crate::config::{NetConfig, PhyBackend, SyncMode};
+use crate::config::{NetConfig, SyncMode};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::heal::{Heal, HopVerdict};
 use crate::mac::{Mac, Step};
@@ -24,10 +24,9 @@ use crate::mobility::{ChurnKind, Motion};
 use crate::packet::{ControlPayload, LossCause, Packet, PacketKind};
 use crate::routing::{Probe, Relink, Routing};
 use crate::traffic::Traffic;
-use parn_phys::placement::density;
-use parn_phys::propagation::{FreeSpace, Propagation, Shadowed};
+use crate::world::World;
 use parn_phys::sinr::{RxId, SinrTracker, TxId};
-use parn_phys::{GainMatrix, GainModel, GridGainModel, Point, StationId};
+use parn_phys::{GainModel, Point, StationId};
 use parn_route::RouteTable;
 use parn_sim::{Duration, EventQueue, Model, Rng, Time};
 use std::sync::Arc;
@@ -221,58 +220,13 @@ impl Network {
     pub fn new(cfg: NetConfig) -> Network {
         parn_sim::time_scope!("core.build");
         let root = Rng::new(cfg.seed);
-        let mut rng_place = root.substream("placement");
         let rng_faults = root.substream("faults");
-
-        let positions = cfg.placement.generate(&mut rng_place);
-        let n = positions.len();
-        assert!(n >= 2, "need at least two stations");
-        let shadow = (cfg.shadowing_sigma_db > 0.0).then(|| Shadowed {
-            inner: FreeSpace::unit(),
-            sigma_db: cfg.shadowing_sigma_db,
-            seed: cfg.seed ^ 0x5AAD_0E5D,
-        });
-        let gains: Arc<dyn GainModel> = match &cfg.phy_backend {
-            // `build_shared` keeps the propagation model alive so dense
-            // backends can recompute rows on relocation; the table it
-            // builds is bit-identical to `build`'s.
-            PhyBackend::Dense => match shadow {
-                Some(model) => Arc::new(GainMatrix::build_shared(&positions, Arc::new(model))),
-                None => Arc::new(GainMatrix::build_shared(
-                    &positions,
-                    Arc::new(FreeSpace::unit()),
-                )),
-            },
-            PhyBackend::Grid { .. } => {
-                let model: Box<dyn Propagation + Send + Sync> = match shadow {
-                    Some(model) => Box::new(model),
-                    None => Box::new(FreeSpace::unit()),
-                };
-                Arc::new(GridGainModel::new(&positions, model))
-            }
-        };
-        let (adversary, gains) = Adversary::new(&cfg.faults, gains);
-
-        // Usable-hop threshold from the reach factor (§6: ~2/√ρ).
-        let region = cfg.placement.region();
-        let rho = density(&positions, &region);
-        let reach = cfg.reach_factor / rho.sqrt();
-        let usable_gain = parn_phys::Gain(1.0 / (reach * reach));
-        let routing = Routing::new(&cfg, Arc::clone(&gains), usable_gain);
-        let mut tracker = SinrTracker::new(
-            Arc::clone(&gains),
-            cfg.thermal_noise + cfg.external_din,
-            cfg.self_gain,
-        );
-        if let PhyBackend::Grid {
-            far_field: Some(ff),
-        } = &cfg.phy_backend
-        {
-            tracker = tracker.with_far_field(ff.near_radius_factor * reach, ff.tolerance);
-        }
-        if cfg.threads > 1 {
-            tracker = tracker.with_threads(cfg.threads);
-        }
+        let mut world = World::new(&cfg);
+        let n = world.positions.len();
+        let (adversary, gains) = Adversary::new(&cfg.faults, world.gains);
+        world.gains = gains;
+        let routing = Routing::new(&cfg, Arc::clone(&world.gains), world.usable_gain);
+        let tracker = world.tracker(&cfg);
 
         let threshold = cfg.sinr_threshold();
         let mut metrics = Metrics::new(n);
@@ -281,20 +235,25 @@ impl Network {
         // slot function reckoned by its clock.
         let mac = Mac::new(
             &cfg,
-            Arc::clone(&gains),
+            Arc::clone(&world.gains),
             &mut root.substream("clocks"),
             &mut metrics,
         );
         let traffic = Traffic::new(
             &cfg.traffic,
             root.substream("traffic"),
-            &positions,
-            reach,
-            region.radius,
+            &world.positions,
+            world.reach,
+            world.radius,
         );
-        let motion = cfg
-            .mobility
-            .map(|mc| Motion::new(mc, root.substream("mobility"), &positions, region.radius));
+        let motion = cfg.mobility.map(|mc| {
+            Motion::new(
+                mc,
+                root.substream("mobility"),
+                &world.positions,
+                world.radius,
+            )
+        });
 
         let warm = WarmupGate {
             warm_at: Time::ZERO + cfg.warmup,
@@ -305,7 +264,7 @@ impl Network {
 
         let mut net = Network {
             cfg,
-            gains,
+            gains: world.gains,
             tracker,
             routing,
             mac,

@@ -10,20 +10,11 @@
 //! control adapts to density variation and the scheme stays collision-free
 //! where contention MACs shed packets.
 
-use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn::baseline::{Baseline, MacKind};
 use parn::core::{DestPolicy, NetConfig, Network};
 use parn::phys::placement::Placement;
 use parn::phys::PowerW;
 use parn::sim::Duration;
-
-fn clustered() -> Placement {
-    Placement::Clustered {
-        clusters: 8,
-        per_cluster: 12,
-        sigma: 18.0,
-        radius: 160.0,
-    }
-}
 
 fn main() {
     let seed = 7;
@@ -31,33 +22,28 @@ fn main() {
 
     println!("dense city: 8 clusters x 12 stations, {rate} pkt/s each\n");
 
-    // The Shepard scheme, single-hop neighbour traffic for comparability.
+    // One scenario for every MAC, with single-hop neighbour traffic for
+    // comparability.
     let mut cfg = NetConfig::paper_default(96, seed);
-    cfg.placement = clustered();
+    cfg.placement = Placement::Clustered {
+        clusters: 8,
+        per_cluster: 12,
+        sigma: 18.0,
+        radius: 160.0,
+    };
     cfg.traffic.arrivals_per_station_per_sec = rate;
     cfg.traffic.dest = DestPolicy::Neighbors;
     cfg.run_for = Duration::from_secs(15);
     cfg.warmup = Duration::from_secs(2);
-    let shepard = Network::run(cfg);
+    let shepard = Network::run(cfg.clone());
 
-    let mk = |mac: MacKind| {
-        let mut c = BaselineConfig::matched(96, seed, mac);
-        c.placement = clustered();
-        c.arrivals_per_station_per_sec = rate;
-        c.run_for = Duration::from_secs(15);
-        c.warmup = Duration::from_secs(2);
-        Scenario::new(c)
-    };
-    let aloha = Baseline::run(mk(MacKind::PureAloha));
-    let slotted = Baseline::run(mk(MacKind::SlottedAloha {
-        slot: Duration::from_micros(2500),
-    }));
-    let csma = Baseline::run(mk(MacKind::Csma {
+    let baseline = |mac: MacKind| Baseline::new(cfg.clone(), mac).run();
+    let aloha = baseline(MacKind::PureAloha);
+    let slotted = baseline(MacKind::SlottedAloha);
+    let csma = baseline(MacKind::Csma {
         sense_threshold: PowerW(1e-8),
-    }));
-    let maca = Baseline::run(mk(MacKind::Maca {
-        ctrl_airtime: Duration::from_micros(250),
-    }));
+    });
+    let maca = baseline(MacKind::Maca);
 
     println!(
         "{:<14} {:>9} {:>10} {:>11} {:>12} {:>11}",

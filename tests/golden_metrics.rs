@@ -19,7 +19,7 @@
 //! Regenerate (only when a format change is intentional) with:
 //! `GOLDEN_REGEN=1 cargo test --test golden_metrics`
 
-use parn::baseline::{Baseline, BaselineConfig, MacKind, Scenario};
+use parn::baseline::{Baseline, MacKind};
 use parn::core::{
     ByzMode, ChurnPlan, CutAxis, DestPolicy, FaultPlan, HealConfig, MobilityConfig, MobilityModel,
     NetConfig, Network, PhyBackend, RouteMode, SourceModel, SyncMode,
@@ -278,9 +278,9 @@ fn one_hop_neighbor_traffic_metrics_are_pinned() {
 /// CSMA senses at 1e-6 W rather than E3's 1e-8 W: at 1e-8 W it defers so
 /// hard that it never collides, while 1e-6 W exercises both the deferral
 /// and the retry path.
-fn e3_heavy(mac: MacKind) -> BaselineConfig {
-    let mut c = BaselineConfig::matched(60, 3, mac);
-    c.arrivals_per_station_per_sec = 40.0;
+fn e3_heavy() -> NetConfig {
+    let mut c = NetConfig::paper_default(60, 3);
+    c.traffic.arrivals_per_station_per_sec = 40.0;
     c.run_for = Duration::from_secs(12);
     c.warmup = Duration::from_secs(2);
     c
@@ -288,28 +288,26 @@ fn e3_heavy(mac: MacKind) -> BaselineConfig {
 
 #[test]
 fn pure_aloha_metrics_are_pinned() {
-    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::PureAloha)));
+    let m = Baseline::new(e3_heavy(), MacKind::PureAloha).run();
     check("baseline_pure_aloha.json", &m.to_json().to_string());
 }
 
 #[test]
 fn slotted_aloha_metrics_are_pinned() {
-    let slot = Duration::from_micros(2500);
-    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::SlottedAloha { slot })));
+    let m = Baseline::new(e3_heavy(), MacKind::SlottedAloha).run();
     check("baseline_slotted_aloha.json", &m.to_json().to_string());
 }
 
 #[test]
 fn csma_metrics_are_pinned() {
     let sense_threshold = PowerW(1e-6);
-    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::Csma { sense_threshold })));
+    let m = Baseline::new(e3_heavy(), MacKind::Csma { sense_threshold }).run();
     check("baseline_csma.json", &m.to_json().to_string());
 }
 
 #[test]
 fn maca_metrics_are_pinned() {
-    let ctrl_airtime = Duration::from_micros(250);
-    let m = Baseline::run(Scenario::new(e3_heavy(MacKind::Maca { ctrl_airtime })));
+    let m = Baseline::new(e3_heavy(), MacKind::Maca).run();
     check("baseline_maca.json", &m.to_json().to_string());
 }
 
