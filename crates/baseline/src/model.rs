@@ -563,11 +563,10 @@ impl Baseline {
             cts_received: false,
             data_started: false,
         });
-        let ctrl = CTRL_AIRTIME;
         let tx = self.start_ctrl(s, nh, now);
         let rxs = self.open_receptions(s, tx);
         queue.schedule(
-            now + ctrl,
+            now + CTRL_AIRTIME,
             Event::CtrlEnd {
                 kind: CtrlKind::Rts,
                 from: s,
@@ -577,9 +576,9 @@ impl Baseline {
                 seq,
             },
         );
-        let cts_timeout = TURNAROUND + ctrl + TURNAROUND + GUARD;
+        let cts_timeout = TURNAROUND + CTRL_AIRTIME + TURNAROUND + GUARD;
         queue.schedule(
-            now + ctrl + cts_timeout,
+            now + CTRL_AIRTIME + cts_timeout,
             Event::CtsTimeout { station: s, seq },
         );
     }

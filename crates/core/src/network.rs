@@ -1575,9 +1575,7 @@ mod tests {
     /// The usable-hop gain threshold `Network::new` derives from the
     /// reach factor (§6: about 2/√ρ).
     fn usable_gain(net: &Network) -> parn_phys::Gain {
-        let rho = net.len() as f64 / net.cfg.placement.region().area();
-        let reach = net.cfg.reach_factor / rho.sqrt();
-        parn_phys::Gain(1.0 / (reach * reach))
+        World::new(&net.cfg).usable_gain
     }
 
     fn small_cfg(n: usize, seed: u64) -> NetConfig {
